@@ -33,8 +33,8 @@ Commands
 * ``fuzz`` — seeded differential fuzzing campaign with shrinking and
   replayable JSON artifacts (``--replay`` re-probes a saved finding;
   ``--corpus frontend`` mutates ingested real-loop IR instead of
-  drawing from the grammar; ``--sim-modes specialized,batched`` arms
-  fast-simulator legs that must match the reference back end exactly);
+  drawing from the grammar; ``--sim-modes specialized`` arms the
+  fast-simulator leg that must match the reference back end exactly);
 * ``bench-sim`` — time the specialized simulator against the
   reference core over the Table I corpus; ``--write`` records the
   baseline to ``BENCH_sim.json``, ``--check`` fails below its floor;
@@ -233,7 +233,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .experiments import REGISTRY
+    from .experiments import REGISTRY, TRIP_FREE, run_experiment
     from .store.sweep import WORKERS_ENV, resolve_workers
 
     if args.workers is not None:
@@ -244,20 +244,16 @@ def _cmd_experiment(args) -> int:
             return 2
         os.environ[WORKERS_ENV] = args.workers
     trip = args.trip if args.trip is not None else _DEFAULT_TRIP
-    ids = sorted(REGISTRY) if args.id == "all" else [args.id.upper()]
+    ids = list(REGISTRY) if args.id == "all" else [args.id.upper()]
     for eid in ids:
         if eid not in REGISTRY:
-            print(f"unknown experiment {eid!r}; known: {sorted(REGISTRY)}")
+            print(f"unknown experiment {eid!r}; known: {list(REGISTRY)}")
             return 2
         mod, title = REGISTRY[eid]
         print(f"===== {eid}: {title} =====")
-        if eid == "E1":
-            if args.trip is not None:
-                print("note: E1 is a static characterization; --trip is ignored")
-            res = mod.run()
-        else:
-            res = mod.run(trip=trip)
-        print(mod.format_result(res))
+        if eid in TRIP_FREE and args.trip is not None:
+            print(f"note: {eid} is {TRIP_FREE[eid]}; --trip is ignored")
+        print(mod.format_result(run_experiment(eid, trip)))
         print()
     return 0
 
@@ -559,7 +555,11 @@ def _cmd_fuzz(args) -> int:
     from .fuzz import replay_artifact, run_campaign
 
     if args.replay:
-        expected, observed = replay_artifact(args.replay)
+        try:
+            expected, observed = replay_artifact(args.replay)
+        except ValueError as exc:
+            print(f"fuzz: {exc}")
+            return 2
         same = expected == observed
         print(f"artifact : {args.replay}")
         print(f"expected : {expected}")
@@ -567,16 +567,9 @@ def _cmd_fuzz(args) -> int:
         print("replay   : " + ("REPRODUCED" if same else "DID NOT REPRODUCE"))
         return 0 if same else 1
 
-    sim_modes: tuple[str, ...] = ()
-    if args.sim_modes:
-        sim_modes = tuple(
-            tok.strip() for tok in args.sim_modes.split(",") if tok.strip()
-        )
-        bad = [m for m in sim_modes if m not in ("specialized", "batched")]
-        if bad:
-            print(f"--sim-modes: unknown mode(s) {bad}; "
-                  "expected specialized,batched")
-            return 2
+    sim_modes = tuple(
+        tok.strip() for tok in (args.sim_modes or "").split(",") if tok.strip()
+    )
     try:
         res = run_campaign(
             args.seed,
@@ -941,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("id")
     ep.add_argument("--trip", type=int, default=None,
                     help=f"evaluation trip count (default {_DEFAULT_TRIP}; "
-                    "E1 is static and ignores it)")
+                    "E1 and E12 ignore it)")
     ep.add_argument("--workers", default=None,
                     help="sweep worker processes (N or 'auto'; default serial)")
     ep.set_defaults(fn=_cmd_experiment)
@@ -1064,8 +1057,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "'frontend' mutates frontend-ingested kernel IR")
     fp.add_argument("--sim-modes", default=None,
                     help="comma list of fast-simulator legs to arm per probe "
-                    "(specialized,batched): each must match the reference "
-                    "back end exactly or the probe is a finding")
+                    "(specialized): each must match the reference back end "
+                    "exactly or the probe is a finding")
     fp.set_defaults(fn=_cmd_fuzz)
 
     bs = sub.add_parser(

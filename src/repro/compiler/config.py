@@ -25,6 +25,12 @@ class MergeWeights:
     proximity: float = 0.3
 
 
+#: the legal values of :attr:`CompilerConfig.sim_mode`.  Every mode that
+#: arrives from outside (serve requests, ``repro fuzz --sim-modes``,
+#: fuzz artifacts) is checked against this tuple.
+SIM_MODES = ("reference", "specialized")
+
+
 @dataclass
 class CompilerConfig:
     """Options for :func:`repro.compiler.pipeline.parallelize`."""
@@ -82,8 +88,8 @@ class CompilerConfig:
     #: simulator back end used when executing the compiled kernel.
     #: ``"reference"`` is the per-instruction interpreter
     #: (:class:`repro.sim.core.Core`); ``"specialized"`` pre-compiles
-    #: each program into a generator closure (:mod:`repro.sim.fast`);
-    #: ``"batched"`` advances many sweep cells in numpy lockstep.  All
-    #: three are bit-identical by contract, so this field is excluded
-    #: from store keys (see :mod:`repro.store.keys`).
+    #: each program into a generator closure (:mod:`repro.sim.fast`).
+    #: Both are bit-identical by contract, so this field is excluded
+    #: from store keys (see :mod:`repro.store.keys`).  Legal values
+    #: are :data:`SIM_MODES`.
     sim_mode: str = "reference"

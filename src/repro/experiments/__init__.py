@@ -20,12 +20,12 @@ from . import (
     table3_stats,
 )
 from .common import (
+    DEFAULT_TRIP,
     ExpConfig,
     KernelRun,
     amean,
     geomean,
     run_kernel,
-    run_kernel_batch,
     run_table1,
     run_table1_grid,
 )
@@ -48,17 +48,33 @@ REGISTRY = {
 }
 
 
-def run_all(trip: int = 64) -> dict[str, str]:
+#: experiment id -> why its ``run()`` takes no trip count.
+TRIP_FREE = {
+    "E1": "a static characterization",
+    "E12": "a crash-safety campaign that sizes its own cells",
+}
+
+
+def run_experiment(eid: str, trip: int = DEFAULT_TRIP):
+    """Run one registered experiment; returns its result object.
+
+    The one place that knows which ids take ``trip``: the CLI's
+    ``experiment`` command and :func:`run_all` both dispatch here.
+    """
+    mod = REGISTRY[eid][0]
+    return mod.run() if eid in TRIP_FREE else mod.run(trip=trip)
+
+
+def run_all(trip: int = DEFAULT_TRIP) -> dict[str, str]:
     """Run every experiment and return formatted reports keyed by id."""
-    out: dict[str, str] = {}
-    for eid, (mod, _title) in REGISTRY.items():
-        # E1 is trip-free by design; E12 sizes its own (tiny) cells
-        res = mod.run() if eid in ("E1", "E12") else mod.run(trip=trip)
-        out[eid] = mod.format_result(res)
-    return out
+    return {
+        eid: mod.format_result(run_experiment(eid, trip))
+        for eid, (mod, _title) in REGISTRY.items()
+    }
 
 
 __all__ = [
-    "ExpConfig", "KernelRun", "REGISTRY", "amean", "geomean", "run_all",
-    "run_kernel", "run_kernel_batch", "run_table1", "run_table1_grid",
+    "ExpConfig", "KernelRun", "REGISTRY", "TRIP_FREE", "amean", "geomean",
+    "run_all", "run_experiment", "run_kernel", "run_table1",
+    "run_table1_grid",
 ]

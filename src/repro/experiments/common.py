@@ -18,7 +18,7 @@ out over the :mod:`repro.store.sweep` worker pool.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -63,9 +63,9 @@ class ExpConfig:
     #: compiler emits the stealing protocol, so the store digest of an
     #: adaptive cell differs from its static twin by construction.
     adaptive: bool = False
-    #: simulator back end for this cell ("reference" | "specialized" |
-    #: "batched").  Excluded from store keys — all modes are bit-exact
-    #: by contract, so warm caches are shared across modes.
+    #: simulator back end for this cell ("reference" | "specialized").
+    #: Excluded from store keys — both modes are bit-exact by contract,
+    #: so warm caches are shared across modes.
     sim_mode: str = "reference"
 
     def compiler(self, profile_workload=None) -> CompilerConfig:
@@ -321,193 +321,6 @@ def run_kernel(
         store.put_run(digest, run)
     _task_event(obs, task, t0, failure or "ok")
     return run
-
-
-def run_kernel_batch(
-    spec: KernelSpec,
-    configs: Sequence[ExpConfig],
-    store=_UNSET,
-    obs=None,
-) -> list[KernelRun]:
-    """Run many grid cells of one kernel, batching where possible.
-
-    Cells that are cached, adaptive, or not in ``sim_mode="batched"``
-    go through :func:`run_kernel` unchanged.  The rest are grouped by
-    configuration-modulo-seed and advanced in numpy lockstep by
-    :func:`repro.sim.fast.batch.run_batch` — one simulation for the
-    whole seed column.  Any divergence or machine failure degrades that
-    group to the per-lane scalar path, so the returned records are
-    always exactly what :func:`run_kernel` would have produced.
-    """
-    from dataclasses import replace as _replace
-
-    if store is _UNSET:
-        from ..store.disk import default_store
-
-        store = default_store()
-
-    configs = list(configs)
-    out: dict[int, KernelRun] = {}
-    loop = None
-    groups: dict[ExpConfig, list[int]] = {}
-    for i, cfg in enumerate(configs):
-        batchable = not cfg.adaptive and cfg.sim_mode == "batched"
-        if batchable and (spec.name, cfg) not in _cache:
-            if loop is None:
-                loop = spec.loop()
-            if (store is None
-                    or store.get_run(store_key_for(spec, cfg, loop=loop))
-                    is None):
-                groups.setdefault(_replace(cfg, seed=0), []).append(i)
-                continue
-        out[i] = run_kernel(spec, cfg, store=store, obs=obs)
-    for lanes in groups.values():
-        if len(lanes) < 2:
-            for i in lanes:
-                out[i] = run_kernel(spec, configs[i], store=store, obs=obs)
-            continue
-        runs = _run_batch_group(
-            spec, loop, [configs[i] for i in lanes], store, obs,
-        )
-        for i, run in zip(lanes, runs):
-            out[i] = run
-    return [out[i] for i in range(len(configs))]
-
-
-def _run_batch_group(
-    spec: KernelSpec, loop, cells: list[ExpConfig], store, obs,
-) -> list[KernelRun]:
-    """Compute one config-modulo-seed column of uncached batched cells."""
-    import time as _time
-
-    from ..sim.fast.batch import Divergence, run_batch
-    from ..sim.fast.specialize import source_key
-
-    t0 = _time.perf_counter()
-    machine = cells[0].machine()
-    wls = [
-        spec.workload(trip=c.trip, seed=spec.seed + c.seed) for c in cells
-    ]
-    refs = [run_loop(loop, wl) for wl in wls]
-    _sim_failures = (DeadlockError, BudgetExceeded, MemoryFault, SimError)
-
-    # Sequential baselines: one single-core kernel serves every lane
-    # (no profile feedback in the baseline config), so the uncached
-    # lanes can run as one batch too.
-    seq_cfg = CompilerConfig(max_expr_height=cells[0].max_expr_height)
-    seq_digests = [_seq_store_key(spec, c, loop, seq_cfg) for c in cells]
-    seq_cycles: list[float | None] = []
-    for d in seq_digests:
-        v = _seq_cache.get(d)
-        if v is None and store is not None:
-            v = store.get_seq(d)
-        seq_cycles.append(v)
-    missing = [i for i, v in enumerate(seq_cycles) if v is None]
-    if missing:
-        k1 = compile_loop(loop, 1, seq_cfg)
-        try:
-            vals = [
-                r.cycles
-                for r in run_batch(k1, [wls[i] for i in missing], machine)
-            ]
-        except (Divergence, *_sim_failures):
-            vals = [
-                execute_kernel(k1, wls[i], machine).cycles for i in missing
-            ]
-        for i, v in zip(missing, vals):
-            seq_cycles[i] = v
-            if store is not None:
-                store.put_seq(seq_digests[i], spec.name, v)
-    for d, v in zip(seq_digests, seq_cycles):
-        _seq_cache[d] = v
-
-    # Parallel runs: compile each lane with its own profile workload
-    # (identical to run_kernel), then batch the lanes whose compiled
-    # programs came out identical — autotuning *may* pick a different
-    # partitioning for a different seed, and those lanes must not share
-    # a lockstep machine.
-    kernels = [
-        compile_loop(loop, c.n_cores, c.compiler(profile_workload=w),
-                     obs=obs)
-        for c, w in zip(cells, wls)
-    ]
-    subgroups: dict[tuple, list[int]] = {}
-    for i, k in enumerate(kernels):
-        pdig = tuple(source_key(p) for p in k.programs)
-        subgroups.setdefault(pdig, []).append(i)
-    results: list = [None] * len(cells)
-    failures: list[str | None] = [None] * len(cells)
-    deadlocked = [False] * len(cells)
-    for lanes in subgroups.values():
-        try:
-            rs = run_batch(
-                kernels[lanes[0]], [wls[i] for i in lanes], machine,
-            )
-            for i, r in zip(lanes, rs):
-                results[i] = r
-            continue
-        except (Divergence, *_sim_failures):
-            pass  # degrade this subgroup to per-lane scalar runs
-        for i in lanes:
-            try:
-                results[i] = execute_kernel(
-                    kernels[i], wls[i], machine, sim_mode="specialized",
-                )
-            except DeadlockError:
-                deadlocked[i] = True
-                failures[i] = FailureKind.DEADLOCK.value
-            except _sim_failures as exc:
-                log.warning("%s: parallel run failed (%s: %s)",
-                            spec.name, type(exc).__name__, exc)
-                failures[i] = classify_failure(exc).value
-
-    runs = []
-    for i, c in enumerate(cells):
-        res = results[i]
-        correct = False
-        par_cycles = float("inf")
-        qstall = 0.0
-        instrs = 0
-        failure = failures[i]
-        if res is not None:
-            par_cycles = res.cycles
-            qstall = res.total_queue_stall
-            instrs = res.total_instrs
-            correct = verify_result(refs[i], res)
-            if not correct:
-                failure = FailureKind.VERIFY_MISMATCH.value
-                refres = execute_kernel(kernels[i], wls[i], machine,
-                                        sim_mode="reference")
-                if verify_result(refs[i], refres):
-                    failure = FailureKind.SIM_DIVERGENCE.value
-                    log.error(
-                        "%s: batched simulator diverged from the reference "
-                        "back end — fast-path bug, result rejected",
-                        spec.name,
-                    )
-        run = KernelRun(
-            kernel=spec.name,
-            config=c,
-            seq_cycles=seq_cycles[i],
-            par_cycles=par_cycles,
-            correct=correct,
-            deadlocked=deadlocked[i],
-            stats=kernels[i].plan.stats,
-            queue_stall=qstall,
-            instrs=instrs,
-            failure=failure,
-            fallback=failure is not None,
-        )
-        _cache[(spec.name, c)] = run
-        if store is not None:
-            store.put_run(store_key_for(spec, c, loop=loop), run)
-        _task_event(obs, f"{spec.name}:c{c.n_cores}", t0, failure or "ok")
-        runs.append(run)
-    return runs
-
-
-#: kept as an alias — older callers imported the private helper.
-_verify = verify_result
 
 
 def geomean(values: Iterable[float], label: str = "") -> float:

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..compiler.config import CompilerConfig
+from ..compiler.config import SIM_MODES, CompilerConfig
 from ..check import check_kernel, mutate_kernel
 from ..interp import run_loop
 from ..ir.stmts import Loop
@@ -158,27 +158,30 @@ def results_equal(a, b) -> bool:
     return True
 
 
+def _check_sim_modes(sim_modes) -> tuple[str, ...]:
+    """Validate fast-leg modes from outside (the CLI, an artifact);
+    raises :class:`ValueError` naming any that are not in
+    :data:`~repro.compiler.config.SIM_MODES`."""
+    bad = [m for m in sim_modes if m not in SIM_MODES]
+    if bad:
+        raise ValueError(
+            f"unknown sim mode(s) {bad}; expected {'|'.join(SIM_MODES)}"
+        )
+    return tuple(sim_modes)
+
+
 def _probe_fast_leg(kernel, workload, params, mode, ref_exc, ref_result):
     """Compare one fast-simulator leg against the reference leg.
 
     Returns ``None`` when the leg agrees (same failure kind on
     failures, :func:`results_equal` on successes) and a signature
-    fragment otherwise.  A batched :class:`Divergence` is the machine
-    *declining* the lane — the scalar fallback covers it — not a
-    disagreement.
+    fragment otherwise.
     """
     from ..runtime.exec import execute_kernel
     from ..runtime.guard import classify_failure
-    from ..sim.fast.batch import Divergence, run_batch
 
     try:
-        if mode == "batched":
-            try:
-                fast = run_batch(kernel, [workload], params)[0]
-            except Divergence:
-                return None
-        else:
-            fast = execute_kernel(kernel, workload, params, sim_mode=mode)
+        fast = execute_kernel(kernel, workload, params, sim_mode=mode)
     except (MachineFailure, SimError, MemoryFault) as exc:
         if ref_exc is None:
             return f"unexpected-{classify_failure(exc).value}"
@@ -201,12 +204,12 @@ def probe_loop(
 ) -> str:
     """Differential probe of one loop in one cell; returns a signature.
 
-    ``sim_modes`` adds fast-simulator legs (``"specialized"`` /
-    ``"batched"``): each re-runs the same kernel on the same workload
-    through that back end and must match the reference leg exactly —
-    same failure kind on failures, bit-identical results and cycle
-    counts on success.  A deviation returns a ``"<mode>:..."``
-    signature, extending the static/dynamic taxonomy.
+    ``sim_modes`` adds fast-simulator legs (``"specialized"``): each
+    re-runs the same kernel on the same workload through that back end
+    and must match the reference leg exactly — same failure kind on
+    failures, bit-identical results and cycle counts on success.  A
+    deviation returns a ``"<mode>:..."`` signature, extending the
+    static/dynamic taxonomy.
     """
     from ..runtime.exec import compile_loop, execute_kernel
     from ..runtime.guard import classify_failure
@@ -350,6 +353,7 @@ def run_campaign(
     """
     if trials is None and max_seconds is None:
         trials = 25
+    sim_modes = _check_sim_modes(sim_modes)
     bases = _corpus_bases(corpus)
     start = time.monotonic()
     out = FuzzResult(seed=seed)
@@ -438,6 +442,6 @@ def replay_artifact(path: str | Path, *, trip: int | None = None) -> tuple[str, 
         payload["loop"], cell,
         trip=trip if trip is not None else payload["trip"],
         inject=cfg.get("inject"),
-        sim_modes=tuple(cfg.get("sim_modes") or ()),
+        sim_modes=_check_sim_modes(cfg.get("sim_modes") or ()),
     )
     return payload["signature"], observed

@@ -72,26 +72,11 @@ def execute_kernel(
 
     ``sim_mode`` overrides the compiled config's
     :attr:`~repro.compiler.config.CompilerConfig.sim_mode` (back-end
-    choice only; results are bit-identical by contract).  ``"batched"``
-    here means a single-lane batch run; it degrades to the specialized
-    scalar path when any hook that the batch machine cannot carry is
-    attached, or when the lane diverges.
+    choice only; results are bit-identical by contract).
     """
     loop = kernel.plan.loop
     workload.validate_for(loop)
     mode = sim_mode if sim_mode is not None else kernel.plan.config.sim_mode
-    if mode == "batched":
-        hooked = (detect_races or trace or faults is not None
-                  or controller is not None or placement is not None
-                  or (obs is not None and getattr(obs, "enabled", True)))
-        if not hooked:
-            from ..sim.fast.batch import Divergence, run_batch
-
-            try:
-                return run_batch(kernel, [workload], params)[0]
-            except Divergence:
-                pass  # lane not batchable — fall through to scalar
-        mode = "specialized"
     if placement is not None and not kernel.dispatch_regs:
         if any(placement.get(s, s) != s for s in range(kernel.n_cores)):
             raise ValueError(

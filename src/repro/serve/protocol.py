@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..compiler.config import SIM_MODES
+
 #: every operation the service accepts.
 OPS = ("compile", "run", "sweep", "trace", "metrics", "health")
 
@@ -63,8 +65,8 @@ class Request:
     depth: int = 20
     latency: int = 5
     speculation: bool = False
-    #: simulator back end ("reference" | "specialized" | "batched");
-    #: bit-exact by contract, so it never perturbs the cell cache key.
+    #: simulator back end ("reference" | "specialized"); bit-exact by
+    #: contract, so it never perturbs the cell cache key.
     sim_mode: str = "reference"
     client: str = "anon"
     priority: int = 10
@@ -129,9 +131,9 @@ def parse_request(obj: Any, default_client: str = "anon") -> Request:
         raise BadRequest(f"'client' must be a non-empty string, got {client!r}")
 
     sim_mode = obj.get("sim_mode", "reference")
-    if sim_mode not in ("reference", "specialized", "batched"):
+    if sim_mode not in SIM_MODES:
         raise BadRequest(
-            f"'sim_mode' must be one of reference|specialized|batched, "
+            f"'sim_mode' must be one of {'|'.join(SIM_MODES)}, "
             f"got {sim_mode!r}"
         )
 

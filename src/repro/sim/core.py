@@ -29,7 +29,7 @@ class SimError(RuntimeError):
 
 
 class SimDivergence(SimError):
-    """A fast simulation path (specialized/batched) produced a result
+    """A fast simulation path (the specialized core) produced a result
     the reference simulator contradicts.  This must never happen — the
     guard raises it loudly (``FailureKind.SIM_DIVERGENCE``) instead of
     serving the fast answer, and the differential battery exists to

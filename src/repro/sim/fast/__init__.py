@@ -1,26 +1,20 @@
-"""Fast simulation paths: specialized closures and numpy batching.
+"""Fast simulation path: specialized per-core closures.
 
-Two accelerated back ends for the cycle-level simulator, both provably
-bit-identical to the reference :class:`repro.sim.core.Core` (the
-differential battery in ``tests/test_sim_fast.py`` and the fuzz legs in
-:mod:`repro.fuzz` enforce it):
+:mod:`.specialize` pre-compiles each lowered
+:class:`~repro.isa.program.Program` into a per-core Python closure —
+instruction decode hoisted out of the cycle loop, operands bound into
+locals, registers kept in local variables between queue operations.
+It is provably bit-identical to the reference
+:class:`repro.sim.core.Core` (the differential battery in
+``tests/test_sim_fast.py`` and the fuzz legs in :mod:`repro.fuzz`
+enforce it).
 
-* :mod:`.specialize` pre-compiles each lowered
-  :class:`~repro.isa.program.Program` into a per-core Python closure —
-  instruction decode hoisted out of the cycle loop, operands bound into
-  locals, registers kept in local variables between queue operations.
-* :mod:`.batch` advances many workload lanes of the *same* kernel and
-  machine configuration in lockstep with vectorized register files,
-  falling back per lane (:class:`Divergence`) when control flow or
-  integer values stop being lane-uniform.
-
-Selection happens through ``CompilerConfig.sim_mode`` (``"reference"``
-| ``"specialized"`` | ``"batched"``), wired via
-:class:`repro.sim.machine.Machine` and
+Selection happens through ``CompilerConfig.sim_mode`` (one of
+:data:`repro.compiler.config.SIM_MODES`: ``"reference"`` |
+``"specialized"``), wired via :class:`repro.sim.machine.Machine` and
 :func:`repro.runtime.exec.execute_kernel`.
 """
 
-from .batch import BatchCore, BatchMemory, Divergence, run_batch
 from .specialize import (
     CODEGEN_VERSION,
     SpecializedCore,
@@ -31,20 +25,12 @@ from .specialize import (
     source_key,
 )
 
-#: the supported values of ``CompilerConfig.sim_mode``.
-SIM_MODES = ("reference", "specialized", "batched")
-
 __all__ = [
-    "BatchCore",
-    "BatchMemory",
     "CODEGEN_VERSION",
-    "Divergence",
-    "SIM_MODES",
     "SpecializedCore",
     "clear_runner_cache",
     "counters",
     "reset_counters",
-    "run_batch",
     "runner_factory",
     "source_key",
 ]

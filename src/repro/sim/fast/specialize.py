@@ -62,8 +62,10 @@ _DISPATCH_CHUNK = 8
 _UNSET = object()
 
 #: session counters: ``codegen`` counts actual source generations,
-#: ``mem_hit`` in-process runner-cache hits, ``disk_hit`` store hits.
-_COUNTERS = {"codegen": 0, "mem_hit": 0, "disk_hit": 0}
+#: ``mem_hit`` in-process runner-cache hits, ``disk_hit`` store hits,
+#: ``fallback`` specialized-mode machines that kept the reference core
+#: because an obs bus, race detector or controller was attached.
+_COUNTERS = {"codegen": 0, "mem_hit": 0, "disk_hit": 0, "fallback": 0}
 
 #: in-process cache: program source digest -> make_runner factory.
 _RUNNERS: dict[str, object] = {}
@@ -77,6 +79,11 @@ def counters() -> dict[str, int]:
 def reset_counters() -> None:
     for k in _COUNTERS:
         _COUNTERS[k] = 0
+
+
+def count_fallback() -> None:
+    """Record one specialized-mode machine left on the reference core."""
+    _COUNTERS["fallback"] += 1
 
 
 def clear_runner_cache() -> None:
@@ -680,7 +687,8 @@ class SpecializedCore(Core):
     written back to ``regs`` at halt.  Used only on the
     observation-free hot path: the machine falls back to the reference
     core when an event bus, race detector or runtime controller is
-    attached (those hooks need the per-instruction interpreter).
+    attached (those hooks need the per-instruction interpreter), and
+    counts each such machine in ``counters()["fallback"]``.
     """
 
     def __init__(self, cid, program, lat, cache, memory, queues) -> None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.cost import LatencyTable, default_latencies
+from ..compiler.config import SIM_MODES
 from ..isa.instructions import QueueId
 from ..isa.program import Program
 from .core import Core, CoreStats, SimError
@@ -220,29 +221,22 @@ class Machine:
                 self.obs = EventBus()
             self.trace_recorder = TraceRecorder()
             self.obs.subscribe(self.trace_recorder.on_event)
+        if sim_mode not in SIM_MODES:
+            raise ValueError(f"unknown sim_mode {sim_mode!r}")
         core_cls = Core
         if sim_mode == "specialized":
             # The specialized closures have no per-instruction hooks, so
             # observation, race detection and live reconfiguration (whose
-            # decisions are processing-order sensitive) silently keep the
-            # reference core — correctness first, speed when unobserved.
+            # decisions are processing-order sensitive) keep the
+            # reference core — correctness first, speed when unobserved
+            # — and the fallback is counted so it never goes unseen.
+            from .fast import specialize
+
             if (self.obs is None and self.race_detector is None
                     and controller is None):
-                from .fast.specialize import SpecializedCore
-
-                core_cls = SpecializedCore
-        elif sim_mode == "batched":
-            if (self.obs is not None or self.race_detector is not None
-                    or controller is not None or faults is not None):
-                raise ValueError(
-                    "batched sim_mode cannot carry obs/race/controller/"
-                    "fault hooks; run those lanes on the scalar path"
-                )
-            from .fast.batch import BatchCore
-
-            core_cls = BatchCore
-        elif sim_mode != "reference":
-            raise ValueError(f"unknown sim_mode {sim_mode!r}")
+                core_cls = specialize.SpecializedCore
+            else:
+                specialize.count_fallback()
         self.cores = [
             core_cls(
                 cid=i,

@@ -302,41 +302,7 @@ def _dispatch_tasks(
             scribe=scribe,
         )
 
-    # Batched-mode cells that share a kernel and a config-modulo-seed
-    # form a seed column the lockstep machine can advance as one
-    # simulation (repro.sim.fast.batch via run_kernel_batch).  The
-    # journal discipline is unchanged: every cell's intent lands before
-    # its column dispatches, every done after its record is durable.
-    from dataclasses import replace as _replace
-
-    columns: dict[tuple, list[SweepTask]] = {}
-    serial: list[SweepTask] = []
-    for task in pending:
-        cfg = task.config
-        if (getattr(cfg, "sim_mode", "reference") == "batched"
-                and not getattr(cfg, "adaptive", False)):
-            columns.setdefault(
-                (task.kernel, _replace(cfg, seed=0)), []
-            ).append(task)
-        else:
-            serial.append(task)
-    for (kernel, _), group in columns.items():
-        if len(group) < 2:
-            serial.extend(group)
-            continue
-        if scribe is not None:
-            for task in group:
-                scribe.intent(task)
-        runs = common.run_kernel_batch(
-            by_name[kernel], [task.config for task in group],
-            store=store, obs=obs,
-        )
-        for task, run in zip(group, runs):
-            results[task.cell] = run
-            if scribe is not None:
-                scribe.done(task)
-
-    for task in serial:  # scalar path and pool-failure fallback
+    for task in pending:  # serial path and pool-failure fallback
         if scribe is not None:
             scribe.intent(task)
         results[task.cell] = common.run_kernel(

@@ -222,6 +222,18 @@ class TestCommands:
 class TestFrontendCommands:
     """`repro ingest` / `repro kernels` / frontend-aware flags."""
 
+    @pytest.fixture(autouse=True)
+    def _forget_ingested_kernels(self):
+        """``repro ingest`` registers kernels process-wide; drop the ones
+        a test adds, so later reports that cover every registered kernel
+        (E1, in ``tests/test_golden.py``) see the shipped corpus only."""
+        from repro.kernels import all_kernels, base
+
+        before = {spec.name for spec in all_kernels()}
+        yield
+        for name in set(base._REGISTRY) - before:
+            del base._REGISTRY[name]
+
     def test_list_has_origin_column(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

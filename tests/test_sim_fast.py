@@ -1,14 +1,13 @@
-"""Differential battery for the fast simulator back ends.
+"""Differential battery for the fast simulator back end.
 
-``sim_mode="specialized"`` (compiled per-core generator closures) and
-``sim_mode="batched"`` (numpy lockstep over many lanes) promise
-*bit-identical* results to the reference interpreter core: same
-arrays, same scalars, same cycle counts, same stall attribution.
+``sim_mode="specialized"`` (compiled per-core generator closures)
+promises *bit-identical* results to the reference interpreter core:
+same arrays, same scalars, same cycle counts, same stall attribution.
 These tests enforce the contract three ways — property-based random
 loops (the Hypothesis/fuzz shared grammar), the full seeded kernel
 corpus (paper Table I + ingested frontend loops, ``simslow``), and
 targeted unit tests for the caching, divergence-classification and
-bench plumbing around the back ends.
+bench plumbing around the back end.
 
 One deliberate carve-out: under *fault injection* the injector draws
 from a single RNG stream in enqueue processing order, and the
@@ -29,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import CompilerConfig
+from repro.compiler.config import SIM_MODES
 from repro.faults import FaultInjector, FaultPlan
 from repro.fuzz import results_equal, run_campaign
 from repro.interp import run_loop
@@ -38,12 +38,9 @@ from repro.runtime import compile_loop, execute_kernel
 from repro.runtime.guard import FailureKind, classify_failure
 from repro.sim import SimDivergence, SimError
 from repro.sim.fast import (
-    SIM_MODES,
-    Divergence,
     clear_runner_cache,
     counters,
     reset_counters,
-    run_batch,
     source_key,
 )
 from repro.workload import random_workload
@@ -81,39 +78,6 @@ def test_specialized_matches_reference(loop, n_cores):
     if ref is not None:
         assert results_equal(ref, fast)
         assert fast.cycles == ref.cycles
-
-
-@_slow
-@given(loops(), st.integers(2, 3))
-def test_batched_matches_reference(loop, n_cores):
-    # execute_kernel's batched path degrades to the specialized scalar
-    # path on divergence, so the result must always equal reference.
-    kern = compile_loop(loop, n_cores)
-    wl = random_workload(loop, trip=12, seed=3)
-    ref_kind, ref = _outcome(kern, wl, "reference")
-    fast_kind, fast = _outcome(kern, wl, "batched")
-    assert fast_kind == ref_kind
-    if ref is not None:
-        assert results_equal(ref, fast)
-
-
-@_slow
-@given(loops())
-def test_batched_lanes_match_reference(loop):
-    """Every lane of a multi-workload lockstep batch is bit-exact."""
-    kern = compile_loop(loop, 3)
-    wls = [random_workload(loop, trip=10, seed=s) for s in (1, 2, 4)]
-    try:
-        refs = [execute_kernel(kern, w, sim_mode="reference") for w in wls]
-    except Exception:
-        return  # failure parity is covered above
-    try:
-        lanes = run_batch(kern, wls)
-    except Divergence:
-        return  # machine declined the shape: scalar fallback territory
-    for ref, lane in zip(refs, lanes):
-        assert results_equal(ref, lane)
-        assert lane.cycles == ref.cycles
 
 
 @_slow
@@ -171,11 +135,10 @@ def test_specialized_drop_faults_deterministic():
 @pytest.mark.simslow
 @pytest.mark.parametrize("n_cores", [2, 4])
 def test_full_corpus_cross_mode_equivalence(n_cores):
-    """All three back ends agree on every corpus kernel: bit-exact
+    """Both back ends agree on every corpus kernel: bit-exact
     arrays/scalars, identical cycle counts and stall attribution."""
     specs = corpus_kernels() + frontend_kernels()
     assert len(corpus_kernels()) >= 51
-    batched = 0
     for spec in specs:
         loop = spec.loop()
         kern = compile_loop(loop, n_cores)
@@ -184,13 +147,6 @@ def test_full_corpus_cross_mode_equivalence(n_cores):
         fast = execute_kernel(kern, wl, sim_mode="specialized")
         assert results_equal(ref, fast), f"{spec.name}@{n_cores}c specialized"
         assert fast.cycles == ref.cycles, f"{spec.name}@{n_cores}c cycles"
-        try:
-            lanes = run_batch(kern, [wl])
-        except Divergence:
-            continue  # scalar fallback is this lane's contract
-        batched += 1
-        assert results_equal(ref, lanes[0]), f"{spec.name}@{n_cores}c batched"
-    assert batched > 0, "no corpus kernel took the lockstep path"
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +208,21 @@ def test_specialize_without_store(monkeypatch):
     assert results_equal(ref, res)
 
 
+def test_specialized_fallback_under_obs_is_counted():
+    """An enabled obs bus keeps the reference core, and says so."""
+    from repro.obs.events import EventBus
+
+    spec = get_kernel("umt2k-1")
+    kern = compile_loop(spec.loop(), 2)
+    wl = spec.workload(trip=8)
+    reset_counters()
+    res = execute_kernel(kern, wl, obs=EventBus(), sim_mode="specialized")
+    c = counters()
+    assert c["fallback"] == 1
+    assert c["codegen"] + c["mem_hit"] + c["disk_hit"] == 0
+    assert results_equal(execute_kernel(kern, wl, sim_mode="reference"), res)
+
+
 def test_warm_experiment_zero_fast_path_compilations(tmp_path):
     """Regression for the experiment pipeline: a warm store serves a
     specialized-mode cell as a pure record hit — zero codegen, zero
@@ -273,7 +244,9 @@ def test_warm_experiment_zero_fast_path_compilations(tmp_path):
     clear_runner_cache()
     reset_counters()
     warm = C.run_kernel(spec, cfg, store=store)
-    assert counters() == {"codegen": 0, "mem_hit": 0, "disk_hit": 0}
+    assert counters() == {
+        "codegen": 0, "mem_hit": 0, "disk_hit": 0, "fallback": 0,
+    }
     assert warm.par_cycles == cold.par_cycles
     # a forced recompute (new seed) simulates again, but the generated
     # sources are already content-addressed — still zero codegen
@@ -366,34 +339,6 @@ def test_run_kernel_keeps_verify_mismatch_when_reference_agrees(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Batched sweep records == scalar records
-# ----------------------------------------------------------------------
-
-
-def test_run_kernel_batch_matches_scalar_records():
-    from repro.experiments import common as C
-
-    spec = get_kernel("irs-2")
-    cfgs = [
-        C.ExpConfig(n_cores=2, trip=10, seed=s, sim_mode="batched")
-        for s in (11, 12, 13)
-    ]
-    C.clear_cache()
-    batch = C.run_kernel_batch(spec, cfgs, store=None)
-    C.clear_cache()
-    for cfg, got in zip(cfgs, batch):
-        want = C.run_kernel(
-            spec, dataclasses.replace(cfg, sim_mode="reference"), store=None
-        )
-        assert got.correct and want.correct
-        assert got.par_cycles == want.par_cycles
-        assert got.seq_cycles == want.seq_cycles
-        assert got.instrs == want.instrs
-        assert got.queue_stall == want.queue_stall
-    C.clear_cache()
-
-
-# ----------------------------------------------------------------------
 # results_equal itself, mode validation, fuzz legs, bench plumbing
 # ----------------------------------------------------------------------
 
@@ -420,8 +365,9 @@ def test_results_equal_discriminates():
 def test_unknown_sim_mode_rejected():
     spec = get_kernel("umt2k-1")
     kern = compile_loop(spec.loop(), 2)
-    with pytest.raises(ValueError, match="sim_mode"):
-        execute_kernel(kern, spec.workload(trip=8), sim_mode="warp")
+    for mode in ("warp", "batched"):
+        with pytest.raises(ValueError, match="sim_mode"):
+            execute_kernel(kern, spec.workload(trip=8), sim_mode=mode)
 
 
 def test_serve_request_carries_sim_mode():
@@ -432,15 +378,35 @@ def test_serve_request_carries_sim_mode():
     )
     assert req.exp_config_kwargs()["sim_mode"] == "specialized"
     assert parse_request({"op": "health"}).sim_mode == "reference"
-    with pytest.raises(BadRequest):
-        parse_request({"op": "run", "kernel": "umt2k-1", "sim_mode": "warp"})
+    for mode in ("warp", "batched"):
+        with pytest.raises(BadRequest):
+            parse_request(
+                {"op": "run", "kernel": "umt2k-1", "sim_mode": mode}
+            )
+
+
+def test_fuzz_rejects_unknown_sim_modes(tmp_path, capsys):
+    """A retired mode on the fuzz flag or in a saved artifact is a
+    usage error (exit 2), never a traceback from the machine."""
+    from repro.cli import main
+    from repro.fuzz import save_artifact
+
+    assert main(["fuzz", "--trials", "1", "--sim-modes", "batched"]) == 2
+    assert "batched" in capsys.readouterr().out
+    art = save_artifact(
+        tmp_path / "old.json", get_kernel("umt2k-1").loop(),
+        signature="ok", seed=0, trial=0, trip=8, n_cores=2,
+        queue_depth=4, speculation=False, sim_modes=["batched"],
+    )
+    assert main(["fuzz", "--replay", str(art)]) == 2
+    assert "batched" in capsys.readouterr().out
 
 
 def test_fuzz_campaign_fast_legs_clean(tmp_path):
-    """Fixed-seed campaign with both fast legs armed finds nothing."""
+    """Fixed-seed campaign with the fast leg armed finds nothing."""
     res = run_campaign(
         seed=5, trials=8, trip=10, out_dir=tmp_path,
-        sim_modes=("specialized", "batched"),
+        sim_modes=("specialized",),
     )
     assert res.trials == 8
     assert res.findings == []
