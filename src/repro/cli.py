@@ -3,11 +3,12 @@
 Commands
 --------
 
-* ``list`` — list registered kernels (optionally by app/category/
-  origin); ``kernels list|show|run`` is the namespaced spelling of
-  the same commands;
-* ``run <kernel>`` — compile + simulate one kernel, print speedup,
-  statistics and correctness;
+* ``kernels list`` — list registered kernels (optionally by app/
+  category/origin);
+* ``kernels show <kernel>`` — print the kernel IR and its flat
+  normalized form;
+* ``kernels run <kernel>`` — compile + simulate one kernel, print
+  speedup, statistics and correctness;
 * ``ingest <file.py>`` — lower counted Python loops into the IR via
   :mod:`repro.frontend`, register them under ``frontend/`` and prove
   each against the differential python/interpreter/simulator oracle;
@@ -53,7 +54,6 @@ Commands
   updates ``BENCH_serve.json``;
 * ``cache {stats,clear,gc}`` — inspect / maintain the result store
   (stats includes the serve cache-tier counters);
-* ``show <kernel>`` — print the kernel IR and its flat normalized form;
 * ``characterize`` — run the §IV classifier over the corpus
   (``--namespace frontend`` characterizes the ingested loops instead).
 """
@@ -80,6 +80,11 @@ _SERVE_FAULT_KINDS = ("compute-crash", "store-enospc", "store-eio")
 #: mirrors :data:`repro.experiments.imbalance.DEFAULT_KERNELS` (same
 #: lazy-import rationale; a test asserts the two stay in sync).
 _ADAPT_DEFAULT_KERNELS = ("umt2k-1", "lammps-1", "irs-1", "sphot-2")
+
+
+def _unknown_kernel(name: str) -> int:
+    print(f"unknown kernel {name!r}; see `python -m repro kernels list`")
+    return 2
 
 
 def _cmd_list(args) -> int:
@@ -168,8 +173,7 @@ def _obs_setup(args):
     try:
         spec = get_kernel(args.kernel)
     except KeyError:
-        print(f"unknown kernel {args.kernel!r}; see `python -m repro list`")
-        return 2
+        return _unknown_kernel(args.kernel)
     loop = spec.loop()
     wl = spec.workload(trip=args.trip)
     machine = MachineParams(
@@ -298,8 +302,7 @@ def _cmd_sweep(args) -> int:
         try:
             specs = [get_kernel(name.strip()) for name in args.kernels.split(",")]
         except KeyError as exc:
-            print(f"unknown kernel {exc.args[0]!r}; see `python -m repro list`")
-            return 2
+            return _unknown_kernel(exc.args[0])
     try:
         cores = _parse_int_list(args.cores)
     except ValueError:
@@ -370,8 +373,7 @@ def _cmd_chaos(args) -> int:
                 get_kernel(name.strip()).name for name in args.kernels.split(",")
             )
         except KeyError as exc:
-            print(f"unknown kernel {exc.args[0]!r}; see `python -m repro list`")
-            return 2
+            return _unknown_kernel(exc.args[0])
     faults = tuple(FAULT_KINDS)
     if args.faults:
         faults = tuple(tok.strip() for tok in args.faults.split(",") if tok.strip())
@@ -401,8 +403,7 @@ def _cmd_chaos_adapt(args) -> int:
                 get_kernel(name.strip()).name for name in args.kernels.split(",")
             )
         except KeyError as exc:
-            print(f"unknown kernel {exc.args[0]!r}; see `python -m repro list`")
-            return 2
+            return _unknown_kernel(exc.args[0])
     scenarios = imbalance.SKEW_SCENARIOS
     if args.scenarios:
         wanted = [tok.strip() for tok in args.scenarios.split(",") if tok.strip()]
@@ -469,8 +470,7 @@ def _cmd_check(args) -> int:
         try:
             specs = [get_kernel(name) for name in args.kernels]
         except KeyError as exc:
-            print(f"unknown kernel {exc.args[0]!r}; see `python -m repro list`")
-            return 2
+            return _unknown_kernel(exc.args[0])
     else:
         specs = all_kernels()
     try:
@@ -518,9 +518,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench_sim(args) -> int:
-    from .sim.fast.bench import (
-        DEFAULT_FLOOR, bench_doc, load_floor, run_bench, write_bench,
-    )
+    from .obs.report import write_json_atomic
+    from .sim.fast.bench import DEFAULT_FLOOR, bench_doc, load_floor, run_bench
 
     kernels = None
     if args.kernels:
@@ -531,14 +530,13 @@ def _cmd_bench_sim(args) -> int:
             kernels=kernels,
         )
     except KeyError as exc:
-        print(f"unknown kernel {exc.args[0]!r}; see `python -m repro list`")
-        return 2
+        return _unknown_kernel(exc.args[0])
     print(result.format())
     floor = args.floor
     if floor is None:
         floor = load_floor(args.bench) if args.check else DEFAULT_FLOOR
     if args.write:
-        write_bench(args.bench, bench_doc(result, floor=floor))
+        write_json_atomic(args.bench, bench_doc(result, floor=floor))
         print(f"wrote {args.bench}")
     if args.check and result.geomean < floor:
         print(
@@ -631,8 +629,7 @@ def _cmd_loadgen(args) -> int:
                 get_kernel(name.strip()).name for name in args.kernels.split(",")
             )
         except KeyError as exc:
-            print(f"unknown kernel {exc.args[0]!r}; see `python -m repro list`")
-            return 2
+            return _unknown_kernel(exc.args[0])
     try:
         cores = tuple(_parse_int_list(args.cores))
     except ValueError:
@@ -856,12 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    _add_list_args(sub.add_parser("list", help="list registered kernels"))
-    _add_show_args(sub.add_parser("show", help="print a kernel's IR"))
-    _add_run_args(sub.add_parser("run", help="compile + simulate one kernel"))
-
-    # `repro kernels list|show|run` — the namespaced spelling, so
-    # registry-facing commands read naturally next to `repro ingest`.
     knp = sub.add_parser(
         "kernels",
         help="kernel registry commands (list | show | run)",
@@ -892,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cores for the simulated oracle leg (default 2)")
     ip.add_argument("--run", action="store_true",
                     help="also run each ingested kernel through "
-                    "`repro run` after the oracle passes")
+                    "`repro kernels run` after the oracle passes")
     ip.add_argument("--characterize", action="store_true",
                     help="also print the §IV characterization of the "
                     "ingested corpus")

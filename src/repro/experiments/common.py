@@ -1,10 +1,12 @@
 """Shared experiment harness.
 
-``run_kernel`` compiles and simulates one kernel in one configuration
-and returns a :class:`KernelRun` with cycles, speedup vs. the
-sequential baseline, compile-time statistics and correctness checks
-(every simulated run is verified against the reference interpreter —
-an experiment that produces wrong answers is not a result).
+``run_kernel`` runs one kernel in one configuration and returns a
+:class:`KernelRun` with cycles, speedup vs. the sequential baseline,
+compile-time statistics and the verdict on the result.  The cell
+itself is compiled, protocol-checked, simulated and verified against
+the reference interpreter by :func:`repro.runtime.guard.guarded_run`,
+the one place a result is judged (an experiment that produces wrong
+answers is not a result).
 
 Results are memoised at two levels: a per-process dict, and the
 persistent content-addressed store (:mod:`repro.store`) keyed by the
@@ -23,14 +25,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..compiler import CompilerConfig, MergeWeights
+from ..compiler import CompilerConfig
 from ..compiler.pipeline import PlanStats
-from ..interp import run_loop
 from ..kernels import KernelSpec, table1_kernels
 from ..runtime import compile_loop, execute_kernel
-from ..runtime.guard import FailureKind, classify_failure
-from ..sim import BudgetExceeded, DeadlockError, MachineParams, MemoryFault, SimError
-from ..verify import verify_result
+from ..runtime.guard import FailureKind, GuardPolicy, guarded_run
+from ..sim import MachineParams
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +106,7 @@ class KernelRun:
     fallback: bool = False
     #: escalation rung that served the result on adaptive cells
     #: ("first-try" | "static" | "adaptive" | ... | "fallback");
-    #: None on plain static cells that never entered the guard.
+    #: None on static cells.
     resolved_by: str | None = None
 
     @property
@@ -173,6 +173,14 @@ def run_kernel(
 ) -> KernelRun:
     """Run (or recall) one grid cell.
 
+    A cell found in neither the process memo nor ``store`` is run by
+    :func:`~repro.runtime.guard.guarded_run`: a static cell gets one
+    attempt, an adaptive cell the guard's full escalation ladder.  This
+    function adds the sequential baseline and records the guard's
+    verdict, so a failed cell — compile error, protocol rejection,
+    deadlock, wrong answer — comes back as a :class:`KernelRun` with
+    ``failure`` set, never as an exception.
+
     ``obs`` is the opt-in observability hook: when an enabled
     :class:`repro.obs.events.EventBus` is passed, the cell emits a
     ``task`` lifecycle event (status ``cached`` / ``ok`` / a failure
@@ -213,7 +221,6 @@ def run_kernel(
             return cached
 
     wl = spec.workload(trip=config.trip, seed=spec.seed + config.seed)
-    ref = run_loop(loop, wl)
 
     # Sequential baseline: cached separately (digest-keyed) so the
     # record under the baseline key is never a parallel KernelRun.
@@ -229,92 +236,32 @@ def run_kernel(
             store.put_seq(seq_digest, spec.name, seq_cycles)
     _seq_cache[seq_digest] = seq_cycles
 
-    deadlocked = False
-    correct = True
-    stats = None
-    par_cycles = float("inf")
-    qstall = 0.0
-    instrs = 0
-    failure = None
-    resolved_by = None
-    if config.adaptive:
-        # Adaptive cell: the whole compile/execute/verify path runs
-        # under the guard's escalation ladder (adapt -> relax ->
-        # sequential), and the rung that served the result lands in
-        # the record as provenance.
-        from ..runtime.guard import GuardPolicy, guarded_run
-
-        g = guarded_run(
-            loop, wl, config.n_cores,
-            config=config.compiler(profile_workload=wl),
-            params=config.machine(),
-            policy=GuardPolicy(adapt=True),
-            obs=obs,
-        )
-        correct = g.source == "parallel"
-        resolved_by = g.resolved_by
-        if g.sim is not None:
-            par_cycles = g.sim.cycles
-            qstall = g.sim.total_queue_stall
-            instrs = g.sim.total_instrs
-        if g.degraded:
-            deadlocked = any(
-                k is FailureKind.DEADLOCK for k in g.failure_kinds
-            )
-            failure = (g.failure_kinds[-1].value
-                       if g.failure_kinds else None)
-    else:
-        try:
-            k = compile_loop(loop, config.n_cores,
-                             config.compiler(profile_workload=wl), obs=obs)
-            stats = k.plan.stats
-            res = execute_kernel(k, wl, config.machine(), obs=obs)
-            par_cycles = res.cycles
-            qstall = res.total_queue_stall
-            instrs = res.total_instrs
-            correct = verify_result(ref, res)
-            if not correct:
-                failure = FailureKind.VERIFY_MISMATCH.value
-                if config.sim_mode != "reference":
-                    # Bisect the blame: if the reference back end gets
-                    # the right answer for the same kernel, the fast
-                    # path broke its bit-exactness contract — report
-                    # that loudly instead of a generic mismatch.
-                    refres = execute_kernel(k, wl, config.machine(),
-                                            sim_mode="reference")
-                    if verify_result(ref, refres):
-                        failure = FailureKind.SIM_DIVERGENCE.value
-                        log.error(
-                            "%s: %s simulator diverged from the reference "
-                            "back end — fast-path bug, result rejected",
-                            spec.name, config.sim_mode,
-                        )
-        except DeadlockError:
-            deadlocked = True
-            correct = False
-            failure = FailureKind.DEADLOCK.value
-        except (BudgetExceeded, MemoryFault, SimError) as exc:
-            # keep the grid alive: classify and record instead of
-            # crashing the whole sweep; the sequential baseline above
-            # is still valid.
-            log.warning("%s: parallel run failed (%s: %s)",
-                        spec.name, type(exc).__name__, exc)
-            correct = False
-            failure = classify_failure(exc).value
-
+    # A static cell gets one attempt, so a deadlock is recorded as a
+    # deadlock; an adaptive cell climbs the guard's whole ladder.  The
+    # record keeps the shape it always had: compile statistics on
+    # static cells only, the serving rung on adaptive cells only.
+    g = guarded_run(
+        loop, wl, config.n_cores,
+        config=config.compiler(profile_workload=wl),
+        params=config.machine(),
+        policy=(GuardPolicy(adapt=True) if config.adaptive
+                else GuardPolicy(max_attempts=1)),
+        obs=obs,
+    )
+    failure = g.failure_kinds[-1].value if g.degraded and g.failures else None
     run = KernelRun(
         kernel=spec.name,
         config=config,
         seq_cycles=seq_cycles,
-        par_cycles=par_cycles,
-        correct=correct,
-        deadlocked=deadlocked,
-        stats=stats,
-        queue_stall=qstall,
-        instrs=instrs,
+        par_cycles=g.sim.cycles if g.sim is not None else float("inf"),
+        correct=not g.degraded,
+        deadlocked=g.degraded and FailureKind.DEADLOCK in g.failure_kinds,
+        stats=None if config.adaptive else g.stats,
+        queue_stall=g.sim.total_queue_stall if g.sim is not None else 0.0,
+        instrs=g.sim.total_instrs if g.sim is not None else 0,
         failure=failure,
         fallback=failure is not None,
-        resolved_by=resolved_by,
+        resolved_by=g.resolved_by if config.adaptive else None,
     )
     _cache[key] = run
     if store is not None:

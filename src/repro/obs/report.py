@@ -332,18 +332,38 @@ def adaptive_bench_row(cell, *, trip: int, cores: int = 4) -> dict:
 
 
 def _row_key(row: dict) -> tuple:
-    return (row.get("kernel"), row.get("cores"), row.get("trip"),
-            row.get("scenario"))
+    return (str(row.get("kernel")), row.get("cores") or 0,
+            row.get("trip") or 0, str(row.get("scenario") or ""))
 
 
-def update_bench(path: str | os.PathLike, row: dict) -> dict:
+def write_json_atomic(path: str | os.PathLike, doc: dict) -> None:
+    """Write ``doc`` as indented JSON via temp file + rename, so a
+    reader never sees a half-written file."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".bench.tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def update_bench(path: str | os.PathLike, row: dict, key=_row_key) -> dict:
     """Merge ``row`` into the bench trajectory file at ``path``.
 
-    A row replaces an existing entry with the same (kernel, cores,
-    trip) key, so the file tracks the *current* numbers per
+    ``key`` maps a row to a sortable value that names its
+    configuration — by default (kernel, cores, trip, scenario).  A row
+    replaces an existing entry with the same key and the rows are kept
+    sorted by key, so the file tracks the *current* numbers per
     configuration rather than growing without bound.  A missing or
     corrupt file starts fresh (the emitter must never be the thing that
-    breaks a perf run); writes are atomic (temp file + rename).
+    breaks a perf run); writes are atomic.
     """
     doc = {"schema": BENCH_SCHEMA, "rows": []}
     try:
@@ -353,20 +373,8 @@ def update_bench(path: str | os.PathLike, row: dict) -> dict:
             doc["rows"] = [r for r in loaded["rows"] if isinstance(r, dict)]
     except (OSError, ValueError):
         pass
-    doc["rows"] = [r for r in doc["rows"] if _row_key(r) != _row_key(row)]
+    doc["rows"] = [r for r in doc["rows"] if key(r) != key(row)]
     doc["rows"].append(row)
-    doc["rows"].sort(key=lambda r: (str(r.get("kernel")), r.get("cores") or 0,
-                                    r.get("trip") or 0))
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".bench.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    doc["rows"].sort(key=key)
+    write_json_atomic(path, doc)
     return doc

@@ -11,7 +11,9 @@ instead of propagating:
 
 1. classify the failure into the :class:`FailureKind` taxonomy and
    record a :class:`FailureReport` (with the machine's partial
-   statistics when available);
+   statistics when available); a wrong answer from a fast simulator
+   back end is bisected against the reference back end, so a fast-path
+   bug is reported as :class:`FailureKind.SIM_DIVERGENCE`;
 2. with ``GuardPolicy.adapt`` enabled, *adapt* first: hand the kernel
    to :func:`repro.runtime.adaptive.adaptive_run` (work-stealing
    placement, self-tuned queue depths, every dynamic configuration
@@ -33,6 +35,10 @@ and the return value always carries a correct ``arrays``/``scalars``
 state plus the full record of *how* it was obtained — including
 *which* rung resolved the failure (``resolved_by`` /
 ``FailureReport.resolution``).
+
+Every experiment cell runs through :func:`guarded_run` (see
+:func:`repro.experiments.common.run_kernel`), so this module is the one
+place a simulated result is judged.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import enum
 import logging
 from dataclasses import dataclass, field, replace
 
+from ..compiler.pipeline import PlanStats
 from ..interp import run_loop
 from ..ir.stmts import Loop
 from ..obs.events import span
@@ -82,6 +89,9 @@ class FailureKind(enum.Enum):
 #: kinds whose retry gets *relaxed* machine parameters; all other kinds
 #: are deterministic reruns and only retried under active fault plans.
 _RELAXABLE = frozenset({FailureKind.DEADLOCK, FailureKind.BUDGET})
+
+#: what a simulated attempt may raise; each maps to a FailureKind.
+_SIM_FAILURES = (DeadlockError, BudgetExceeded, MemoryFault, SimError)
 
 
 def classify_failure(exc: BaseException) -> FailureKind:
@@ -177,6 +187,9 @@ class GuardedRun:
     resolved_by: str | None = None
     #: AdaptiveRun provenance when the adaptive rung ran (win or lose).
     adaptive: object | None = None
+    #: compile-time statistics of the compiled plan (None when the
+    #: compiler itself failed).
+    stats: PlanStats | None = None
 
     @property
     def degraded(self) -> bool:
@@ -211,6 +224,14 @@ def guarded_run(
 ) -> GuardedRun:
     """Compile + execute ``loop`` with graceful sequential fallback.
 
+    The compiled kernel is checked by :mod:`repro.check` at the
+    machine's queue depth, and every completed run is verified against
+    the reference interpreter.  A wrong answer from a fast simulator
+    back end is re-run on the reference back end: if that one is right,
+    the failure is the fast path's (``SIM_DIVERGENCE``), not the
+    kernel's.  The bisect is skipped under fault injection, where the
+    two back ends may draw different fault sequences.
+
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) arms fault
     injection: a fresh injector is created per attempt so the seeded
     fault sequence replays identically on retries, and every injected
@@ -231,52 +252,59 @@ def guarded_run(
 
     failures: list[FailureReport] = []
     injected: list = []
+    stats = None
+
+    def _served(res, attempt: int, rung: str, adaptive=None) -> GuardedRun:
+        if obs is not None:
+            obs.emit_guard("parallel", attempt,
+                           note="adaptive" if rung == "adaptive" else None)
+        return GuardedRun(
+            arrays=res.arrays, scalars=dict(res.scalars), source="parallel",
+            attempts=attempt, failures=failures, cycles=res.cycles, sim=res,
+            injected=injected, resolved_by=rung, adaptive=adaptive,
+            stats=stats,
+        )
+
+    def _fallback(attempts: int) -> GuardedRun:
+        if obs is not None:
+            obs.emit_guard("fallback", attempts)
+        return GuardedRun(
+            arrays=ref.arrays, scalars=dict(ref.scalars), source="fallback",
+            attempts=attempts, failures=failures, injected=injected,
+            resolved_by="fallback", stats=stats,
+        )
+
+    def _reject(kind: FailureKind, message: str, note=None) -> GuardedRun:
+        """No runnable parallel artifact: sequential fallback without
+        retries, with the diagnosis attached."""
+        failures.append(FailureReport(
+            kind=kind, message=message, attempt=0,
+            queue_depth=base.queue_depth, max_instrs=base.max_instrs,
+        ))
+        log.warning("guard: %s; sequential fallback without retries",
+                    failures[-1].describe())
+        if obs is not None:
+            obs.emit_guard(kind.value, 0, note=note)
+        return _fallback(0)
 
     try:
         # checked explicitly below against the *actual* machine params
         kernel = compile_loop(loop, n_cores, config, obs=obs, check=False)
     except Exception as exc:  # compiler bug: no parallel path exists
-        log.warning("guard: compile failed (%s: %s); sequential fallback",
-                    type(exc).__name__, exc)
-        failures.append(FailureReport(
-            kind=FailureKind.COMPILE_ERROR,
-            message=f"{type(exc).__name__}: {exc}",
-            attempt=0, queue_depth=base.queue_depth,
-            max_instrs=base.max_instrs,
-        ))
-        if obs is not None:
-            obs.emit_guard(FailureKind.COMPILE_ERROR.value, 0)
-            obs.emit_guard("fallback", 0)
-        return GuardedRun(
-            arrays=ref.arrays, scalars=dict(ref.scalars), source="fallback",
-            attempts=0, failures=failures, resolved_by="fallback",
-        )
+        return _reject(FailureKind.COMPILE_ERROR,
+                       f"{type(exc).__name__}: {exc}")
+    stats = kernel.plan.stats
 
     # Static protocol pre-flight (repro.check): a rejected artifact is
     # *known* broken — retrying cannot help, and running it can only
-    # reproduce the predicted failure slowly.  Skip straight to the
-    # sequential fallback with the checker's diagnosis attached.
+    # reproduce the predicted failure slowly.
     from ..check import check_kernel
 
     with span(obs, "check"):
         report = check_kernel(kernel, queue_depth=base.queue_depth)
     if not report.ok:
-        log.warning("guard: static protocol check rejected the kernel; "
-                    "sequential fallback without retries")
-        failures.append(FailureReport(
-            kind=FailureKind.PROTOCOL,
-            message=report.describe(),
-            attempt=0, queue_depth=base.queue_depth,
-            max_instrs=base.max_instrs,
-        ))
-        if obs is not None:
-            obs.emit_guard(FailureKind.PROTOCOL.value, 0,
-                           note=", ".join(report.categories))
-            obs.emit_guard("fallback", 0)
-        return GuardedRun(
-            arrays=ref.arrays, scalars=dict(ref.scalars), source="fallback",
-            attempts=0, failures=failures, resolved_by="fallback",
-        )
+        return _reject(FailureKind.PROTOCOL, report.describe(),
+                      note=", ".join(report.categories))
 
     def _try_adaptive(attempt: int):
         """Adaptive rung: returns a verified AdaptiveRun or None, and
@@ -327,7 +355,7 @@ def guarded_run(
         try:
             res = execute_kernel(kernel, workload, cur, faults=injector,
                                  obs=obs)
-        except (DeadlockError, BudgetExceeded, MemoryFault, SimError) as exc:
+        except _SIM_FAILURES as exc:
             if injector is not None:
                 injected.extend(injector.events)
             relax_kind = classify_failure(exc)
@@ -366,33 +394,22 @@ def guarded_run(
                     ar = _try_adaptive(attempt)
                     if ar is not None and ar.result.cycles < res.cycles:
                         imb_report.resolution = "adaptive"
-                        if obs is not None:
-                            obs.emit_guard("parallel", attempt,
-                                           note="adaptive")
-                        return GuardedRun(
-                            arrays=ar.result.arrays,
-                            scalars=dict(ar.result.scalars),
-                            source="parallel", attempts=attempt,
-                            failures=failures, cycles=ar.result.cycles,
-                            sim=ar.result, injected=injected,
-                            resolved_by="adaptive", adaptive=ar,
-                        )
+                        return _served(ar.result, attempt, "adaptive", ar)
                     resolved = "static"
                     adaptive_prov = ar  # provenance even when it lost
-                if obs is not None:
-                    obs.emit_guard("parallel", attempt)
-                return GuardedRun(
-                    arrays=res.arrays, scalars=dict(res.scalars),
-                    source="parallel", attempts=attempt, failures=failures,
-                    cycles=res.cycles, sim=res, injected=injected,
-                    resolved_by=resolved, adaptive=adaptive_prov,
-                )
+                return _served(res, attempt, resolved, adaptive_prov)
             relax_kind = FailureKind.VERIFY_MISMATCH
+            message = "simulated result differs from the reference interpreter"
+            mode = kernel.plan.config.sim_mode
+            if (fault_plan is None and mode != "reference"
+                    and _reference_agrees(kernel, workload, cur, ref)):
+                relax_kind = FailureKind.SIM_DIVERGENCE
+                message = (f"{mode} simulator diverged from the reference "
+                           "back end — fast-path bug, result rejected")
+                log.error("guard: %s: %s", loop.name, message)
             failures.append(FailureReport(
-                kind=relax_kind,
-                message="simulated result differs from the reference interpreter",
-                attempt=attempt, queue_depth=cur.queue_depth,
-                max_instrs=cur.max_instrs,
+                kind=relax_kind, message=message, attempt=attempt,
+                queue_depth=cur.queue_depth, max_instrs=cur.max_instrs,
             ))
 
         log.warning("guard: %s", failures[-1].describe())
@@ -410,16 +427,7 @@ def guarded_run(
             ar = _try_adaptive(attempt)
             if ar is not None:
                 failed_report.resolution = "adaptive"
-                if obs is not None:
-                    obs.emit_guard("parallel", attempt, note="adaptive")
-                return GuardedRun(
-                    arrays=ar.result.arrays,
-                    scalars=dict(ar.result.scalars),
-                    source="parallel", attempts=attempt,
-                    failures=failures, cycles=ar.result.cycles,
-                    sim=ar.result, injected=injected,
-                    resolved_by="adaptive", adaptive=ar,
-                )
+                return _served(ar.result, attempt, "adaptive", ar)
         if relax_kind is FailureKind.DEADLOCK:
             if cur.queue_depth >= policy.max_queue_depth:
                 break
@@ -444,13 +452,19 @@ def guarded_run(
         "guard: %d parallel attempt(s) failed; serving sequential fallback",
         attempt,
     )
-    if obs is not None:
-        obs.emit_guard("fallback", attempt)
-    return GuardedRun(
-        arrays=ref.arrays, scalars=dict(ref.scalars), source="fallback",
-        attempts=attempt, failures=failures, injected=injected,
-        resolved_by="fallback",
-    )
+    return _fallback(attempt)
+
+
+def _reference_agrees(kernel, workload: Workload, params: MachineParams,
+                      ref) -> bool:
+    """Blame bisect for a fast-path mismatch: True when the reference
+    back end computes the right answer for the same kernel, which pins
+    the wrong answer on the fast simulator path."""
+    try:
+        res = execute_kernel(kernel, workload, params, sim_mode="reference")
+    except _SIM_FAILURES:
+        return False
+    return verify_result(ref, res)
 
 
 def _imbalance(res: SimResult) -> float:

@@ -30,12 +30,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from ..obs.report import BENCH_SCHEMA, update_bench
 from .client import ServeClient, TCPClient
 from .service import ServeConfig, ServeService
 from .stats import percentiles
 
-#: serve bench file schema version.
-BENCH_SCHEMA = 1
 #: default bench trajectory file (repo root / current directory).
 BENCH_PATH = "BENCH_serve.json"
 
@@ -313,43 +312,18 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _bench_key(row: dict) -> tuple:
+def _bench_key(row: dict) -> str:
     c = row.get("config", {})
-    return (c.get("requests"), c.get("clients"), c.get("zipf_s"),
-            c.get("seed"), c.get("trip"), c.get("transport"),
-            c.get("chaos"))
+    return json.dumps((c.get("requests"), c.get("clients"), c.get("zipf_s"),
+                       c.get("seed"), c.get("trip"), c.get("transport"),
+                       c.get("chaos")), default=str)
 
 
 def write_bench(path: str | os.PathLike, report: dict) -> dict:
     """Merge the campaign report into the serve bench trajectory file.
 
     Rows are keyed by campaign shape (requests, clients, zipf, seed,
-    trip, transport): re-running the same campaign replaces its row, so
-    the file tracks current numbers per configuration.  Missing or
-    corrupt files start fresh; writes are atomic.
+    trip, transport, chaos): re-running the same campaign replaces its
+    row, so the file tracks current numbers per configuration.
     """
-    doc = {"schema": BENCH_SCHEMA, "rows": []}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if isinstance(loaded, dict) and isinstance(loaded.get("rows"), list):
-            doc["rows"] = [r for r in loaded["rows"] if isinstance(r, dict)]
-    except (OSError, ValueError):
-        pass
-    row = dict(report)
-    doc["rows"] = [r for r in doc["rows"] if _bench_key(r) != _bench_key(row)]
-    doc["rows"].append(row)
-    doc["rows"].sort(key=lambda r: json.dumps(_bench_key(r), default=str))
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".bench.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return doc
+    return update_bench(path, report, key=_bench_key)

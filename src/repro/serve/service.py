@@ -18,9 +18,11 @@ the daemon.
 Failure boundary: compute failures are classified through the
 :class:`repro.runtime.guard.FailureKind` taxonomy and returned as
 structured error responses with provenance — the daemon itself never
-dies on a request.  Simulation failures inside ``run`` don't even
-reach that path: ``run_kernel`` already folds them into the
-``KernelRun`` record (``failure`` / ``fallback`` provenance fields).
+dies on a request.  Failures inside ``run`` — compile errors, checker
+rejections, simulation failures — don't even reach that path:
+``run_kernel`` runs every cell through the guard, which folds them
+into the ``KernelRun`` record (``failure`` / ``fallback`` provenance
+fields).
 
 The obs event bus backs the ``metrics`` endpoint: compile pass spans,
 guard decisions and task lifecycle events from thread-mode computes
@@ -157,7 +159,8 @@ def compute_payload(
 
     Runs inside an executor (thread or worker process).  ``run`` goes
     through the full cached/verified :func:`run_kernel` harness —
-    simulator failures come back *inside* the payload as provenance;
+    compile, checker and simulator failures come back *inside* the
+    payload as provenance;
     ``compile`` and ``trace`` raise on failure and are classified by
     the caller.
     """

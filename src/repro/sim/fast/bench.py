@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -153,23 +152,6 @@ def bench_doc(result: SimBenchResult, floor: float = DEFAULT_FLOOR) -> dict:
             for r in result.rows
         ],
     }
-
-
-def write_bench(path: str | os.PathLike, doc: dict) -> None:
-    """Atomic whole-document write (temp file + rename)."""
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".bench.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def load_floor(path: str | os.PathLike) -> float:

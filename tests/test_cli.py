@@ -11,40 +11,42 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_run_defaults(self):
-        args = build_parser().parse_args(["run", "umt2k-1"])
+        args = build_parser().parse_args(["kernels", "run", "umt2k-1"])
         assert args.cores == 4 and args.latency == 5 and not args.speculate
 
 
 class TestCommands:
     def test_list(self, capsys):
-        assert main(["list"]) == 0
+        assert main(["kernels", "list"]) == 0
         out = capsys.readouterr().out
         assert "lammps-1" in out and "amg-r2" in out
 
     def test_list_filtered(self, capsys):
-        assert main(["list", "--app", "sphot"]) == 0
+        assert main(["kernels", "list", "--app", "sphot"]) == 0
         out = capsys.readouterr().out
         assert "sphot-1" in out and "lammps-1" not in out
 
     def test_show(self, capsys):
-        assert main(["show", "umt2k-5"]) == 0
+        assert main(["kernels", "show", "umt2k-5"]) == 0
         out = capsys.readouterr().out
         assert "loop umt2k-5" in out and "flat umt2k-5" in out
 
     def test_run_kernel(self, capsys):
-        rc = main(["run", "umt2k-1", "--cores", "2", "--trip", "24"])
+        rc = main(["kernels", "run", "umt2k-1", "--cores", "2",
+                   "--trip", "24"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "speedup" in out and "bit-exact    : True" in out
 
     def test_run_with_races_flag(self, capsys):
-        rc = main(["run", "umt2k-1", "--cores", "2", "--trip", "12", "--races"])
+        rc = main(["kernels", "run", "umt2k-1", "--cores", "2", "--trip", "12",
+                   "--races"])
         out = capsys.readouterr().out
         assert rc == 0 and "races        : 0" in out
 
     def test_run_with_queue_limit(self, capsys):
         rc = main([
-            "run", "lammps-2", "--cores", "4", "--trip", "12",
+            "kernels", "run", "lammps-2", "--cores", "4", "--trip", "12",
             "--max-queues", "2",
         ])
         out = capsys.readouterr().out
@@ -235,25 +237,21 @@ class TestFrontendCommands:
             del base._REGISTRY[name]
 
     def test_list_has_origin_column(self, capsys):
-        assert main(["list"]) == 0
+        assert main(["kernels", "list"]) == 0
         out = capsys.readouterr().out
         assert "hand-built" in out and "synthetic" in out
 
     def test_list_origin_filter(self, capsys):
-        assert main(["list", "--origin", "hand-built"]) == 0
+        assert main(["kernels", "list", "--origin", "hand-built"]) == 0
         out = capsys.readouterr().out
         assert "lammps-1" in out and "synthetic" not in out
-
-    def test_kernels_list_matches_list(self, capsys):
-        assert main(["list"]) == 0
-        flat = capsys.readouterr().out
-        assert main(["kernels", "list"]) == 0
-        assert capsys.readouterr().out == flat
 
     def test_kernels_show(self, capsys):
         assert main(["kernels", "show", "umt2k-5"]) == 0
         out = capsys.readouterr().out
         assert "loop umt2k-5" in out and "flat umt2k-5" in out
+        with pytest.raises(SystemExit):  # the top-level alias is gone
+            main(["show", "umt2k-5"])
 
     def test_kernels_run(self, capsys):
         rc = main(["kernels", "run", "umt2k-1", "--cores", "2",
@@ -261,6 +259,8 @@ class TestFrontendCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "speedup" in out and "bit-exact    : True" in out
+        with pytest.raises(SystemExit):  # the top-level alias is gone
+            main(["run", "umt2k-1", "--cores", "2", "--trip", "24"])
 
     def test_ingest_file(self, capsys, tmp_path):
         src = tmp_path / "tri.py"
@@ -287,7 +287,7 @@ class TestFrontendCommands:
         capsys.readouterr()
         spec = get_kernel("frontend/reg_probe")
         assert spec.origin == "frontend"
-        rc = main(["run", "frontend/reg_probe", "--cores", "2",
+        rc = main(["kernels", "run", "frontend/reg_probe", "--cores", "2",
                    "--trip", "16"])
         out = capsys.readouterr().out
         assert rc == 0 and "bit-exact    : True" in out

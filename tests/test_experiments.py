@@ -38,6 +38,41 @@ class TestHarness:
         assert r1.correct and not r1.deadlocked
         assert r1.speedup > 0
 
+    @pytest.mark.parametrize("broken, failure", [
+        ("compile", "compile-error"), ("protocol", "protocol"),
+    ])
+    def test_static_cell_without_parallel_artifact_is_recorded(
+            self, monkeypatch, broken, failure):
+        # a compiler crash or a checker rejection of the parallel kernel
+        # is a failed cell, not an exception out of the harness
+        from repro.check import mutate_kernel
+        from repro.runtime import exec as X
+
+        parallelize, lower_plan = X.parallelize, X.lower_plan
+
+        def crashing(loop, n_cores, *a, **kw):
+            if n_cores > 1:
+                raise RuntimeError("synthetic compiler bug")
+            return parallelize(loop, n_cores, *a, **kw)
+
+        def miscompiling(plan):
+            kern = lower_plan(plan)
+            if plan.n_cores > 1:
+                return mutate_kernel(kern, "drop-enq") or kern
+            return kern
+
+        if broken == "compile":
+            monkeypatch.setattr(X, "parallelize", crashing)
+        else:
+            monkeypatch.setattr(X, "lower_plan", miscompiling)
+        C.clear_cache()
+        run = run_kernel(get_kernel("umt2k-1"),
+                         ExpConfig(n_cores=4, trip=TRIP, seed=93), store=None)
+        C.clear_cache()
+        assert run.failure == failure
+        assert not run.correct and run.resolved_by is None
+        assert run.fallback and run.speedup == 0.0
+
     def test_means(self):
         assert amean([1.0, 3.0]) == 2.0
         assert abs(geomean([1.0, 4.0]) - 2.0) < 1e-12

@@ -14,6 +14,13 @@ last line ends with a compile-time ratio, so only the text before it
 ``rec_s`` recovery column, and how many requests an injected worker
 crash takes down), so instead of a digest every scenario's verdict
 must be PASS.
+
+The run writes into a fresh result store, and every ``run`` record it
+leaves there is digested too, so a refactor must keep the stored
+records byte-identical, not only the reports.  ``seq`` records are left
+out: they are written only on a miss, so which of them a run writes
+depends on what ran earlier in the process.  Run records do not: a
+cell recalled from the process memo is re-written to the store.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import re
 
 import pytest
@@ -28,6 +36,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import REGISTRY, TRIP_FREE
 from repro.experiments.chaos_serve import SCENARIOS
+from repro.store import ResultStore
 
 TRIP = 24
 
@@ -46,6 +55,13 @@ DIGESTS = {
     "E11": "1442ad66dd1e3768229b48e4457525e67d16fac6d255a09857f304b9ff9ebc22",
     "E13": "d05df478b196d2b14c53628cc86b21494976fd528a08aaa8674a749d2f396b00",
 }
+
+#: run records the run leaves, and the sha256 over each one's key then
+#: file bytes, in sorted path order.
+RUN_RECORDS = 324
+RUN_RECORDS_DIGEST = (
+    "2ab5ae27efd2d12077668fea9ef2fa386f21df57619dc805e6e96fe5e741fc8b"
+)
 
 
 def _sections(out: str) -> dict[str, str]:
@@ -67,16 +83,19 @@ def _exact_part(eid: str, report: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def experiment_all():
-    """Exit code and stdout of one ``experiment all`` run."""
+def experiment_all(tmp_path_factory):
+    """Exit code, stdout and store root of one ``experiment all`` run
+    over a fresh result store."""
+    root = tmp_path_factory.mktemp("golden-store")
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf):
+        mp.setenv("REPRO_CACHE_DIR", str(root))
         rc = main(["experiment", "all", "--trip", str(TRIP)])
-    return rc, buf.getvalue()
+    return rc, buf.getvalue(), root
 
 
 def test_experiment_all_exits_zero_in_registry_order(experiment_all):
-    rc, out = experiment_all
+    rc, out, _ = experiment_all
     assert rc == 0
     assert list(_sections(out)) == list(REGISTRY)
     notes = re.findall(r"^note: (E\d+) .*; --trip is ignored$", out, re.M)
@@ -98,3 +117,15 @@ def test_e12_every_scenario_passes(experiment_all):
         if cols and cols[0] in SCENARIOS
     }
     assert verdicts == dict.fromkeys(SCENARIOS, "PASS")
+
+
+def test_run_records_match_golden(experiment_all):
+    digest = hashlib.sha256()
+    n = 0
+    for path in ResultStore(experiment_all[2])._record_paths():
+        data = path.read_bytes()
+        if json.loads(data)["kind"] == "run":
+            digest.update(path.stem.encode())
+            digest.update(data)
+            n += 1
+    assert (n, digest.hexdigest()) == (RUN_RECORDS, RUN_RECORDS_DIGEST)

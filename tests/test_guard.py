@@ -261,6 +261,46 @@ class TestRelaxation:
         assert "progress:" in rep.describe()
 
 
+class TestBlameBisect:
+    """A wrong answer from a fast simulator back end is re-run on the
+    reference back end to find whom to blame."""
+
+    def test_fast_path_blamed_unless_faults_armed(self, monkeypatch):
+        from repro.compiler import CompilerConfig
+        from repro.runtime.exec import execute_kernel as real_execute
+
+        loop, wl = _case()
+        reference_runs = []
+
+        def _fast_path_wrong(kernel, workload, params, sim_mode=None, **kw):
+            res = real_execute(kernel, workload, params, sim_mode=sim_mode,
+                               **kw)
+            if sim_mode == "reference":
+                reference_runs.append(1)
+            else:
+                name = sorted(res.arrays)[0]
+                res.arrays[name] = res.arrays[name] + 1.0
+            return res
+
+        monkeypatch.setattr(G, "execute_kernel", _fast_path_wrong)
+        cfg = CompilerConfig(sim_mode="specialized")
+        g = guarded_run(loop, wl, 2, config=cfg)
+        assert g.source == "fallback"
+        assert g.failure_kinds == [FailureKind.SIM_DIVERGENCE]
+        assert reference_runs == [1]
+        _assert_matches_reference(loop, wl, g)
+
+        # under injection the back ends may draw different faults, so a
+        # mismatch proves nothing about the fast path: no bisect
+        reference_runs.clear()
+        g = guarded_run(loop, wl, 2, config=cfg,
+                        fault_plan=FaultPlan.single("corrupt", seed=2))
+        assert FailureKind.VERIFY_MISMATCH in g.failure_kinds
+        assert FailureKind.SIM_DIVERGENCE not in g.failure_kinds
+        assert reference_runs == []
+        _assert_matches_reference(loop, wl, g)
+
+
 class TestAdaptiveLadder:
     """The adapt rung of the adapt -> relax -> sequential ladder."""
 

@@ -288,6 +288,18 @@ class TestReport:
         assert len(doc["rows"]) == 1
         assert json.loads(path.read_text())["schema"] == 1
 
+    def test_bench_keyed_by_loadgen_campaign_shape(self, tmp_path):
+        from repro.serve.loadgen import write_bench
+
+        path = tmp_path / "BENCH_serve.json"
+        shape = {"requests": 40, "clients": 6, "zipf_s": 1.1, "seed": 0,
+                 "trip": 16, "transport": "inproc", "chaos": None}
+        write_bench(path, {"config": shape, "note": "first"})
+        write_bench(path, {"config": shape, "note": "second"})  # replace
+        doc = write_bench(path, {"config": dict(shape, seed=1)})
+        assert [r.get("note") for r in doc["rows"]] == ["second", None]
+        assert json.loads(path.read_text()) == doc
+
 
 class TestAdaptiveProfileSignals:
     """The adaptive runtime's signals surfaced through `repro profile`:

@@ -273,7 +273,7 @@ def test_sim_mode_excluded_from_store_keys():
 
 
 # ----------------------------------------------------------------------
-# Divergence is loud: classification and the run_kernel blame bisect
+# Divergence is loud: classification and the guard's blame bisect
 # ----------------------------------------------------------------------
 
 
@@ -288,8 +288,9 @@ def test_run_kernel_flags_fast_path_divergence(monkeypatch):
     """A fast back end returning a wrong answer must be reported as
     sim-divergence (fast-path bug), never as a generic mismatch."""
     from repro.experiments import common as C
+    from repro.runtime import guard as G
 
-    real = C.execute_kernel
+    real = G.execute_kernel
 
     def corrupting(kernel, workload, params=None, **kw):
         res = real(kernel, workload, params, **kw)
@@ -298,7 +299,7 @@ def test_run_kernel_flags_fast_path_divergence(monkeypatch):
             res.arrays[name] = res.arrays[name] + 1.0
         return res
 
-    monkeypatch.setattr(C, "execute_kernel", corrupting)
+    monkeypatch.setattr(G, "execute_kernel", corrupting)
     spec = get_kernel("umt2k-1")
     C.clear_cache()
     run = C.run_kernel(
@@ -315,8 +316,9 @@ def test_run_kernel_keeps_verify_mismatch_when_reference_agrees(monkeypatch):
     """If the reference back end is just as wrong, it is a genuine
     verify mismatch — the bisect must not cry divergence."""
     from repro.experiments import common as C
+    from repro.runtime import guard as G
 
-    real = C.execute_kernel
+    real = G.execute_kernel
 
     def corrupting_all(kernel, workload, params=None, **kw):
         res = real(kernel, workload, params, **kw)
@@ -325,7 +327,7 @@ def test_run_kernel_keeps_verify_mismatch_when_reference_agrees(monkeypatch):
             res.arrays[name] = res.arrays[name] + 1.0
         return res
 
-    monkeypatch.setattr(C, "execute_kernel", corrupting_all)
+    monkeypatch.setattr(G, "execute_kernel", corrupting_all)
     spec = get_kernel("umt2k-1")
     C.clear_cache()
     run = C.run_kernel(
@@ -413,6 +415,7 @@ def test_fuzz_campaign_fast_legs_clean(tmp_path):
 
 
 def test_bench_sim_roundtrip(tmp_path):
+    from repro.obs.report import write_json_atomic
     from repro.sim.fast import bench as B
 
     res = B.run_bench(trip=48, n_cores=2, repeats=1,
@@ -422,6 +425,6 @@ def test_bench_sim_roundtrip(tmp_path):
     assert "geomean" in res.format()
     doc = B.bench_doc(res, floor=1.5)
     path = tmp_path / "BENCH_sim.json"
-    B.write_bench(path, doc)
+    write_json_atomic(path, doc)
     assert B.load_floor(path) == 1.5
     assert B.load_floor(tmp_path / "missing.json") == B.DEFAULT_FLOOR

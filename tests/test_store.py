@@ -24,6 +24,7 @@ from repro.experiments.common import (
     store_key_for,
 )
 from repro.kernels import get_kernel, table1_kernels
+from repro.runtime import guard as G
 from repro.store import ResultStore, kernel_run_key, run_grid
 from repro.store import records
 from repro.store.keys import SCHEMA_VERSION, ir_text, stable_digest
@@ -171,9 +172,11 @@ class TestRoundTrip:
         def boom(*a, **k):
             raise AssertionError("computed on a warm store")
 
-        monkeypatch.setattr(C, "compile_loop", boom)
-        monkeypatch.setattr(C, "execute_kernel", boom)
-        monkeypatch.setattr(C, "run_loop", boom)
+        # the harness computes the sequential baseline, the guard the cell
+        for name in ("compile_loop", "execute_kernel"):
+            monkeypatch.setattr(C, name, boom)
+        for name in ("compile_loop", "execute_kernel", "run_loop"):
+            monkeypatch.setattr(G, name, boom)
         again = run_kernel(spec, cfg, store=store)
         _assert_runs_equal(first, again)
 
