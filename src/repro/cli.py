@@ -108,7 +108,11 @@ def _cmd_show(args) -> int:
     from .ir import fmt_flat, fmt_loop, normalize
     from .kernels import get_kernel
 
-    loop = get_kernel(args.kernel).loop()
+    try:
+        spec = get_kernel(args.kernel)
+    except KeyError:
+        return _unknown_kernel(args.kernel)
+    loop = spec.loop()
     print(fmt_loop(loop))
     print()
     print(fmt_flat(normalize(loop, max_height=args.height)))
@@ -123,7 +127,10 @@ def _cmd_run(args) -> int:
     from .sim import MachineParams
     from .verify import verify_result
 
-    spec = get_kernel(args.kernel)
+    try:
+        spec = get_kernel(args.kernel)
+    except KeyError:
+        return _unknown_kernel(args.kernel)
     loop = spec.loop()
     wl = spec.workload(trip=args.trip)
     ref = run_loop(loop, wl)

@@ -69,20 +69,6 @@ class CodeGraph:
     def fibers(self) -> list[Fiber]:
         return self.fiberset.fibers
 
-    def fiber_pairs(self) -> dict[tuple[int, int], int]:
-        """Count of dependence edges between each unordered fiber pair
-        (the §III-B "greater number of dependence edges" heuristic)."""
-        counts: dict[tuple[int, int], int] = {}
-        fs = self.fiberset
-        for e in self.edges:
-            fa = fs.fiber_of(e.producer).fid
-            fb = fs.fiber_of(e.consumer).fid
-            if fa == fb:
-                continue
-            key = (min(fa, fb), max(fa, fb))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     @property
     def n_data_deps(self) -> int:
         """Table III "Data Deps": data dependences between initial

@@ -30,18 +30,41 @@ Variants:
 Correctness pre-step: *cohesion groups* (loop-carried dependences,
 see :mod:`repro.compiler.codegraph`) are unioned before any heuristic
 merging.
+
+Selection: each step merges the live pair with the greatest affinity,
+ties going to the smaller first node id, then the smaller second.  The
+multi-pair merge walks the live pairs in that same order and takes each
+pair whose two nodes are both still unmerged in the step.
+
+Representation: the merge state is dense, indexed by node position
+(initial node ids in ascending order).  An n×n affinity matrix holds
+the live pairs in its upper triangle, with ``-inf`` on and below the
+diagonal and in the row and column of every absorbed node.  An n×n
+matrix counts directed dependence edges between nodes; a pair's
+undirected count is the sum of its two directions.  Cost and line-span
+vectors complete it, so memory is O(n²) in the number of initial
+nodes.  A merge folds the absorbed node into the survivor (the smaller
+id) and recomputes the survivor's row and column with one vectorised
+evaluation of the affinity of nodes a and b::
+
+    w_dep·dep/(1+dep) + w_time·1/(1+(c_a+c_b)/mean_cost) + w_prox·1/(1+max(0,gap))
+
+less 100 when ``c_a+c_b`` exceeds the size cap.  The evaluation is
+elementwise float64 in exactly that operation order, so a score is the
+same bit for bit however many pairs are scored at once.  One argmax
+over the matrix then picks the next pair.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from ..analysis.cost import CostModel
 from .codegraph import CodeGraph
-from .config import CompilerConfig, MergeWeights
+from .config import CompilerConfig
 from .fibers import Fiber, Op, consumed_leaves
 
 
@@ -79,18 +102,6 @@ class _UnionFind:
         return ra
 
 
-@dataclass
-class _Node:
-    """Mutable merge-time node state."""
-
-    nid: int
-    fids: set[int]
-    cost: float
-    lo_line: int
-    hi_line: int
-    version: int = 0
-
-
 def _fiber_cost(fiber: Fiber, cost: CostModel) -> float:
     total = 0.0
     for op in fiber.ops:
@@ -121,7 +132,6 @@ def merge_partitions(
     fibers = graph.fibers
     if not fibers:
         raise ValueError("empty code graph")
-    cost_model = config.cost
     weights = config.weights
 
     # -- initial nodes: fibers unioned by cohesion ---------------------
@@ -131,198 +141,139 @@ def merge_partitions(
         for other in members[1:]:
             uf.union(members[0], other)
 
-    nodes: dict[int, _Node] = {}
-    fid_node: dict[int, int] = {}
+    # a node's position is the rank of its union-find root (its smallest
+    # fid); fibers are in fid order, so each node's fiber list is too,
+    # and so is the order its cost is summed in.
+    roots, node_of = np.unique(
+        [uf.find(f.fid) for f in fibers], return_inverse=True
+    )
+    n = len(roots)
+    node_fibers: list[list[Fiber]] = [[] for _ in range(n)]
     for f in fibers:
-        root = uf.find(f.fid)
-        fid_node[f.fid] = root
-        node = nodes.get(root)
-        fcost = _fiber_cost(f, cost_model)
-        if node is None:
-            nodes[root] = _Node(
-                nid=root, fids={f.fid}, cost=fcost,
-                lo_line=f.line, hi_line=f.line,
-            )
-        else:
-            node.fids.add(f.fid)
-            node.cost += fcost
-            node.lo_line = min(node.lo_line, f.line)
-            node.hi_line = max(node.hi_line, f.line)
+        node_fibers[node_of[f.fid]].append(f)
+    fids = [{f.fid for f in m} for m in node_fibers]
+    node_costs = [sum(_fiber_cost(f, config.cost) for f in m) for m in node_fibers]
+    lo = np.array([min(f.line for f in m) for m in node_fibers])
+    hi = np.array([max(f.line for f in m) for m in node_fibers])
 
-    # -- pairwise dependence-edge counts at node granularity ----------
-    edge_w: dict[tuple[int, int], int] = {}
-    for (fa, fb), cnt in graph.fiber_pairs().items():
-        na, nb = fid_node[fa], fid_node[fb]
-        if na == nb:
-            continue
-        key = (min(na, nb), max(na, nb))
-        edge_w[key] = edge_w.get(key, 0) + cnt
-
-    # directed node graph for the throughput heuristic
+    # directed dependence-edge counts between nodes; a pair's undirected
+    # count (the dependence heuristic) is the sum of its two directions.
     fs = graph.fiberset
-    directed: dict[tuple[int, int], int] = {}
-    for e in graph.edges:
-        na = uf.find(fs.fiber_of(e.producer).fid)
-        nb = uf.find(fs.fiber_of(e.consumer).fid)
-        if na != nb:
-            directed[(na, nb)] = directed.get((na, nb), 0) + 1
+    src = node_of[[fs.fiber_of(e.producer).fid for e in graph.edges]]
+    dst = node_of[[fs.fiber_of(e.consumer).fid for e in graph.edges]]
+    dep = np.bincount(src * n + dst, minlength=n * n).reshape(n, n)
+    np.fill_diagonal(dep, 0)
 
-    total_cost = sum(n.cost for n in nodes.values())
-    mean_cost = max(1e-9, total_cost / max(1, len(nodes)))
+    total_cost = sum(node_costs)
+    mean_cost = max(1e-9, total_cost / max(1, n))
     # soft size cap: merging beyond an even per-core share is strongly
     # discouraged (the balancing intent behind the §III-B "smaller
     # compute time" heuristic — concurrency is maximised when no node
     # hogs the work).
     cap = 1.15 * total_cost / max(1, n_parts)
+    cost = np.array(node_costs)
+    alive = np.ones(n, dtype=bool)
 
-    def affinity(a: _Node, b: _Node) -> float:
-        key = (min(a.nid, b.nid), max(a.nid, b.nid))
-        dep = edge_w.get(key, 0)
-        dep_term = dep / (1.0 + dep)
-        time_term = 1.0 / (1.0 + (a.cost + b.cost) / mean_cost)
-        gap = max(a.lo_line, b.lo_line) - min(a.hi_line, b.hi_line)
-        prox_term = 1.0 / (1.0 + max(0, gap))
+    def affinity(rows: int | slice) -> np.ndarray:
+        """Affinity of node ``rows`` (or of each node in a slice) with
+        every node; ``-inf`` against dead nodes."""
+        edges = dep[rows] + dep.T[rows]
+        both = cost[rows, None] + cost
+        gap = np.maximum(lo[rows, None], lo) - np.minimum(hi[rows, None], hi)
         score = (
-            weights.dep_edges * dep_term
-            + weights.small_time * time_term
-            + weights.proximity * prox_term
+            weights.dep_edges * (edges / (1.0 + edges))
+            + weights.small_time * (1.0 / (1.0 + both / mean_cost))
+            + weights.proximity * (1.0 / (1.0 + np.maximum(gap, 0)))
         )
-        if a.cost + b.cost > cap:
-            score -= 100.0
+        score[both > cap] -= 100.0
+        score[..., ~alive] = -np.inf
         return score
 
-    # -- heap of candidate pairs with lazy invalidation ----------------
-    heap: list[tuple[float, int, int, int, int]] = []
+    # live pairs (i < j) in the upper triangle; -inf everywhere else
+    aff = affinity(slice(None))
+    aff[np.tri(n, dtype=bool)] = -np.inf
 
-    def push_pairs_for(a: int) -> None:
-        na = nodes[a]
-        for b, nb in nodes.items():
-            if b == a:
-                continue
-            heapq.heappush(
-                heap,
-                (-affinity(na, nb), min(a, b), max(a, b),
-                 na.version + nb.version, 0),
-            )
-
-    active = sorted(nodes)
-    for i, a in enumerate(active):
-        na = nodes[a]
-        for b in active[i + 1:]:
-            nb = nodes[b]
-            heapq.heappush(
-                heap, (-affinity(na, nb), a, b, na.version + nb.version, 0)
-            )
-
-    def do_merge(a: int, b: int) -> int:
-        """Merge node b into node a (a < b); returns surviving id."""
-        na, nb = nodes[a], nodes[b]
-        na.fids |= nb.fids
-        na.cost += nb.cost
-        na.lo_line = min(na.lo_line, nb.lo_line)
-        na.hi_line = max(na.hi_line, nb.hi_line)
-        na.version += nb.version + 1
-        del nodes[b]
-        # re-aggregate undirected edge weights
-        for (x, y) in list(edge_w):
-            if b in (x, y):
-                w = edge_w.pop((x, y))
-                other = y if x == b else x
-                if other == a:
-                    continue
-                key = (min(a, other), max(a, other))
-                edge_w[key] = edge_w.get(key, 0) + w
-        for (x, y) in list(directed):
-            if b in (x, y):
-                w = directed.pop((x, y))
-                nx_, ny_ = (a if x == b else x), (a if y == b else y)
-                if nx_ != ny_:
-                    directed[(nx_, ny_)] = directed.get((nx_, ny_), 0) + w
-        push_pairs_for(a)
-        return a
+    def absorb(i: int, j: int) -> None:
+        """Merge node ``j`` into node ``i`` (``i < j``)."""
+        fids[i] |= fids[j]
+        cost[i] += cost[j]
+        lo[i] = min(lo[i], lo[j])
+        hi[i] = max(hi[i], hi[j])
+        dep[i] += dep[j]
+        dep[:, i] += dep[:, j]
+        dep[i, i] = 0
+        dep[j] = 0
+        dep[:, j] = 0
+        alive[j] = False
+        aff[j] = -np.inf
+        aff[:, j] = -np.inf
+        row = affinity(i)
+        aff[i, i + 1:] = row[i + 1:]
+        aff[:i, i] = row[:i]
 
     def merge_cycles() -> None:
         """Throughput heuristic: collapse every directed cycle."""
         while True:
-            g = nx.DiGraph()
-            g.add_nodes_from(nodes)
-            g.add_edges_from(directed)
-            sccs = [sorted(c) for c in nx.strongly_connected_components(g) if len(c) > 1]
+            g = nx.DiGraph(np.argwhere(dep).tolist())
+            sccs = sorted(
+                sorted(c) for c in nx.strongly_connected_components(g) if len(c) > 1
+            )
             if not sccs:
                 return
-            for comp in sorted(sccs):
-                base = comp[0]
-                for other in comp[1:]:
-                    if other in nodes and base in nodes:
-                        do_merge(min(base, other), max(base, other))
-                        base = min(base, other)
+            for first, *rest in sccs:
+                for j in rest:
+                    absorb(first, j)
 
     if config.throughput_heuristic:
         merge_cycles()
 
-    def pop_best() -> tuple[int, int] | None:
-        while heap:
-            negaff, a, b, ver, _ = heapq.heappop(heap)
-            if a in nodes and b in nodes and nodes[a].version + nodes[b].version == ver:
-                return a, b
-        return None
-
-    while len(nodes) > n_parts:
+    while (n_live := np.count_nonzero(alive)) > n_parts:
         if config.multi_pair_merge:
-            budget = len(nodes) - n_parts
+            # disjoint pairs, best first (ties: smallest i, then j); no
+            # more than half the live nodes can pair up at once
+            budget = min(n_live - n_parts, n_live // 2)
+            live = np.flatnonzero(aff > -np.inf)
+            order = live[np.argsort(-aff.flat[live], kind="stable")]
             picked: list[tuple[int, int]] = []
             used: set[int] = set()
-            stash: list[tuple[float, int, int, int, int]] = []
-            while heap and budget > 0:
-                item = heapq.heappop(heap)
-                _, a, b, ver, _ = item
-                if a not in nodes or b not in nodes:
+            for k in order.tolist():
+                i, j = divmod(k, n)
+                if i in used or j in used:
                     continue
-                if nodes[a].version + nodes[b].version != ver:
-                    continue
-                if a in used or b in used:
-                    stash.append(item)
-                    continue
-                picked.append((a, b))
-                used.update((a, b))
-                budget -= 1
-            for item in stash:
-                heapq.heappush(heap, item)
-            if not picked:
-                break
-            for a, b in picked:
-                do_merge(a, b)
+                picked.append((i, j))
+                used.update((i, j))
+                if len(picked) == budget:
+                    break
         else:
-            best = pop_best()
-            if best is None:
-                break
-            do_merge(*best)
+            # the row-major argmax breaks ties by smallest i, then j
+            k = int(aff.argmax())
+            picked = [divmod(k, n)] if aff.flat[k] > -np.inf else []
+        if not picked:
+            break
+        for i, j in picked:
+            absorb(i, j)
         if config.throughput_heuristic:
             merge_cycles()
 
     # -- materialise partitions ----------------------------------------
-    fid_final: dict[int, int] = {}
-    for nid, node in nodes.items():
-        for fid in node.fids:
-            fid_final[fid] = nid
-
-    groups: dict[int, list[Op]] = {nid: [] for nid in nodes}
-    for op in graph.fiberset.ops:
-        fib = graph.fiberset.fiber_of(op)
-        groups[fid_final[fib.fid]].append(op)
+    live_nodes = np.flatnonzero(alive).tolist()
+    fid_final = {fid: i for i in live_nodes for fid in fids[i]}
+    groups: dict[int, list[Op]] = {i: [] for i in live_nodes}
+    for op in fs.ops:
+        groups[fid_final[fs.fiber_of(op).fid]].append(op)
 
     ordered = sorted(
         groups.items(), key=lambda kv: min(op.rank for op in kv[1])
     )
     partitions: list[Partition] = []
-    for pid, (nid, ops) in enumerate(ordered):
+    for pid, (i, ops) in enumerate(ordered):
         ops_sorted = sorted(ops, key=lambda o: o.rank)
         partitions.append(
             Partition(
                 pid=pid,
-                fids=frozenset(nodes[nid].fids),
+                fids=frozenset(fids[i]),
                 ops=ops_sorted,
-                cost=nodes[nid].cost,
+                cost=float(cost[i]),
                 n_compute_ops=sum(1 for o in ops_sorted if o.kind == "expr"),
             )
         )

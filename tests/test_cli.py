@@ -88,6 +88,11 @@ class TestCommands:
         assert main(["sweep", "--kernels", "nosuch-kernel"]) == 2
         assert "unknown kernel" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["show", "run"])
+    def test_kernels_unknown_kernel(self, command, capsys):
+        assert main(["kernels", command, "nosuch-kernel"]) == 2
+        assert "repro kernels list" in capsys.readouterr().out
+
     def test_sweep_bad_workers(self, capsys):
         assert main(["sweep", "--kernels", "umt2k-1", "--workers", "abc"]) == 2
         assert "workers" in capsys.readouterr().out

@@ -124,8 +124,3 @@ class TestStats:
     def test_data_deps_counts_cross_fiber_only(self, demo_loop):
         g = _graph(demo_loop)
         assert 0 < g.n_data_deps <= len(g.edges)
-
-    def test_fiber_pairs_symmetric_keying(self, demo_loop):
-        g = _graph(demo_loop)
-        for (a, b), cnt in g.fiber_pairs().items():
-            assert a < b and cnt >= 1

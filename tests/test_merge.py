@@ -1,5 +1,9 @@
 """Unit tests for code-graph merging (§III-B) and refinement."""
 
+import hashlib
+import json
+import random
+
 import networkx as nx
 import pytest
 
@@ -10,8 +14,16 @@ from repro.compiler import (
     merge_partitions,
 )
 from repro.compiler.config import MergeWeights
+from repro.fuzz.gen import RandomDraw, build_loop
 from repro.ir import F64, LoopBuilder, normalize
-from repro.kernels import get_kernel
+from repro.kernels import corpus_kernels, get_kernel
+
+#: sha256 over every partition of the battery in
+#: ``test_partitions_match_golden``; re-record it only for a change that
+#: means to move a partition.
+PARTITION_DIGEST = (
+    "1ed4534cb20b101ee2ccdeef73c0c76b9b8ec6e8c0f4e2994ed12eff6a78089d"
+)
 
 
 def _graph(loop, h=2):
@@ -151,3 +163,53 @@ class TestWeights:
         sig_a = sorted(sorted(p.fids) for p in a)
         sig_b = sorted(sorted(p.fids) for p in b)
         assert sig_a != sig_b
+
+
+class TestSelection:
+    def test_partitions_match_golden(self):
+        """Every partition of 888 merges, bit for bit: the 51 corpus
+        loops and 60 random loops under four configs at 2 and 4 cores."""
+        configs = [
+            ("default", CompilerConfig()),
+            ("multi", CompilerConfig(multi_pair_merge=True)),
+            ("throughput", CompilerConfig(throughput_heuristic=True)),
+            ("prox-only", CompilerConfig(weights=MergeWeights(0.0, 0.0, 1.0))),
+        ]
+        loops = [
+            (k.name, k.loop())
+            for k in sorted(corpus_kernels(), key=lambda k: k.name)
+        ]
+        loops += [
+            (f"fuzz-{i}", build_loop(RandomDraw(random.Random(i))))
+            for i in range(60)
+        ]
+        digest = hashlib.sha256()
+        for name, loop in loops:
+            g = _graph(loop)
+            for label, config in configs:
+                for cores in (2, 4):
+                    parts = [
+                        [p.pid, sorted(p.fids), repr(p.cost), p.n_compute_ops,
+                         [op.rank for op in p.ops]]
+                        for p in merge_partitions(g, cores, config)
+                    ]
+                    digest.update(
+                        json.dumps([name, label, cores, parts]).encode()
+                    )
+        assert digest.hexdigest() == PARTITION_DIGEST
+
+    @pytest.mark.parametrize("multi_pair", [False, True])
+    def test_ties_go_to_smallest_ids(self, multi_pair):
+        """Identical independent statements on consecutive lines: under
+        proximity-only weights every adjacent pair ties, and the first
+        merge joins the two smallest node ids."""
+        b = LoopBuilder("ties")
+        a = b.array("a", F64)
+        for k in range(5):
+            b.store(b.array(f"o{k}", F64), b.index, a[b.index] * 2.0)
+        g = _graph(b.build())
+        assert len(g.fibers) == 5 and not g.edges and not g.cohesion
+        parts = merge_partitions(g, 4, CompilerConfig(
+            weights=MergeWeights(0.0, 0.0, 1.0), multi_pair_merge=multi_pair,
+        ))
+        assert [sorted(p.fids) for p in parts] == [[0, 1], [2], [3], [4]]
