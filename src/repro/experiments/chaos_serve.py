@@ -135,14 +135,13 @@ def _cells(kernels: tuple[str, ...], n: int, seed: int) -> list[dict]:
 
 
 def _cell_store_key(body: dict) -> str:
-    from ..experiments.common import ExpConfig
+    from ..experiments.common import ExpConfig, store_key_for
     from ..kernels import get_kernel
-    from ..serve.service import cell_key
 
     cfg = ExpConfig(
         n_cores=body["cores"], trip=body["trip"], seed=body["seed"],
     )
-    return cell_key(get_kernel(body["kernel"]), cfg, kind="run")
+    return store_key_for(get_kernel(body["kernel"]), cfg)
 
 
 async def _fire(service: Any, bodies: list[dict], result: ScenarioResult,

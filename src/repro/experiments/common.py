@@ -12,7 +12,10 @@ Results are memoised at two levels: a per-process dict, and the
 persistent content-addressed store (:mod:`repro.store`) keyed by the
 kernel's normalized IR, the compiler and machine configuration, and
 the workload ``(trip, seed)`` recipe.  A warm store makes every
-experiment idempotent — zero compile/simulate calls on re-run.
+experiment idempotent — zero compile/simulate calls on re-run.  A cell
+that is computed still shares its pure stages (compiled kernel,
+interpreter oracle, IR text, store key) with earlier cells through the
+bounded per-process memos of :mod:`repro.memo`.
 ``run_table1_grid`` additionally fans whole kernel × config matrices
 out over the :mod:`repro.store.sweep` worker pool.
 """
@@ -25,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .. import memo
 from ..compiler import CompilerConfig
 from ..compiler.pipeline import PlanStats
 from ..kernels import KernelSpec, table1_kernels
@@ -123,8 +127,10 @@ _seq_cache: dict[str, float] = {}
 
 
 def clear_cache() -> None:
+    """Empty the run memos and every stage memo (:mod:`repro.memo`)."""
     _cache.clear()
     _seq_cache.clear()
+    memo.clear()
 
 
 def seed_cache(run: KernelRun) -> None:
@@ -136,19 +142,31 @@ def _workload_recipe(spec: KernelSpec) -> dict:
     return {"scalars": dict(spec.scalars), "specs": dict(spec.specs)}
 
 
-def store_key_for(spec: KernelSpec, config: ExpConfig, loop=None) -> str:
-    """Persistent-store key for the parallel run of one grid cell."""
+def store_key_for(spec: KernelSpec, config: ExpConfig, kind: str = "run") -> str:
+    """Content-addressed key of one grid cell.
+
+    ``kind="run"`` keys the cell's persistent run record; serve's
+    ``compile`` and ``trace`` payloads use their own kinds and only
+    ever index its in-memory L1.  Memoised per process on
+    ``spec.loop()``, the config's content and ``kind``
+    (:data:`repro.memo.STORE_KEY`): the loop stands for its spec's seed
+    and workload recipe, because :meth:`KernelSpec.loop` refuses a loop
+    that another spec owns.
+    """
     from ..store.keys import kernel_run_key
 
-    return kernel_run_key(
-        loop if loop is not None else spec.loop(),
+    loop = spec.loop()
+    key = (loop, memo.content_key(config), kind)
+    return memo.STORE_KEY.get(key, lambda: kernel_run_key(
+        loop,
         config.n_cores,
         config.compiler(),
         config.machine(),
         config.trip,
         spec.seed + config.seed,
         workload=_workload_recipe(spec),
-    )
+        kind=kind,
+    ))
 
 
 def _seq_store_key(spec: KernelSpec, config: ExpConfig, loop, seq_cfg) -> str:
@@ -212,7 +230,7 @@ def run_kernel(
         return hit
 
     loop = spec.loop()
-    digest = store_key_for(spec, config, loop=loop)
+    digest = store_key_for(spec, config)
     if store is not None:
         cached = store.get_run(digest)
         if cached is not None:

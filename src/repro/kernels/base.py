@@ -12,6 +12,8 @@ DESIGN.md, substitutions table).
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -34,6 +36,11 @@ CATEGORIES = (
 #: ingested from real Python source by :mod:`repro.frontend` are
 #: ``frontend``.
 ORIGINS = ("hand-built", "synthetic", "frontend")
+
+#: serialises the first ``KernelSpec.loop()`` of each spec across threads.
+_BUILD_LOCK = threading.RLock()
+#: every loop some live spec has built (loops hash by identity).
+_OWNED: weakref.WeakSet[Loop] = weakref.WeakSet()
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,29 @@ class KernelSpec:
             raise ValueError(f"bad origin {self.origin!r}")
 
     def loop(self) -> Loop:
-        return self.build()
+        """The spec's loop, built on first use.
+
+        Every later call returns that same object, because the stage
+        memos (:mod:`repro.memo`) key loops by identity.  The store-key
+        memo also lets the loop stand for the spec's seed and workload
+        recipe, so no two specs may share a loop: ``build`` must return
+        a fresh loop per call, and a loop another spec owns raises
+        ``ValueError``.  Nothing may mutate it.
+        """
+        loop = self.__dict__.get("_loop")
+        if loop is None:
+            with _BUILD_LOCK:
+                loop = self.__dict__.get("_loop")
+                if loop is None:
+                    loop = self.build()
+                    if loop in _OWNED:
+                        raise ValueError(
+                            f"kernel {self.name!r}: build() returned a loop "
+                            f"another spec owns; it must build a fresh one"
+                        )
+                    _OWNED.add(loop)
+                    object.__setattr__(self, "_loop", loop)
+        return loop
 
     def workload(self, trip: int | None = None, seed: int | None = None) -> Workload:
         lp = self.loop()

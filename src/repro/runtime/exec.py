@@ -6,6 +6,7 @@ from ..compiler.config import CompilerConfig
 from ..compiler.pipeline import ParallelPlan, parallelize
 from ..ir.stmts import Loop
 from ..isa.lower import LoweredKernel, lower_plan
+from ..memo import COMPILE, content_key
 from ..sim.machine import Machine, MachineParams, SimResult
 from ..sim.memory import SharedMemory
 from ..workload import Workload
@@ -28,7 +29,21 @@ def compile_loop(
     :class:`~repro.check.ProtocolError` on rejection; callers that
     re-verify against specific machine parameters (the guard's
     pre-flight, the fuzzer) pass ``check=False`` to avoid paying twice.
+
+    Kernels are memoised per process (:data:`repro.memo.COMPILE`) on
+    the loop's identity, ``n_cores``, the content of every config field
+    and ``check``.  A hit returns the kernel the miss built, shared with
+    every other caller: nothing may mutate it.
     """
+    key = (loop, n_cores, content_key(config or CompilerConfig()), check)
+    return COMPILE.get(
+        key, lambda: _compile(loop, n_cores, config, obs, check), obs,
+    )
+
+
+def _compile(
+    loop: Loop, n_cores: int, config: CompilerConfig | None, obs, check: bool,
+) -> LoweredKernel:
     from ..obs.events import span
 
     plan = parallelize(loop, n_cores, config, obs=obs)

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field, replace
 from ..compiler.pipeline import PlanStats
 from ..interp import run_loop
 from ..ir.stmts import Loop
+from ..memo import ORACLE, content_key
 from ..obs.events import span
 from ..sim import (
     BudgetExceeded,
@@ -247,8 +248,11 @@ def guarded_run(
     if obs is not None and not obs.enabled:
         obs = None
     # The reference interpreter is both the verification oracle and the
-    # fallback answer, so the guarantee costs one sequential execution.
-    ref = run_loop(loop, workload)
+    # fallback answer, so the guarantee costs one sequential execution
+    # per (loop, workload content) and process; cells that differ only
+    # in cores or machine share it.
+    ref = ORACLE.get((loop, content_key(workload)),
+                     lambda: _read_only(run_loop(loop, workload)), obs)
 
     failures: list[FailureReport] = []
     injected: list = []
@@ -453,6 +457,13 @@ def guarded_run(
         attempt,
     )
     return _fallback(attempt)
+
+
+def _read_only(ref):
+    """Flag a shared oracle result's arrays non-writeable."""
+    for buf in ref.arrays.values():
+        buf.flags.writeable = False
+    return ref
 
 
 def _reference_agrees(kernel, workload: Workload, params: MachineParams,

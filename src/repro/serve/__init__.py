@@ -14,7 +14,7 @@ from .admission import AdmissionQueue, QueueFull, RateLimited, RateLimiter, Toke
 from .cache import LRUCache, TieredCache, tier_stats_line
 from .client import ServeClient, TCPClient
 from .protocol import BadRequest, Request, parse_request
-from .service import ServeConfig, ServeService, cell_key, run_payload
+from .service import ServeConfig, ServeService, run_payload
 from .singleflight import Singleflight
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "TCPClient",
     "TieredCache",
     "TokenBucket",
-    "cell_key",
     "parse_request",
     "run_payload",
     "tier_stats_line",

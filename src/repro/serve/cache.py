@@ -18,124 +18,18 @@ same numbers.
 
 from __future__ import annotations
 
-import json
-import time
-from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any
 
+from ..memo import LRUCache  # the L1; re-exported for serve callers
 from ..obs.metrics import MetricsRegistry, default_registry
 
 #: registry counter names for the cache tiers (satellite: surfaced by
 #: ``repro cache stats`` alongside the disk-store session counters).
 TIER_COUNTERS = ("cache.l1_hit", "cache.l2_hit", "cache.miss", "cache.coalesced")
 
-_UNSET = object()
-
-
-def payload_cost(value: Any) -> int:
-    """Approximate in-memory cost of a cached payload, in bytes.
-
-    Payloads are JSON-shaped dicts by construction, so the encoded
-    length is a faithful (and cheap) proxy; anything unencodable is
-    charged a flat floor so the bytes bound still makes progress.
-    """
-    try:
-        return len(json.dumps(value, separators=(",", ":")))
-    except (TypeError, ValueError):
-        return 256
-
-
-class LRUCache:
-    """Size-, byte- and TTL-bounded LRU map.
-
-    ``capacity`` bounds the entry count, ``max_bytes`` the summed
-    :func:`payload_cost` of live entries, and ``ttl`` (seconds, from
-    ``clock``) expires entries lazily at lookup time.  ``clock`` is
-    injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 1024,
-        max_bytes: int | None = None,
-        ttl: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.max_bytes = max_bytes
-        self.ttl = ttl
-        self._clock = clock
-        #: key -> (value, expiry-or-None, cost)
-        self._data: OrderedDict[str, tuple[Any, float | None, int]] = OrderedDict()
-        self._bytes = 0
-        self.evictions = 0
-        self.expirations = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    @property
-    def bytes(self) -> int:
-        return self._bytes
-
-    def _drop(self, key: str, *, expired: bool = False) -> None:
-        _, _, cost = self._data.pop(key)
-        self._bytes -= cost
-        if expired:
-            self.expirations += 1
-        else:
-            self.evictions += 1
-
-    def get(self, key: str) -> Any | None:
-        entry = self._data.get(key)
-        if entry is None:
-            return None
-        value, expiry, _ = entry
-        if expiry is not None and self._clock() >= expiry:
-            self._drop(key, expired=True)
-            return None
-        self._data.move_to_end(key)
-        return value
-
-    def put(self, key: str, value: Any, ttl: float | None = _UNSET) -> None:
-        if ttl is _UNSET:
-            ttl = self.ttl
-        if key in self._data:
-            self._drop(key)
-        cost = payload_cost(value)
-        if self.max_bytes is not None and cost > self.max_bytes:
-            return  # a single over-budget entry can never fit
-        expiry = self._clock() + ttl if ttl is not None else None
-        self._data[key] = (value, expiry, cost)
-        self._bytes += cost
-        while len(self._data) > self.capacity or (
-            self.max_bytes is not None and self._bytes > self.max_bytes
-        ):
-            self._drop(next(iter(self._data)))
-
-    def purge_expired(self) -> int:
-        """Eagerly drop expired entries; returns how many."""
-        now = self._clock()
-        dead = [
-            k for k, (_, expiry, _) in self._data.items()
-            if expiry is not None and now >= expiry
-        ]
-        for k in dead:
-            self._drop(k, expired=True)
-        return len(dead)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self._bytes = 0
-
 
 class TieredCache:
-    """L1 (:class:`LRUCache`) over L2 (the content-addressed disk store).
+    """L1 (:class:`repro.memo.LRUCache`) over L2 (the content-addressed disk store).
 
     ``get_run``/``put_run`` speak the run-record tier pair; ``get_local``
     /``put_local`` are L1-only (compile plans and trace summaries have

@@ -270,6 +270,7 @@ async def _run_campaign(
         "run_records": store.get("run_records"),
         "store_writes": store.get("writes"),
         "server_latency_ms": metrics.get("latency_ms"),
+        "memo": metrics.get("memo"),
     }
     return report
 
@@ -308,6 +309,11 @@ def format_report(report: dict) -> str:
         f"{report['run_records'] if report['run_records'] is not None else '?'} "
         f"run records"
     )
+    if report.get("memo"):
+        lines.append("memo         : " + ", ".join(
+            f"{stage} {s['hits']} hit / {s['misses']} miss"
+            for stage, s in report["memo"].items()
+        ))
     lines.append(f"unhandled    : {report['unhandled']}")
     return "\n".join(lines)
 

@@ -130,28 +130,6 @@ def run_payload(run: Any) -> dict:
     return payload
 
 
-def cell_key(spec: Any, config: Any, kind: str = "run") -> str:
-    """Content-addressed key for one (kernel, config) cell.
-
-    ``kind="run"`` matches :func:`repro.experiments.common.store_key_for`
-    exactly (so serve and sweep share L2 records); ``compile`` and
-    ``trace`` keys only ever index the in-memory L1.
-    """
-    from ..experiments.common import _workload_recipe
-    from ..store.keys import kernel_run_key
-
-    return kernel_run_key(
-        spec.loop(),
-        config.n_cores,
-        config.compiler(),
-        config.machine(),
-        config.trip,
-        spec.seed + config.seed,
-        workload=_workload_recipe(spec),
-        kind=kind,
-    )
-
-
 def compute_payload(
     kind: str, kernel: str, cfg: dict, store: Any, obs: Any = None
 ) -> dict:
@@ -162,7 +140,7 @@ def compute_payload(
     compile, checker and simulator failures come back *inside* the
     payload as provenance;
     ``compile`` and ``trace`` raise on failure and are classified by
-    the caller.
+    the caller.  ``trace`` reports the simulation's event counts.
     """
     from ..experiments.common import ExpConfig, run_kernel
     from ..kernels import get_kernel
@@ -192,13 +170,16 @@ def compute_payload(
     if kind == "trace":
         from ..obs.events import EventLog
 
+        # The payload counts the simulation's events only: the compiled
+        # kernel may come from the process memo, whose hit replaces the
+        # compile pass spans, and L1 caches this payload by content.
+        k = compile_loop(
+            loop_ir, config.n_cores,
+            config.compiler(profile_workload=wl), obs=obs,
+        )
         bus = EventBus()
         ev_log = EventLog()
         bus.subscribe(ev_log)
-        k = compile_loop(
-            loop_ir, config.n_cores,
-            config.compiler(profile_workload=wl), obs=bus,
-        )
         res = execute_kernel(k, wl, config.machine(), obs=bus)
         counts: dict[str, int] = {}
         for ev in ev_log.events:
@@ -255,11 +236,6 @@ class ServeService:
         self._collector = MetricsCollector(self.registry)
         self.bus.subscribe(self._on_event)
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        #: (kernel, sorted-config-items, kind) → content digest.  Key
-        #: derivation rebuilds and prints the kernel IR (~ms); memoising
-        #: it keeps the warm hit path in the microsecond range.  Bounded
-        #: like L1: the input space is the same.
-        self._key_memo = LRUCache(capacity=max(1024, self.config.l1_capacity))
         self._executor: Any = None
         self._started = time.monotonic()
 
@@ -531,7 +507,7 @@ class ServeService:
         self, req: Request, kernel: str, n_cores: int, kind: str = "run"
     ) -> tuple[str | None, dict]:
         """One (kernel, cores) cell through cache → singleflight → compute."""
-        from ..experiments.common import ExpConfig
+        from ..experiments.common import ExpConfig, store_key_for
         from ..kernels import get_kernel
 
         try:
@@ -539,11 +515,7 @@ class ServeService:
         except KeyError:
             raise BadRequest(f"unknown kernel {kernel!r}") from None
         cfg = req.exp_config_kwargs(n_cores)
-        memo_key = repr((kernel, sorted(cfg.items()), kind))
-        key = self._key_memo.get(memo_key)
-        if key is None:
-            key = cell_key(spec, ExpConfig(**cfg), kind=kind)
-            self._key_memo.put(memo_key, key)
+        key = store_key_for(spec, ExpConfig(**cfg), kind=kind)
         tier, payload = (
             self.cache.get_run(key) if kind == "run"
             else self.cache.get_local(key)
@@ -610,10 +582,17 @@ class ServeService:
         self.registry.gauge("serve.draining").set(
             1.0 if self.drain.draining else 0.0
         )
+        from .. import memo
+        from ..sim.fast.specialize import counters as specialize_counters
+
         snap: dict[str, Any] = {
             "uptime_s": round(self.uptime, 3),
             "latency_ms": self._latency_quantiles(),
             "counters": self.registry.snapshot(),
+            # this process's stage memos and specialized back end
+            # (process-pool workers keep their own)
+            "memo": memo.stats(),
+            "specialize": specialize_counters(),
         }
         if self.store is not None:
             st = self.store.stats()

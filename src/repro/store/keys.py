@@ -30,6 +30,7 @@ from typing import Any, Mapping
 from ..compiler.config import CompilerConfig
 from ..ir import fmt_flat, fmt_loop, normalize
 from ..ir.stmts import Loop
+from ..memo import IR_TEXT
 from ..sim.machine import MachineParams
 
 #: bump to invalidate every existing key and record.
@@ -77,8 +78,16 @@ def stable_digest(obj: Any) -> str:
 
 
 def ir_text(loop: Loop, max_expr_height: int = 2) -> str:
-    """Canonical printed form of a loop: structured + normalized flat."""
-    return fmt_loop(loop) + "\n" + fmt_flat(normalize(loop, max_height=max_expr_height))
+    """Canonical printed form of a loop: structured + normalized flat.
+
+    Memoised per process on the loop's identity and the height
+    (:data:`repro.memo.IR_TEXT`): printing normalizes the loop, and
+    every store lookup of a cell needs the text.
+    """
+    return IR_TEXT.get((loop, max_expr_height), lambda: (
+        fmt_loop(loop) + "\n"
+        + fmt_flat(normalize(loop, max_height=max_expr_height))
+    ))
 
 
 def kernel_run_key(

@@ -31,6 +31,17 @@ def _isolated_result_store(tmp_path_factory):
     yield
 
 
+@pytest.fixture(autouse=True)
+def _cold_memos():
+    """Start every test with empty process memos, so no test sees a
+    kernel, oracle result or key another test computed (a memo hit
+    would bypass whatever the test patched)."""
+    from repro.experiments.common import clear_cache
+
+    clear_cache()
+    yield
+
+
 def build_demo_loop():
     """Mixed kernel: arithmetic, indirect load, conditional with stores
     in both arms, and a reduction accumulator."""

@@ -5,6 +5,8 @@ import pytest
 from repro.ir.types import VClass
 from repro.isa import Function, Imm, Instr, Program, QueueId
 
+from .conftest import build_demo_loop
+
 
 class TestInstr:
     def test_unknown_opcode_rejected(self):
@@ -73,14 +75,20 @@ class TestProgram:
 
 class TestDeterminism:
     def test_lowering_is_deterministic(self, demo_loop):
+        from repro import memo
         from repro.runtime import compile_loop
 
         k1 = compile_loop(demo_loop, 4)
+        memo.clear()
         k2 = compile_loop(demo_loop, 4)
-        for p1, p2 in zip(k1.programs, k2.programs):
+        # an independently built copy of the loop lowers the same way
+        k3 = compile_loop(build_demo_loop(), 4)
+        assert k1 is not k2 and k1 is not k3  # no memo self-comparison
+        assert len(k1.programs) == len(k2.programs) == len(k3.programs)
+        for p1, p2, p3 in zip(k1.programs, k2.programs, k3.programs):
             d1 = p1.dump()
-            d2 = p2.dump()
-            assert d1 == d2
+            assert d1 == p2.dump()
+            assert d1 == p3.dump()
 
     def test_simulation_is_deterministic(self, demo_loop):
         from repro.runtime import compile_loop, execute_kernel

@@ -425,6 +425,28 @@ class TestServiceCaching:
 
         run(main())
 
+    def test_trace_payload_independent_of_compile_memo(self, tmp_path):
+        # L1 caches a trace payload by content, so it must not depend
+        # on whether an earlier `compile` left the kernel in the memo
+        async def trace(root, compile_first):
+            clear_cache()
+            svc = make_service(root)
+            cli = ServeClient(svc)
+            if compile_first:
+                r = await cli.request("compile", kernel="umt2k-6", cores=2,
+                                      trip=8)
+                assert r["ok"]
+            t = await cli.request("trace", kernel="umt2k-6", cores=2, trip=8)
+            assert t["ok"] and t["cached"] is None
+            m = (await cli.request("metrics"))["result"]["memo"]["compile"]
+            await svc.aclose()
+            return t["result"], m["hits"]
+
+        cold, cold_hits = run(trace(tmp_path / "a", compile_first=False))
+        warm, warm_hits = run(trace(tmp_path / "b", compile_first=True))
+        assert (cold_hits, warm_hits) == (0, 1)
+        assert warm == cold
+
     def test_sweep_op(self, tmp_path):
         async def main():
             svc = make_service(tmp_path)
@@ -544,6 +566,26 @@ class TestServiceBoundary:
             assert m["latency_ms"]["count"] == 2  # metrics op not yet recorded
             assert m["store"]["run_records"] == 1
             assert m["uptime_s"] >= 0.0
+            await svc.aclose()
+
+        run(main())
+
+    def test_metrics_report_stage_memos(self, tmp_path):
+        # one kernel at two core counts, same seed: the second cell
+        # reuses the first one's interpreter oracle
+        async def main():
+            svc = make_service(tmp_path)
+            cli = ServeClient(svc)
+            for cores in (2, 4):
+                resp = await cli.request("run", kernel="sphot-1", cores=cores,
+                                         trip=8, seed=3)
+                assert resp["ok"] and resp["result"]["correct"]
+            m = (await cli.request("metrics"))["result"]
+            assert set(m["memo"]) == {"compile", "oracle", "ir_text",
+                                      "store_key"}
+            assert m["memo"]["oracle"]["hits"] >= 1
+            assert m["memo"]["oracle"]["entries"] == 1
+            assert "fallback" in m["specialize"]
             await svc.aclose()
 
         run(main())

@@ -72,7 +72,11 @@ class TestKeys:
     def test_deterministic(self):
         spec = get_kernel("umt2k-1")
         cfg = ExpConfig(n_cores=2, trip=TRIP)
-        assert store_key_for(spec, cfg) == store_key_for(spec, cfg)
+        k1 = store_key_for(spec, cfg)
+        # a copy of the spec builds its own loop: an independent key
+        k2 = store_key_for(dataclasses.replace(spec), cfg)
+        assert k1 is not k2  # no memo self-comparison
+        assert k1 == k2
 
     def test_key_changes_with_ir(self):
         cfg = ExpConfig(n_cores=2, trip=TRIP)
