@@ -21,6 +21,14 @@ records byte-identical, not only the reports.  ``seq`` records are left
 out: they are written only on a miss, so which of them a run writes
 depends on what ran earlier in the process.  Run records do not: a
 cell recalled from the process memo is re-written to the store.
+
+A third gate locks the simulator itself: one digest over a canonical
+dump of every ``SimResult`` (cycles, per-core counters and stall
+buckets, every queue statistic, arrays and scalars) from a fixed set
+of runs that reaches every opcode and every core hook: Table I at 1, 2
+and 4 cores, the speculated (``select``) and work-stealing
+(``callr``/``ret``) flavours, a traced run with its simulator events,
+race detection, timing faults and the adaptive runtime.
 """
 
 from __future__ import annotations
@@ -34,8 +42,14 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.compiler import CompilerConfig
 from repro.experiments import REGISTRY, TRIP_FREE
 from repro.experiments.chaos_serve import SCENARIOS
+from repro.faults import FaultInjector, FaultPlan
+from repro.kernels import get_kernel, table1_kernels
+from repro.obs.events import SIM_KINDS, EventBus
+from repro.runtime import compile_loop, execute_kernel
+from repro.runtime.adaptive import adaptive_run
 from repro.store import ResultStore
 
 TRIP = 24
@@ -61,6 +75,12 @@ DIGESTS = {
 RUN_RECORDS = 324
 RUN_RECORDS_DIGEST = (
     "2ab5ae27efd2d12077668fea9ef2fa386f21df57619dc805e6e96fe5e741fc8b"
+)
+
+#: trip of the simulator golden's runs, and the sha256 of their dump.
+SIM_TRIP = 64
+SIM_DIGEST = (
+    "0c5b3adff6aa20ac93785f2850a1d43d8360c9329c3516b2cc4c60c174cdf378"
 )
 
 
@@ -129,3 +149,91 @@ def test_run_records_match_golden(experiment_all):
             digest.update(data)
             n += 1
     assert (n, digest.hexdigest()) == (RUN_RECORDS, RUN_RECORDS_DIGEST)
+
+
+# -- the simulator golden -------------------------------------------------
+
+
+def _sim_dump(res) -> dict:
+    """Every observable field of one ``SimResult``, floats by ``repr``."""
+    return {
+        "cycles": repr(res.cycles),
+        "core_times": [repr(t) for t in res.core_times],
+        "total_instrs": res.total_instrs,
+        "cores": [
+            [s.instrs, s.enq_ops, s.deq_ops, repr(s.queue_stall), repr(s.mem),
+             repr(s.stall_full), repr(s.stall_empty), repr(s.stall_transfer)]
+            for s in res.core_stats
+        ],
+        "queues": [
+            [repr(q.qid), q.n_transfers, q.max_outstanding, q.depth,
+             sorted((k, repr(v)) for k, v in q.occupancy_hist.items()),
+             repr(q.stall_full), repr(q.stall_empty)]
+            for q in res.queue_stats
+        ],
+        "arrays": {
+            name: [str(buf.dtype), hashlib.sha256(buf.tobytes()).hexdigest()]
+            for name, buf in sorted(res.arrays.items())
+        },
+        "scalars": {name: repr(v) for name, v in sorted(res.scalars.items())},
+        "races": [str(r) for r in res.races],
+    }
+
+
+def _event_dump(ev) -> list:
+    return [ev.kind, repr(ev.ts), ev.core, repr(ev.queue), ev.name,
+            repr(ev.value), repr(ev.dur), repr(ev.stall)]
+
+
+def _simulator_runs() -> dict:
+    """Name -> dump of every run the simulator golden covers."""
+    out = {}
+    for spec in table1_kernels():
+        loop, wl = spec.loop(), spec.workload(trip=SIM_TRIP)
+        for cores in (1, 2, 4):
+            out[f"{spec.name}@{cores}"] = _sim_dump(
+                execute_kernel(compile_loop(loop, cores), wl))
+        for flavour, cfg in (
+            ("speculation", CompilerConfig(speculation=True)),
+            ("stealing", CompilerConfig(runtime_mode="stealing")),
+        ):
+            out[f"{spec.name}@4/{flavour}"] = _sim_dump(
+                execute_kernel(compile_loop(loop, 4, cfg), wl))
+
+    spec = get_kernel("umt2k-1")
+    loop, wl = spec.loop(), spec.workload(trip=SIM_TRIP)
+    kernel = compile_loop(loop, 4)
+    bus, events = EventBus(), []
+    bus.subscribe(events.append)
+    traced = _sim_dump(execute_kernel(kernel, wl, obs=bus))
+    assert traced == out["umt2k-1@4"], "an obs bus changed the result"
+    kinds = {ev.kind for ev in events}
+    assert kinds == SIM_KINDS, kinds
+    out["umt2k-1@4/obs"] = {
+        "result": traced, "events": [_event_dump(ev) for ev in events],
+    }
+    out["umt2k-1@4/races"] = _sim_dump(
+        execute_kernel(kernel, wl, detect_races=True))
+    for kind in ("slowdown", "jitter"):
+        inj = FaultInjector(FaultPlan.single(kind, seed=11))
+        out[f"umt2k-1@4/{kind}"] = {
+            "result": _sim_dump(execute_kernel(kernel, wl, faults=inj)),
+            "faults": [str(ev) for ev in inj.events],
+        }
+    skewed = FaultPlan(seed=7, slow_cores=(1,), slow_factor=3.0)
+    ad = adaptive_run(loop, wl, 4, fault_plan=skewed)
+    out["umt2k-1@4/adaptive"] = {
+        "result": _sim_dump(ad.result),
+        "placement": sorted(ad.placement.items()),
+        "final_depths": sorted(
+            (repr(k), v) for k, v in ad.final_depths.items()),
+        "actions": [repr(a) for a in ad.actions],
+    }
+    return out
+
+
+def test_simulator_results_match_golden():
+    runs = _simulator_runs()
+    assert len(runs) == 18 * 5 + 5
+    blob = json.dumps(runs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SIM_DIGEST

@@ -400,3 +400,119 @@ class TestPartialStats:
             m.run()
         p = getattr(ei.value, "partial", None)
         assert p is not None and len(p.queue_stats) >= 1
+
+
+class TestFailureMessages:
+    """The exact diagnostics of each simulator failure.  They name the
+    function and instruction index (labels included) where it happened,
+    so any bookkeeping of ``fn``/``pc`` that drifts shows up here."""
+
+    def _raises(self, exc, programs, mem=None, params=None):
+        m = Machine(programs, mem or _mem(), params)
+        with pytest.raises(exc) as ei:
+            m.run()
+        return ei.value
+
+    def test_undefined_register_names_register_and_site(self):
+        err = self._raises(SimError, [_prog("core0", [
+            Instr(op="mov", dst="x", a=Imm(1)),
+            Instr(op="lab", label="top"),
+            Instr(op="bin", fn="add", dst="y", a="ghost", b="x"),
+            Instr(op="halt"),
+        ])])
+        assert str(err) == (
+            "core 0: read of undefined register 'ghost' at main:2 "
+            "(bin add y <- ghost x)"
+        )
+
+    def test_undefined_register_in_called_function(self):
+        callee = Function("F1", [
+            Instr(op="lab", label="entry"),
+            Instr(op="store", a=Imm(0), b="ghost", array="o"),
+            Instr(op="ret"),
+        ])
+        main = Function("main", [
+            Instr(op="callr", a=Imm(1)),
+            Instr(op="halt"),
+        ])
+        err = self._raises(SimError, [Program("core0", [main, callee])],
+                           _mem(o=np.zeros(2)))
+        assert str(err) == (
+            "core 0: read of undefined register 'ghost' at F1:1 "
+            "(store #0 ghost [o])"
+        )
+
+    def test_fall_off_end_names_function(self):
+        err = self._raises(SimError, [_prog("core0", [
+            Instr(op="mov", dst="x", a=Imm(1)),
+            Instr(op="lab", label="end"),
+        ])])
+        assert str(err) == "core 0: fell off end of main"
+        callee = Function("F1", [Instr(op="mov", dst="x", a=Imm(1))])
+        main = Function("main", [Instr(op="callr", a=Imm(1)),
+                                 Instr(op="halt")])
+        err = self._raises(SimError, [Program("core0", [main, callee])])
+        assert str(err) == "core 0: fell off end of F1"
+
+    def test_callr_bad_index(self):
+        err = self._raises(SimError, [_prog("core0", [
+            Instr(op="mov", dst="f", a=Imm(5)),
+            Instr(op="callr", a="f"),
+            Instr(op="halt"),
+        ])])
+        assert str(err) == "core 0: bad function index 5"
+
+    def test_ret_on_empty_stack(self):
+        err = self._raises(SimError, [_prog("core0", [Instr(op="ret")])])
+        assert str(err) == "core 0: ret with empty stack"
+
+    def test_out_of_bounds_load_and_store(self):
+        err = self._raises(MemoryFault, [_prog("core0", [
+            Instr(op="mov", dst="i", a=Imm(4)),
+            Instr(op="load", dst="v", a="i", array="a"),
+            Instr(op="halt"),
+        ])], _mem(a=np.zeros(4)))
+        assert str(err) == "load a[4] out of bounds (len 4)"
+        err = self._raises(MemoryFault, [_prog("core0", [
+            Instr(op="store", a=Imm(-1), b=Imm(2.0), array="o"),
+            Instr(op="halt"),
+        ])], _mem(o=np.zeros(3)))
+        assert str(err) == "store o[-1] out of bounds (len 3)"
+
+    def test_deadlock_names_blocked_instructions(self):
+        from repro.sim import BlockedTransfer
+
+        qa = QueueId(0, 1, VClass.GPR)
+        qb = QueueId(1, 0, VClass.GPR)
+        p0 = _prog("core0", [
+            Instr(op="mov", dst="v", a=Imm(7)),
+            Instr(op="lab", label="send"),
+            Instr(op="enq", queue=qa, a=Imm(1)),
+            Instr(op="enq", queue=qa, a="v"),   # queue full: slot wait
+            Instr(op="halt"),
+        ])
+        p1 = _prog("core1", [
+            Instr(op="lab", label="recv"),
+            Instr(op="deq", queue=qb, dst="y"),  # never sent: entry wait
+            Instr(op="halt"),
+        ])
+        err = self._raises(DeadlockError, [p0, p1],
+                           params=MachineParams(queue_depth=1))
+        assert err.blocked == (
+            BlockedTransfer(core=0, kind="slot", queue=(0, 1, "gpr"),
+                            index=0, tag="v"),
+            BlockedTransfer(core=1, kind="entry", queue=(1, 0, "gpr"),
+                            index=0, tag="y"),
+        )
+        lines = str(err).splitlines()
+        assert lines[:3] == [
+            "deadlock: no core can make progress",
+            "  core 0: waiting slot#0 of Q0->1.gpr since 2 at "
+            "main:3 enq v Q0->1.gpr",
+            "  core 1: waiting entry#0 of Q1->0.gpr since 0 at "
+            "main:1 deq y <- Q1->0.gpr",
+        ]
+        assert sorted(lines[3:]) == [
+            "  Q0->1.gpr: enq=1 deq=0 depth=1",
+            "  Q1->0.gpr: enq=0 deq=0 depth=1",
+        ]
