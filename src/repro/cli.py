@@ -34,11 +34,7 @@ Commands
 * ``fuzz`` — seeded differential fuzzing campaign with shrinking and
   replayable JSON artifacts (``--replay`` re-probes a saved finding;
   ``--corpus frontend`` mutates ingested real-loop IR instead of
-  drawing from the grammar; ``--sim-modes specialized`` arms the
-  fast-simulator leg that must match the reference back end exactly);
-* ``bench-sim`` — time the specialized simulator against the
-  reference core over the Table I corpus; ``--write`` records the
-  baseline to ``BENCH_sim.json``, ``--check`` fails below its floor;
+  drawing from the grammar);
 * ``sweep`` — run a kernel × core-count grid through the parallel
   sweep engine and the persistent result store; ``--journal`` arms
   the write-ahead journal and ``--resume`` replays a crashed one,
@@ -524,38 +520,6 @@ def _cmd_check(args) -> int:
     return 0 if rejected == 0 else 1
 
 
-def _cmd_bench_sim(args) -> int:
-    from .obs.report import write_json_atomic
-    from .sim.fast.bench import DEFAULT_FLOOR, bench_doc, load_floor, run_bench
-
-    kernels = None
-    if args.kernels:
-        kernels = [tok.strip() for tok in args.kernels.split(",") if tok.strip()]
-    try:
-        result = run_bench(
-            trip=args.trip, n_cores=args.cores, repeats=args.repeats,
-            kernels=kernels,
-        )
-    except KeyError as exc:
-        return _unknown_kernel(exc.args[0])
-    print(result.format())
-    floor = args.floor
-    if floor is None:
-        floor = load_floor(args.bench) if args.check else DEFAULT_FLOOR
-    if args.write:
-        write_json_atomic(args.bench, bench_doc(result, floor=floor))
-        print(f"wrote {args.bench}")
-    if args.check and result.geomean < floor:
-        print(
-            f"FAIL: geomean {result.geomean:.2f}x is below the CI floor "
-            f"{floor:.2f}x — the specialized simulator lost its speedup"
-        )
-        return 1
-    if args.check:
-        print(f"OK: geomean {result.geomean:.2f}x >= floor {floor:.2f}x")
-    return 0
-
-
 def _cmd_fuzz(args) -> int:
     from .fuzz import replay_artifact, run_campaign
 
@@ -572,9 +536,6 @@ def _cmd_fuzz(args) -> int:
         print("replay   : " + ("REPRODUCED" if same else "DID NOT REPRODUCE"))
         return 0 if same else 1
 
-    sim_modes = tuple(
-        tok.strip() for tok in (args.sim_modes or "").split(",") if tok.strip()
-    )
     try:
         res = run_campaign(
             args.seed,
@@ -584,7 +545,6 @@ def _cmd_fuzz(args) -> int:
             inject=args.inject,
             out_dir=args.out,
             corpus=args.corpus,
-            sim_modes=sim_modes,
             log=print,
         )
     except ValueError as exc:
@@ -1053,32 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--corpus", default="gen", choices=("gen", "frontend"),
                     help="trial source: 'gen' draws from the loop grammar; "
                     "'frontend' mutates frontend-ingested kernel IR")
-    fp.add_argument("--sim-modes", default=None,
-                    help="comma list of fast-simulator legs to arm per probe "
-                    "(specialized): each must match the reference back end "
-                    "exactly or the probe is a finding")
     fp.set_defaults(fn=_cmd_fuzz)
-
-    bs = sub.add_parser(
-        "bench-sim",
-        help="benchmark the specialized simulator vs the reference core",
-    )
-    bs.add_argument("--trip", type=int, default=512)
-    bs.add_argument("--cores", type=int, default=4)
-    bs.add_argument("--repeats", type=int, default=3,
-                    help="timing repeats per (kernel, mode); best-of wins")
-    bs.add_argument("--kernels", default=None,
-                    help="comma list of kernels (default: Table I corpus)")
-    bs.add_argument("--bench", default="BENCH_sim.json",
-                    help="bench file to read the floor from / write to")
-    bs.add_argument("--write", action="store_true",
-                    help="write the measured baseline to --bench")
-    bs.add_argument("--check", action="store_true",
-                    help="exit 1 when the geomean falls below the floor "
-                    "recorded in --bench")
-    bs.add_argument("--floor", type=float, default=None,
-                    help="override the speedup floor used by --check/--write")
-    bs.set_defaults(fn=_cmd_bench_sim)
 
     vp = sub.add_parser(
         "serve",

@@ -25,12 +25,6 @@ class MergeWeights:
     proximity: float = 0.3
 
 
-#: the legal values of :attr:`CompilerConfig.sim_mode`.  Every mode that
-#: arrives from outside (serve requests, ``repro fuzz --sim-modes``,
-#: fuzz artifacts) is checked against this tuple.
-SIM_MODES = ("reference", "specialized")
-
-
 @dataclass
 class CompilerConfig:
     """Options for :func:`repro.compiler.pipeline.parallelize`."""
@@ -85,11 +79,3 @@ class CompilerConfig:
     #: becomes an execute-time choice (the adaptive runtime migrates
     #: fibers by re-preloading those registers — no recompile).
     runtime_mode: str = "static"
-    #: simulator back end used when executing the compiled kernel.
-    #: ``"reference"`` is the per-instruction interpreter
-    #: (:class:`repro.sim.core.Core`); ``"specialized"`` pre-compiles
-    #: each program into a generator closure (:mod:`repro.sim.fast`).
-    #: Both are bit-identical by contract, so this field is excluded
-    #: from store keys (see :mod:`repro.store.keys`).  Legal values
-    #: are :data:`SIM_MODES`.
-    sim_mode: str = "reference"

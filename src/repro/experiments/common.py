@@ -67,10 +67,6 @@ class ExpConfig:
     #: compiler emits the stealing protocol, so the store digest of an
     #: adaptive cell differs from its static twin by construction.
     adaptive: bool = False
-    #: simulator back end for this cell ("reference" | "specialized").
-    #: Excluded from store keys — both modes are bit-exact by contract,
-    #: so warm caches are shared across modes.
-    sim_mode: str = "reference"
 
     def compiler(self, profile_workload=None) -> CompilerConfig:
         return CompilerConfig(
@@ -81,7 +77,6 @@ class ExpConfig:
             assumed_queue_latency=self.assumed_queue_latency,
             runtime_mode="stealing" if self.adaptive else "static",
             profile_workload=profile_workload,
-            sim_mode=self.sim_mode,
         )
 
     def machine(self) -> MachineParams:

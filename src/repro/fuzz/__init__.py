@@ -15,7 +15,6 @@ from .campaign import (
     FuzzResult,
     probe_loop,
     replay_artifact,
-    results_equal,
     run_campaign,
 )
 from .gen import Draw, RandomDraw, build_loop, mutate_loop
@@ -36,7 +35,6 @@ __all__ = [
     "loop_size",
     "probe_loop",
     "replay_artifact",
-    "results_equal",
     "run_campaign",
     "save_artifact",
     "shrink_loop",

@@ -169,7 +169,6 @@ def save_artifact(
     queue_depth: int,
     speculation: bool,
     inject: str | None = None,
-    sim_modes: list[str] | None = None,
     note: str = "",
 ) -> Path:
     path = Path(path)
@@ -186,7 +185,6 @@ def save_artifact(
             "queue_depth": queue_depth,
             "speculation": speculation,
             "inject": inject,
-            "sim_modes": list(sim_modes or []),
         },
         "note": note,
         "loop": encode_loop(loop),

@@ -94,6 +94,59 @@ def eval_binop(op: str, a, b, dtype: DType):
     return float(r) if dtype.is_float else int(r)
 
 
+# -- per-operator callables for the simulator's decoded core -------------
+#
+# One callable per (operator, result class), so a decoded ``bin``/``un``
+# instruction calls its operator directly instead of dispatching on the
+# operator name every time it executes.  Each returns the same value and
+# type as ``eval_binop``/``eval_unop`` with the matching ``dtype``,
+# which stay the interpreter's independent path (``tests/test_ops.py``
+# ties the two together).
+
+#: operators whose result does not depend on the result class.
+_CLASSLESS = {
+    "lt": lambda a, b: 1 if a < b else 0,
+    "le": lambda a, b: 1 if a <= b else 0,
+    "gt": lambda a, b: 1 if a > b else 0,
+    "ge": lambda a, b: 1 if a >= b else 0,
+    "eq": lambda a, b: 1 if a == b else 0,
+    "ne": lambda a, b: 1 if a != b else 0,
+    "and": lambda a, b: 1 if a and b else 0,
+    "or": lambda a, b: 1 if a or b else 0,
+    "xor": lambda a, b: 1 if bool(a) != bool(b) else 0,
+    "shl": lambda a, b: int(a) << (int(b) & 63),
+    "shr": lambda a, b: int(a) >> (int(b) & 63),
+}
+
+#: ``(op, is_float) -> f(a, b)``: ``eval_binop(op, a, b, F64 if is_float
+#: else I64)`` without the operator-name dispatch.
+BINOP_FNS = {
+    **{(op, fl): f for op, f in _CLASSLESS.items() for fl in (False, True)},
+    ("add", True): lambda a, b: float(a + b),
+    ("add", False): lambda a, b: int(a + b),
+    ("sub", True): lambda a, b: float(a - b),
+    ("sub", False): lambda a, b: int(a - b),
+    ("mul", True): lambda a, b: float(a * b),
+    ("mul", False): lambda a, b: int(a * b),
+    ("div", True): lambda a, b: fdiv(float(a), float(b)),
+    ("div", False): lambda a, b: idiv(int(a), int(b)),
+    ("mod", True): lambda a, b: math.fmod(a, b) if b != 0.0 else _NAN,
+    ("mod", False): lambda a, b: imod(int(a), int(b)),
+    ("min", True): lambda a, b: float(min(a, b)),
+    ("min", False): lambda a, b: int(min(a, b)),
+    ("max", True): lambda a, b: float(max(a, b)),
+    ("max", False): lambda a, b: int(max(a, b)),
+}
+
+#: ``(op, is_float) -> f(a)``, likewise for ``eval_unop``.
+UNOP_FNS = {
+    ("neg", True): lambda a: float(-a),
+    ("neg", False): lambda a: int(-a),
+    ("not", True): lambda a: 0 if a else 1,
+    ("not", False): lambda a: 0 if a else 1,
+}
+
+
 def eval_unop(op: str, a, dtype: DType):
     if op == "neg":
         return float(-a) if dtype.is_float else int(-a)

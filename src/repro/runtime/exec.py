@@ -69,7 +69,6 @@ def execute_kernel(
     obs=None,
     placement: dict[int, int] | None = None,
     controller=None,
-    sim_mode: str | None = None,
 ) -> SimResult:
     """Run a lowered kernel on (a copy of) ``workload``.
 
@@ -84,14 +83,9 @@ def execute_kernel(
     kernels reject a non-identity placement loudly.  ``controller`` is
     the optional live-reconfiguration hook forwarded to the
     :class:`~repro.sim.machine.Machine`.
-
-    ``sim_mode`` overrides the compiled config's
-    :attr:`~repro.compiler.config.CompilerConfig.sim_mode` (back-end
-    choice only; results are bit-identical by contract).
     """
     loop = kernel.plan.loop
     workload.validate_for(loop)
-    mode = sim_mode if sim_mode is not None else kernel.plan.config.sim_mode
     if placement is not None and not kernel.dispatch_regs:
         if any(placement.get(s, s) != s for s in range(kernel.n_cores)):
             raise ValueError(
@@ -108,7 +102,7 @@ def execute_kernel(
     machine = Machine(
         kernel.programs, memory, params,
         preload_regs=preload, detect_races=detect_races, trace=trace,
-        faults=faults, obs=obs, controller=controller, sim_mode=mode,
+        faults=faults, obs=obs, controller=controller,
     )
     result = machine.run(live_out=loop.live_out, primary=0)
     result.trace = machine.trace_recorder

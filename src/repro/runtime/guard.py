@@ -11,9 +11,7 @@ instead of propagating:
 
 1. classify the failure into the :class:`FailureKind` taxonomy and
    record a :class:`FailureReport` (with the machine's partial
-   statistics when available); a wrong answer from a fast simulator
-   back end is bisected against the reference back end, so a fast-path
-   bug is reported as :class:`FailureKind.SIM_DIVERGENCE`;
+   statistics when available);
 2. with ``GuardPolicy.adapt`` enabled, *adapt* first: hand the kernel
    to :func:`repro.runtime.adaptive.adaptive_run` (work-stealing
    placement, self-tuned queue depths, every dynamic configuration
@@ -58,7 +56,6 @@ from ..sim import (
     MachineParams,
     MemoryFault,
     PartialStats,
-    SimDivergence,
     SimError,
     SimResult,
 )
@@ -77,7 +74,6 @@ class FailureKind(enum.Enum):
     SIM_ERROR = "sim-error"          # SimError: drain imbalance, bad dispatch...
     MEMORY_FAULT = "memory-fault"    # MemoryFault: out-of-bounds access
     VERIFY_MISMATCH = "verify-mismatch"  # ran to completion, wrong answer
-    SIM_DIVERGENCE = "sim-divergence"  # fast sim path contradicts reference
     COMPILE_ERROR = "compile-error"  # the compiler pipeline itself raised
     PROTOCOL = "protocol"            # static checker rejected the artifact
     STORE = "store-error"            # durable store write failed (ENOSPC/EIO)
@@ -112,11 +108,6 @@ def classify_failure(exc: BaseException) -> FailureKind:
         return FailureKind.BUDGET
     if isinstance(exc, MemoryFault):
         return FailureKind.MEMORY_FAULT
-    if isinstance(exc, SimDivergence):
-        # the fast simulator paths broke their bit-exactness contract:
-        # never retryable, never silent — the differential battery in
-        # tests/test_sim_fast.py exists to keep this unreachable.
-        return FailureKind.SIM_DIVERGENCE
     if isinstance(exc, SimError):
         return FailureKind.SIM_ERROR
     return FailureKind.COMPILE_ERROR
@@ -227,11 +218,7 @@ def guarded_run(
 
     The compiled kernel is checked by :mod:`repro.check` at the
     machine's queue depth, and every completed run is verified against
-    the reference interpreter.  A wrong answer from a fast simulator
-    back end is re-run on the reference back end: if that one is right,
-    the failure is the fast path's (``SIM_DIVERGENCE``), not the
-    kernel's.  The bisect is skipped under fault injection, where the
-    two back ends may draw different fault sequences.
+    the reference interpreter.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) arms fault
     injection: a fresh injector is created per attempt so the seeded
@@ -403,16 +390,11 @@ def guarded_run(
                     adaptive_prov = ar  # provenance even when it lost
                 return _served(res, attempt, resolved, adaptive_prov)
             relax_kind = FailureKind.VERIFY_MISMATCH
-            message = "simulated result differs from the reference interpreter"
-            mode = kernel.plan.config.sim_mode
-            if (fault_plan is None and mode != "reference"
-                    and _reference_agrees(kernel, workload, cur, ref)):
-                relax_kind = FailureKind.SIM_DIVERGENCE
-                message = (f"{mode} simulator diverged from the reference "
-                           "back end — fast-path bug, result rejected")
-                log.error("guard: %s: %s", loop.name, message)
             failures.append(FailureReport(
-                kind=relax_kind, message=message, attempt=attempt,
+                kind=relax_kind,
+                message="simulated result differs from the reference "
+                        "interpreter",
+                attempt=attempt,
                 queue_depth=cur.queue_depth, max_instrs=cur.max_instrs,
             ))
 
@@ -464,18 +446,6 @@ def _read_only(ref):
     for buf in ref.arrays.values():
         buf.flags.writeable = False
     return ref
-
-
-def _reference_agrees(kernel, workload: Workload, params: MachineParams,
-                      ref) -> bool:
-    """Blame bisect for a fast-path mismatch: True when the reference
-    back end computes the right answer for the same kernel, which pins
-    the wrong answer on the fast simulator path."""
-    try:
-        res = execute_kernel(kernel, workload, params, sim_mode="reference")
-    except _SIM_FAILURES:
-        return False
-    return verify_result(ref, res)
 
 
 def _imbalance(res: SimResult) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..compiler.config import SIM_MODES
 
 #: every operation the service accepts.
 OPS = ("compile", "run", "sweep", "trace", "metrics", "health")
@@ -65,17 +64,13 @@ class Request:
     depth: int = 20
     latency: int = 5
     speculation: bool = False
-    #: simulator back end ("reference" | "specialized"); bit-exact by
-    #: contract, so it never perturbs the cell cache key.
-    sim_mode: str = "reference"
     client: str = "anon"
     priority: int = 10
     timeout: float | None = None
 
     def exp_config_kwargs(self, n_cores: int | None = None) -> dict:
         """The :class:`~repro.experiments.common.ExpConfig` fields this
-        request pins down (content-hash inputs, plus the back-end
-        choice — which is excluded from the hash)."""
+        request pins down (all of them content-hash inputs)."""
         return {
             "n_cores": n_cores if n_cores is not None else self.cores,
             "trip": self.trip,
@@ -83,7 +78,6 @@ class Request:
             "queue_depth": self.depth,
             "queue_latency": self.latency,
             "speculation": self.speculation,
-            "sim_mode": self.sim_mode,
         }
 
 
@@ -130,13 +124,6 @@ def parse_request(obj: Any, default_client: str = "anon") -> Request:
     if not isinstance(client, str) or not client:
         raise BadRequest(f"'client' must be a non-empty string, got {client!r}")
 
-    sim_mode = obj.get("sim_mode", "reference")
-    if sim_mode not in SIM_MODES:
-        raise BadRequest(
-            f"'sim_mode' must be one of {'|'.join(SIM_MODES)}, "
-            f"got {sim_mode!r}"
-        )
-
     return Request(
         op=op,
         id=obj.get("id"),
@@ -149,7 +136,6 @@ def parse_request(obj: Any, default_client: str = "anon") -> Request:
         depth=_int_field(obj, "depth", 20, 1, 4096),
         latency=_int_field(obj, "latency", 5, 0, 1024),
         speculation=bool(obj.get("speculation", False)),
-        sim_mode=sim_mode,
         client=client,
         priority=_int_field(obj, "priority", 10, 0, 1000),
         timeout=float(timeout) if timeout is not None else None,

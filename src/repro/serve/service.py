@@ -583,16 +583,14 @@ class ServeService:
             1.0 if self.drain.draining else 0.0
         )
         from .. import memo
-        from ..sim.fast.specialize import counters as specialize_counters
 
         snap: dict[str, Any] = {
             "uptime_s": round(self.uptime, 3),
             "latency_ms": self._latency_quantiles(),
             "counters": self.registry.snapshot(),
-            # this process's stage memos and specialized back end
-            # (process-pool workers keep their own)
+            # this process's stage memos (process-pool workers keep
+            # their own)
             "memo": memo.stats(),
-            "specialize": specialize_counters(),
         }
         if self.store is not None:
             st = self.store.stats()

@@ -6,7 +6,7 @@ enqueue/dequeue instructions with parameterised queue depth and transfer
 latency.
 """
 
-from .core import Core, CoreStats, SimDivergence, SimError
+from .core import Core, CoreStats, SimError
 from .machine import (
     BlockedTransfer,
     BudgetExceeded,
@@ -28,5 +28,5 @@ __all__ = [
     "DeadlockError",
     "HwQueue", "Machine", "MachineFailure", "MachineParams", "MemoryFault",
     "PartialStats", "QueueStat", "Race", "RaceDetector", "SharedMemory",
-    "SimDivergence", "SimError", "SimResult", "TraceEvent", "TraceRecorder",
+    "SimError", "SimResult", "TraceEvent", "TraceRecorder",
 ]

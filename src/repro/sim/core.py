@@ -7,19 +7,27 @@ enforces *through* the queues), so a core can run ahead until it needs a
 queue event that has not been processed yet — the machine then suspends
 it and resumes it later with correct simulated timestamps (conservative
 dataflow replay; see :mod:`repro.sim.machine`).
+
+A program is decoded once (:func:`decode`) into flat per-instruction
+records — a small-int opcode, operands as register names, the operator's
+callable and latency, jump targets and per-core queue slots — and
+:meth:`Core.run_slice` dispatches on those records, so executing an
+instruction re-derives nothing from the :class:`~repro.isa.Instr`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import struct
+from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple, Optional
 
 from .. import ops as _ops
 from ..analysis.cost import LatencyTable
-from ..obs.events import STALL_QUEUE_EMPTY, STALL_QUEUE_FULL, STALL_TRANSFER
 from ..ir.types import F64, I64
-from ..isa.instructions import Imm, Instr, QueueId
+from ..isa.instructions import Imm
 from ..isa.program import Program
+from ..obs.events import STALL_QUEUE_EMPTY, STALL_QUEUE_FULL, STALL_TRANSFER
 from .memory import CoreCache, SharedMemory
 from .queues import HwQueue
 
@@ -28,23 +36,13 @@ class SimError(RuntimeError):
     pass
 
 
-class SimDivergence(SimError):
-    """A fast simulation path (the specialized core) produced a result
-    the reference simulator contradicts.  This must never happen — the
-    guard raises it loudly (``FailureKind.SIM_DIVERGENCE``) instead of
-    serving the fast answer, and the differential battery exists to
-    keep this class unreachable."""
-
-
 @dataclass
 class CoreStats:
     instrs: int = 0
     enq_ops: int = 0
     deq_ops: int = 0
     queue_stall: float = 0.0   # cycles waiting on queue readiness/slots
-    compute: float = 0.0       # cycles in compute/branch/mov ops
-    mem: float = 0.0           # cycles in loads/stores
-    per_op: dict = field(default_factory=dict)
+    mem: float = 0.0           # load and store instructions executed
     # exact stall-reason decomposition (invariant: the three buckets sum
     # to queue_stall; repro.obs.report builds its attribution from them)
     stall_full: float = 0.0      # enqueue waited for a free slot
@@ -58,6 +56,158 @@ class _Blocked:
     queue: HwQueue
     index: int         # history index being waited for
     since: float       # core time when the wait began
+
+
+# -- decoding ------------------------------------------------------------
+
+#: record opcodes, numbered in order of dynamic frequency (``bin`` is
+#: about half of all fetches), which is the order ``run_slice`` tests
+#: them in.  ``END`` sits one past each function's last instruction;
+#: ``BAD`` stands for an unknown opcode.
+(BIN, LOAD, DEQ, ENQ, LAB, FJP, MOV, STORE, TJP, JP, CALL, UN, SELECT,
+ CALLR, RET, HALT, END, BAD) = range(18)
+
+#: operand fields each opcode reads, in the order the core reads them
+#: (``select`` and ``call`` are handled in :func:`_reads`).
+_READ_FIELDS = {
+    "bin": ("a", "b"), "store": ("a", "b"), "load": ("a",), "un": ("a",),
+    "mov": ("a",), "enq": ("a",), "fjp": ("a",), "tjp": ("a",),
+    "callr": ("a",),
+}
+
+
+class Decoded(NamedTuple):
+    """One program's records, shared by every core that runs it.
+
+    ``bodies[f][i]`` is the record of ``functions[f].instrs[i]``, plus an
+    ``END`` record at ``len(instrs)``; indices stay aligned with the
+    instructions because deadlock reports and blocked-transfer tags read
+    the :class:`~repro.isa.Instr` at a core's ``fn``/``pc``.
+    ``consts`` seeds each immediate as a read-only pseudo-register
+    (``#k``), so every operand read is a register read; each queue the
+    program names gets one of ``n_queues`` per-core slots.
+    """
+
+    bodies: list
+    consts: dict
+    n_queues: int
+
+
+def decode(program: Program, lat: LatencyTable) -> Decoded:
+    """``program``'s records under ``lat``, decoded once and kept on the
+    program.  Programs never change after lowering, and a compile-memo
+    hit returns the same program objects, so the decode is shared
+    exactly when the kernel is.  ``bin`` records fold in their
+    latency, so the cache is keyed by the content of the binary-op
+    latency tables (fault plans scale a core's table)."""
+    key = (tuple(sorted(lat.float_bin.items())),
+           tuple(sorted(lat.int_bin.items())))
+    cache = program.__dict__.setdefault("_decoded", {})
+    dec = cache.get(key)
+    if dec is None:
+        dec = cache[key] = _decode(program, lat)
+    return dec
+
+
+def _bad_binop(ins, lat, a, b):
+    """Fail as the reference does, evaluating the operator before
+    looking up its latency: one of the two is unknown."""
+    _ops.eval_binop(ins.fn, a, b, F64 if ins.is_float else I64)
+    lat.binop(ins.fn, ins.is_float)
+    raise AssertionError(f"{ins!r} decoded as unknown")  # pragma: no cover
+
+
+def _decode(program: Program, lat: LatencyTable) -> Decoded:
+    consts: dict[str, object] = {}
+    imm_regs: dict[tuple, str] = {}
+    slots: dict = {}
+
+    def reg(x):
+        if not isinstance(x, Imm):
+            return x
+        v = x.value
+        # exact identity: 0.0 and -0.0, or 1 and 1.0, are distinct
+        k = (type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+        name = imm_regs.get(k)
+        if name is None:
+            name = imm_regs[k] = f"#{len(imm_regs)}"
+            consts[name] = v
+        return name
+
+    def slot(qid):
+        return slots.setdefault(qid, len(slots))
+
+    bodies = []
+    for fn in program.functions:
+        code = []
+        for ins in fn.instrs:
+            op = ins.op
+            if op == "bin":
+                f = _ops.BINOP_FNS.get((ins.fn, ins.is_float))
+                table = lat.float_bin if ins.is_float else lat.int_bin
+                if f is None or ins.fn not in table:
+                    rec = (BIN, ins.dst, reg(ins.a), reg(ins.b),
+                           partial(_bad_binop, ins, lat), 0)
+                else:
+                    rec = (BIN, ins.dst, reg(ins.a), reg(ins.b), f,
+                           table[ins.fn])
+            elif op == "load":
+                rec = (LOAD, ins.dst, reg(ins.a), ins.array)
+            elif op == "deq":
+                rec = (DEQ, ins.dst, slot(ins.queue), ins.queue)
+            elif op == "enq":
+                rec = (ENQ, reg(ins.a), slot(ins.queue), ins.queue)
+            elif op == "lab":
+                rec = (LAB,)
+            elif op in ("fjp", "tjp", "jp"):
+                # a label costs nothing, so a jump lands one past it
+                to = fn.labels[ins.label] + 1
+                if op == "jp":
+                    rec = (JP, to)
+                else:
+                    rec = (FJP if op == "fjp" else TJP, reg(ins.a), to)
+            elif op == "mov":
+                rec = (MOV, ins.dst, reg(ins.a))
+            elif op == "store":
+                rec = (STORE, reg(ins.a), reg(ins.b), ins.array)
+            elif op == "call":
+                args = tuple(reg(x) for x in (ins.a, ins.b, ins.c)
+                             if x is not None)
+                rec = (CALL, ins.dst, args, ins.fn)
+            elif op == "un":
+                f = _ops.UNOP_FNS.get((ins.fn, ins.is_float))
+                if f is None:
+                    f = partial(_ops.eval_unop, ins.fn,
+                                dtype=F64 if ins.is_float else I64)
+                rec = (UN, ins.dst, reg(ins.a), f)
+            elif op == "select":
+                rec = (SELECT, ins.dst, reg(ins.a), reg(ins.b), reg(ins.c),
+                       ins.is_float)
+            elif op == "callr":
+                rec = (CALLR, reg(ins.a))
+            elif op == "ret":
+                rec = (RET,)
+            elif op == "halt":
+                rec = (HALT,)
+            else:
+                rec = (BAD, op)
+            code.append(rec)
+        code.append((END,))
+        bodies.append(code)
+    return Decoded(bodies, consts, len(slots))
+
+
+def _reads(ins, regs) -> tuple:
+    """The operands ``ins`` reads, in the order the core reads them."""
+    if ins.op == "select":
+        c = ins.c
+        if not isinstance(c, Imm) and c not in regs:
+            return (c,)
+        taken = c.value if isinstance(c, Imm) else regs[c]
+        return (c, ins.a if taken else ins.b)
+    if ins.op == "call":
+        return tuple(x for x in (ins.a, ins.b, ins.c) if x is not None)
+    return tuple(getattr(ins, f) for f in _READ_FIELDS.get(ins.op, ()))
 
 
 class Core:
@@ -76,7 +226,12 @@ class Core:
         self.cache = cache
         self.memory = memory
         self.queues = queues
-        self.regs: dict[str, float | int] = {}
+        dec = decode(program, lat)
+        self._bodies = dec.bodies
+        #: this core's HwQueue per decoded queue slot, resolved on first
+        #: use: a run's queue statistics list only the queues it touched.
+        self._qs: list[Optional[HwQueue]] = [None] * dec.n_queues
+        self.regs: dict[str, float | int] = dict(dec.consts)
         self.frames: list[tuple[int, int]] = []
         self.fn = program.entry
         self.pc = 0
@@ -90,18 +245,19 @@ class Core:
         #: machine; None keeps the hot loop observation-free.
         self.obs = None
 
-    # -- helpers -----------------------------------------------------
-    def _val(self, x):
-        if isinstance(x, Imm):
-            return x.value
-        try:
-            return self.regs[x]
-        except KeyError:
-            raise SimError(
-                f"core {self.cid}: read of undefined register {x!r} at "
-                f"{self.program.functions[self.fn].name}:{self.pc} "
-                f"({self.program.functions[self.fn].instrs[self.pc]!r})"
-            ) from None
+    def _undefined_read(self, fn: int, pc: int) -> Optional[SimError]:
+        """The undefined-register error of the instruction at
+        ``fn:pc``, or None when every register it reads is defined (the
+        ``KeyError`` came from elsewhere and stands)."""
+        f = self.program.functions[fn]
+        ins = f.instrs[pc]
+        for x in _reads(ins, self.regs):
+            if not isinstance(x, Imm) and x not in self.regs:
+                return SimError(
+                    f"core {self.cid}: read of undefined register {x!r} at "
+                    f"{f.name}:{pc} ({ins!r})"
+                )
+        return None
 
     def unblocked(self) -> bool:
         b = self.blocked
@@ -118,191 +274,205 @@ class Core:
         """Execute until halt, block, or ``budget`` instructions.
         Returns the number of instructions executed."""
         self.blocked = None
-        executed = 0
+        cid = self.cid
         obs = self.obs
-        t0 = self.time
+        race = self.race
         regs = self.regs
+        stats = self.stats
         lat = self.lat
-        functions = self.program.functions
-        fn_obj = functions[self.fn]
-        code = fn_obj.instrs
-        labels = fn_obj.labels
-
-        while executed < budget:
-            if self.pc >= len(code):
-                raise SimError(
-                    f"core {self.cid}: fell off end of {fn_obj.name}"
-                )
-            ins: Instr = code[self.pc]
-            op = ins.op
-
-            if op == "bin":
-                a = self._val(ins.a)
-                b = self._val(ins.b)
-                regs[ins.dst] = _ops.eval_binop(
-                    ins.fn, a, b, F64 if ins.is_float else I64
-                )
-                self.time += lat.binop(ins.fn, ins.is_float)
-                self.pc += 1
-            elif op == "load":
-                idx = int(self._val(ins.a))
-                regs[ins.dst] = self.memory.load(ins.array, idx)
-                self.time += self.cache.access(ins.array, idx, lat)
-                self.stats.mem += 1
-                if self.race is not None:
-                    self.race.on_load(self.cid, ins.array, idx)
-                self.pc += 1
-            elif op == "store":
-                idx = int(self._val(ins.a))
-                self.memory.store(ins.array, idx, self._val(ins.b))
-                self.cache.touch(ins.array, idx)
-                self.time += lat.store
-                self.stats.mem += 1
-                if self.race is not None:
-                    self.race.on_store(self.cid, ins.array, idx)
-                self.pc += 1
-            elif op == "call":
-                args = [
-                    self._val(x)
-                    for x in (ins.a, ins.b, ins.c)
-                    if x is not None
-                ]
-                regs[ins.dst] = _ops.eval_call(ins.fn, args)
-                self.time += lat.call[ins.fn]
-                self.pc += 1
-            elif op == "un":
-                regs[ins.dst] = _ops.eval_unop(
-                    ins.fn, self._val(ins.a), F64 if ins.is_float else I64
-                )
-                self.time += lat.unop
-                self.pc += 1
-            elif op == "select":
-                v = self._val(ins.a) if self._val(ins.c) else self._val(ins.b)
-                regs[ins.dst] = float(v) if ins.is_float else v
-                self.time += lat.select
-                self.pc += 1
-            elif op == "mov":
-                regs[ins.dst] = self._val(ins.a)
-                self.time += lat.mov
-                self.pc += 1
-            elif op == "enq":
-                q: HwQueue = self.queues(ins.queue)
-                blocker = q.slot_blocker()
-                if blocker is not None:
-                    self.blocked = _Blocked("slot", q, blocker, self.time)
-                    self.stats.instrs += executed
-                    if obs is not None and executed:
-                        obs.emit_retire(t0, self.cid, self.time - t0, executed)
-                    return executed
-                start = self.time
-                wait = q.slot_free_time() - start
-                if wait < 0.0:
-                    wait = 0.0
-                completion = start + wait + lat.enqueue
-                self.stats.queue_stall += wait
-                self.stats.stall_full += wait
-                q.stall_full += wait
-                if self.race is not None:
-                    self.race.on_enq(self.cid, ins.queue, q.n_enq)
-                sent = self._val(ins.a)
-                q.push(sent, completion + q.transfer_latency)
-                if obs is not None:
+        bodies = self._bodies
+        qs = self._qs
+        load = self.memory.load
+        store = self.memory.store
+        access = self.cache.access
+        touch = self.cache.touch
+        fn = self.fn
+        code = bodies[fn]
+        pc = self.pc
+        t0 = now = self.time
+        executed = n_mem = n_enq = n_deq = 0
+        try:
+            while executed < budget:
+                rec = code[pc]
+                op = rec[0]
+                if op == BIN:
+                    _, dst, a, b, f, cost = rec
+                    regs[dst] = f(regs[a], regs[b])
+                    now += cost
+                    pc += 1
+                elif op == LOAD:
+                    _, dst, a, array = rec
+                    idx = int(regs[a])
+                    regs[dst] = load(array, idx)
+                    now += access(array, idx, lat)
+                    n_mem += 1
+                    if race is not None:
+                        race.on_load(cid, array, idx)
+                    pc += 1
+                elif op == DEQ:
+                    _, dst, s, qid = rec
+                    q = qs[s]
+                    if q is None:
+                        q = qs[s] = self.queues(qid)
+                    blocker = q.entry_blocker()
+                    if blocker is not None:
+                        self.blocked = _Blocked("entry", q, blocker, now)
+                        stats.instrs += executed
+                        if obs is not None and executed:
+                            obs.emit_retire(t0, cid, now - t0, executed)
+                        return executed
+                    start = now
+                    ready = q.head_ready_time()
+                    wait = ready - start
+                    if wait < 0.0:
+                        wait = 0.0
+                    completion = start + wait + lat.dequeue
                     if wait > 0.0:
-                        obs.emit_stall(start, self.cid, STALL_QUEUE_FULL,
-                                       wait, queue=ins.queue)
-                    obs.emit_enq(completion, self.cid, ins.queue, sent, wait)
-                self.time = completion
-                self.stats.enq_ops += 1
-                self.pc += 1
-            elif op == "deq":
-                q = self.queues(ins.queue)
-                blocker = q.entry_blocker()
-                if blocker is not None:
-                    self.blocked = _Blocked("entry", q, blocker, self.time)
-                    self.stats.instrs += executed
-                    if obs is not None and executed:
-                        obs.emit_retire(t0, self.cid, self.time - t0, executed)
-                    return executed
-                start = self.time
-                ready = q.head_ready_time()
-                wait = ready - start
-                if wait < 0.0:
-                    wait = 0.0
-                completion = start + wait + lat.dequeue
-                self.stats.queue_stall += wait
-                q.stall_empty += wait
-                if wait > 0.0:
-                    # Split the wait at the producer's enqueue-completion
-                    # point (ready - transfer_latency): before it the
-                    # queue was empty, after it the value was in flight.
-                    empty = ready - q.transfer_latency - start
-                    if empty < 0.0:
-                        empty = 0.0
-                    self.stats.stall_empty += empty
-                    self.stats.stall_transfer += wait - empty
+                        stats.queue_stall += wait
+                        q.stall_empty += wait
+                        # Split the wait at the producer's enqueue-
+                        # completion point (ready - transfer_latency):
+                        # before it the queue was empty, after it the
+                        # value was in flight.
+                        empty = ready - q.transfer_latency - start
+                        if empty < 0.0:
+                            empty = 0.0
+                        stats.stall_empty += empty
+                        stats.stall_transfer += wait - empty
+                        if obs is not None:
+                            if empty > 0.0:
+                                obs.emit_stall(start, cid, STALL_QUEUE_EMPTY,
+                                               empty, queue=qid)
+                            if wait > empty:
+                                obs.emit_stall(start + empty, cid,
+                                               STALL_TRANSFER, wait - empty,
+                                               queue=qid)
+                    if race is not None:
+                        race.on_deq(cid, qid, q.n_deq)
+                    regs[dst] = q.pop(completion)
                     if obs is not None:
-                        if empty > 0.0:
-                            obs.emit_stall(start, self.cid, STALL_QUEUE_EMPTY,
-                                           empty, queue=ins.queue)
-                        if wait > empty:
-                            obs.emit_stall(start + empty, self.cid,
-                                           STALL_TRANSFER, wait - empty,
-                                           queue=ins.queue)
-                if self.race is not None:
-                    self.race.on_deq(self.cid, ins.queue, q.n_deq)
-                regs[ins.dst] = q.pop(completion)
-                if obs is not None:
-                    obs.emit_deq(completion, self.cid, ins.queue,
-                                 regs[ins.dst], wait)
-                self.time = completion
-                self.stats.deq_ops += 1
-                self.pc += 1
-            elif op == "fjp":
-                taken = not self._val(ins.a)
-                self.pc = labels[ins.label] if taken else self.pc + 1
-                self.time += lat.branch
-            elif op == "tjp":
-                taken = bool(self._val(ins.a))
-                self.pc = labels[ins.label] if taken else self.pc + 1
-                self.time += lat.branch
-            elif op == "jp":
-                self.pc = labels[ins.label]
-                self.time += lat.branch
-            elif op == "lab":
-                self.pc += 1
-                executed -= 1  # zero-cost pseudo-instruction
-            elif op == "callr":
-                target = int(self._val(ins.a))
-                if not 0 <= target < len(functions):
+                        obs.emit_deq(completion, cid, qid, regs[dst], wait)
+                    now = completion
+                    n_deq += 1
+                    pc += 1
+                elif op == ENQ:
+                    _, a, s, qid = rec
+                    q = qs[s]
+                    if q is None:
+                        q = qs[s] = self.queues(qid)
+                    blocker = q.slot_blocker()
+                    if blocker is not None:
+                        self.blocked = _Blocked("slot", q, blocker, now)
+                        stats.instrs += executed
+                        if obs is not None and executed:
+                            obs.emit_retire(t0, cid, now - t0, executed)
+                        return executed
+                    start = now
+                    wait = q.slot_free_time() - start
+                    if wait < 0.0:
+                        wait = 0.0
+                    completion = start + wait + lat.enqueue
+                    if wait > 0.0:
+                        stats.queue_stall += wait
+                        stats.stall_full += wait
+                        q.stall_full += wait
+                    if race is not None:
+                        race.on_enq(cid, qid, q.n_enq)
+                    sent = regs[a]
+                    q.push(sent, completion + q.transfer_latency)
+                    if obs is not None:
+                        if wait > 0.0:
+                            obs.emit_stall(start, cid, STALL_QUEUE_FULL,
+                                           wait, queue=qid)
+                        obs.emit_enq(completion, cid, qid, sent, wait)
+                    now = completion
+                    n_enq += 1
+                    pc += 1
+                elif op == LAB:
+                    pc += 1
+                    continue  # zero-cost pseudo-instruction
+                elif op == FJP:
+                    pc = rec[2] if not regs[rec[1]] else pc + 1
+                    now += lat.branch
+                elif op == MOV:
+                    regs[rec[1]] = regs[rec[2]]
+                    now += lat.mov
+                    pc += 1
+                elif op == STORE:
+                    _, a, b, array = rec
+                    idx = int(regs[a])
+                    store(array, idx, regs[b])
+                    touch(array, idx)
+                    now += lat.store
+                    n_mem += 1
+                    if race is not None:
+                        race.on_store(cid, array, idx)
+                    pc += 1
+                elif op == TJP:
+                    pc = rec[2] if regs[rec[1]] else pc + 1
+                    now += lat.branch
+                elif op == JP:
+                    pc = rec[1]
+                    now += lat.branch
+                elif op == CALL:
+                    _, dst, args, name = rec
+                    regs[dst] = _ops.eval_call(name, [regs[x] for x in args])
+                    now += lat.call[name]
+                    pc += 1
+                elif op == UN:
+                    _, dst, a, f = rec
+                    regs[dst] = f(regs[a])
+                    now += lat.unop
+                    pc += 1
+                elif op == SELECT:
+                    _, dst, a, b, c, is_float = rec
+                    v = regs[a] if regs[c] else regs[b]
+                    regs[dst] = float(v) if is_float else v
+                    now += lat.select
+                    pc += 1
+                elif op == CALLR:
+                    target = int(regs[rec[1]])
+                    if not 0 <= target < len(bodies):
+                        raise SimError(
+                            f"core {cid}: bad function index {target}"
+                        )
+                    self.frames.append((fn, pc + 1))
+                    fn = target
+                    code = bodies[fn]
+                    pc = 0
+                    now += lat.branch
+                elif op == RET:
+                    if not self.frames:
+                        raise SimError(f"core {cid}: ret with empty stack")
+                    fn, pc = self.frames.pop()
+                    code = bodies[fn]
+                    now += lat.branch
+                elif op == HALT:
+                    self.halted = True
+                    stats.instrs += executed + 1
+                    if obs is not None:
+                        obs.emit_retire(t0, cid, now - t0, executed + 1)
+                        obs.emit_halt(now, cid)
+                    return executed + 1
+                elif op == END:
                     raise SimError(
-                        f"core {self.cid}: bad function index {target}"
+                        f"core {cid}: fell off end of "
+                        f"{self.program.functions[fn].name}"
                     )
-                self.frames.append((self.fn, self.pc + 1))
-                self.fn = target
-                fn_obj = functions[self.fn]
-                code = fn_obj.instrs
-                labels = fn_obj.labels
-                self.pc = 0
-                self.time += lat.branch
-            elif op == "ret":
-                if not self.frames:
-                    raise SimError(f"core {self.cid}: ret with empty stack")
-                self.fn, self.pc = self.frames.pop()
-                fn_obj = functions[self.fn]
-                code = fn_obj.instrs
-                labels = fn_obj.labels
-                self.time += lat.branch
-            elif op == "halt":
-                self.halted = True
-                self.stats.instrs += executed + 1
-                if obs is not None:
-                    obs.emit_retire(t0, self.cid, self.time - t0, executed + 1)
-                    obs.emit_halt(self.time, self.cid)
-                return executed + 1
-            else:  # pragma: no cover - defensive
-                raise SimError(f"core {self.cid}: bad opcode {op}")
-            executed += 1
-        self.stats.instrs += executed
+                else:
+                    raise SimError(f"core {cid}: bad opcode {rec[1]}")
+                executed += 1
+        except KeyError:
+            err = self._undefined_read(fn, pc)
+            if err is None:
+                raise
+            raise err from None
+        finally:
+            self.fn, self.pc, self.time = fn, pc, now
+            stats.mem += n_mem
+            stats.enq_ops += n_enq
+            stats.deq_ops += n_deq
+        stats.instrs += executed
         if obs is not None and executed:
-            obs.emit_retire(t0, self.cid, self.time - t0, executed)
+            obs.emit_retire(t0, cid, now - t0, executed)
         return executed

@@ -16,11 +16,11 @@ pair senders and receivers (§III-I), or of an undersized queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..analysis.cost import LatencyTable, default_latencies
-from ..compiler.config import SIM_MODES
 from ..isa.instructions import QueueId
 from ..isa.program import Program
 from .core import Core, CoreStats, SimError
@@ -184,7 +184,6 @@ class Machine:
         faults=None,
         obs=None,
         controller=None,
-        sim_mode: str = "reference",
     ) -> None:
         self.params = params or MachineParams()
         self.memory = memory
@@ -221,24 +220,14 @@ class Machine:
                 self.obs = EventBus()
             self.trace_recorder = TraceRecorder()
             self.obs.subscribe(self.trace_recorder.on_event)
-        if sim_mode not in SIM_MODES:
-            raise ValueError(f"unknown sim_mode {sim_mode!r}")
-        core_cls = Core
-        if sim_mode == "specialized":
-            # The specialized closures have no per-instruction hooks, so
-            # observation, race detection and live reconfiguration (whose
-            # decisions are processing-order sensitive) keep the
-            # reference core — correctness first, speed when unobserved
-            # — and the fallback is counted so it never goes unseen.
-            from .fast import specialize
-
-            if (self.obs is None and self.race_detector is None
-                    and controller is None):
-                core_cls = specialize.SpecializedCore
-            else:
-                specialize.count_fallback()
+        # The cores resolve queues through the machine's parts, not a
+        # bound method: a Machine <-> Core cycle is freed only by the
+        # cyclic GC, and would keep each finished run's queue histories
+        # alive until then.
+        queues = partial(_resolve_queue, self.queues, self._depth_overrides,
+                         self.params, self.faults)
         self.cores = [
-            core_cls(
+            Core(
                 cid=i,
                 program=prog,
                 lat=(
@@ -248,7 +237,7 @@ class Machine:
                 ),
                 cache=CoreCache(self.params.cache_lines, self.params.line_elems),
                 memory=memory,
-                queues=self._queue,
+                queues=queues,
             )
             for i, prog in enumerate(programs)
         ]
@@ -260,21 +249,6 @@ class Machine:
         if self.obs is not None:
             for core in self.cores:
                 core.obs = self.obs
-
-    def _queue(self, qid: QueueId) -> HwQueue:
-        q = self.queues.get(qid)
-        if q is None:
-            depth = self._depth_overrides.get(
-                (qid.src, qid.dst, qid.vclass.value), self.params.queue_depth
-            )
-            q = HwQueue(
-                qid=qid,
-                depth=depth,
-                transfer_latency=self.params.queue_latency,
-                injector=self.faults,
-            )
-            self.queues[qid] = q
-        return q
 
     def run(self, live_out: list[str] | None = None, primary: int = 0) -> SimResult:
         total = 0
@@ -404,3 +378,21 @@ class Machine:
                 f"  {q.qid!r}: enq={q.n_enq} deq={q.n_deq} depth={q.depth}"
             )
         return "\n".join(lines)
+
+
+def _resolve_queue(queues: dict, depth_overrides: dict, params: MachineParams,
+                   faults, qid: QueueId) -> HwQueue:
+    """The machine's queue for ``qid``, created on first use, so a run's
+    queue statistics list only the queues it touched."""
+    q = queues.get(qid)
+    if q is None:
+        depth = depth_overrides.get(
+            (qid.src, qid.dst, qid.vclass.value), params.queue_depth
+        )
+        q = queues[qid] = HwQueue(
+            qid=qid,
+            depth=depth,
+            transfer_latency=params.queue_latency,
+            injector=faults,
+        )
+    return q

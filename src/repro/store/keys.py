@@ -41,11 +41,8 @@ SCHEMA_VERSION = 2
 
 #: CompilerConfig fields that never influence results content-wise.
 #: ``profile_workload`` is derived from the workload ``(trip, seed)``
-#: keyed separately; ``sim_mode`` selects a simulator back end whose
-#: results are bit-identical by contract (enforced by the differential
-#: battery in ``tests/test_sim_fast.py``), so warm caches are shared
-#: across modes.
-_EXCLUDED_FIELDS = frozenset({"profile_workload", "sim_mode"})
+#: keyed separately.
+_EXCLUDED_FIELDS = frozenset({"profile_workload"})
 
 
 def _plain(obj: Any) -> Any:

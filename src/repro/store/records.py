@@ -85,10 +85,11 @@ def decode_run(envelope: dict) -> Any | None:
 
 
 def encode_src(key: str, kernel: str, source: str) -> dict:
-    """Envelope for specialized-simulator generated source
-    (:mod:`repro.sim.fast.specialize`).  The key already folds in the
-    program dump and ``CODEGEN_VERSION``, so the payload is just the
-    source text."""
+    """Envelope for a generated-source record: the key names what the
+    source was generated from, so the payload is just the text.  No
+    part of the package writes these any more; the kind stays readable,
+    and ``bench/trace.py`` still times ``ResultStore.get_src`` and
+    ``put_src`` by name."""
     return {
         "schema": SCHEMA_VERSION,
         "kind": "src",

@@ -15,14 +15,6 @@ from repro.sim import MachineParams
 from repro.workload import random_workload
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "simslow: full-corpus fast-simulator equivalence sweeps; CI runs "
-        'these in the dedicated sim-smoke job (tier-1 uses -m "not simslow")',
-    )
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_result_store(tmp_path_factory):
     """Point the persistent result store at a per-session temp dir so

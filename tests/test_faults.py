@@ -3,15 +3,26 @@ queue/machine hooks)."""
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.cost import default_latencies
 from repro.faults import FAULT_KINDS, FaultInjector, FaultPlan
 from repro.faults.inject import _corrupt_value, _scaled_latencies
 from repro.faults.plan import TIMING_ONLY_KINDS
+from repro.interp import run_loop
 from repro.ir.types import VClass
 from repro.isa import QueueId
+from repro.kernels import get_kernel
+from repro.runtime import compile_loop, execute_kernel
+from repro.runtime.guard import classify_failure
+from repro.sim import MachineFailure, MemoryFault, SimError
 from repro.sim.queues import HwQueue
+from repro.workload import random_workload
+
+from .strategies import loops
 
 
 def _drive(injector, n=50, value=1.5):
@@ -159,3 +170,49 @@ class TestQueueHook:
                                                 jitter_max=4)))
         assert q.push(7.0, 10.0)
         assert 10.0 < q.ready_times[0] <= 14.0
+
+
+def _faulted_run(kern, wl, plan):
+    """Everything observable about one run under ``plan``: the failure
+    kind or the result (floats by ``repr``), plus the injected events."""
+    inj = FaultInjector(plan)
+    try:
+        res = execute_kernel(kern, wl, faults=inj)
+    except (MachineFailure, SimError, MemoryFault) as exc:
+        out = classify_failure(exc).value
+    else:
+        out = (repr(res.cycles), [repr(t) for t in res.core_times],
+               {k: v.tobytes() for k, v in res.arrays.items()},
+               {k: repr(v) for k, v in res.scalars.items()},
+               [(repr(q.qid), q.n_transfers, repr(q.stall_full),
+                 repr(q.stall_empty)) for q in res.queue_stats])
+    return out, [str(ev) for ev in inj.events]
+
+
+class TestFaultedRuns:
+    """A fixed fault seed replays exactly, and timing-only faults never
+    change a computed value."""
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(loops(), st.sampled_from(sorted(TIMING_ONLY_KINDS)))
+    def test_value_preserving_faults_keep_values(self, loop, kind):
+        kern = compile_loop(loop, 3)
+        wl = random_workload(loop, trip=10, seed=2)
+        plan = FaultPlan.single(kind, seed=5)
+        first = _faulted_run(kern, wl, plan)
+        assert _faulted_run(kern, wl, plan) == first
+        res = execute_kernel(kern, wl, faults=FaultInjector(plan))
+        for name, buf in run_loop(loop, wl).arrays.items():
+            assert np.array_equal(buf, res.arrays[name]), name
+
+    def test_drop_faults_deterministic(self):
+        """Lossy faults may deadlock or corrupt, but deterministically."""
+        spec = get_kernel("umt2k-1")
+        kern = compile_loop(spec.loop(), 2)
+        wl = spec.workload(trip=16)
+        plan = FaultPlan.single("drop", seed=9)
+        first = _faulted_run(kern, wl, plan)
+        assert first[1], "the plan injected nothing"
+        assert _faulted_run(kern, wl, plan) == first

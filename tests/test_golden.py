@@ -74,7 +74,7 @@ DIGESTS = {
 #: file bytes, in sorted path order.
 RUN_RECORDS = 324
 RUN_RECORDS_DIGEST = (
-    "2ab5ae27efd2d12077668fea9ef2fa386f21df57619dc805e6e96fe5e741fc8b"
+    "0288dc5d95014686019113cc27cc85554a363360e4dd165947b26dff36484588"
 )
 
 #: trip of the simulator golden's runs, and the sha256 of their dump.

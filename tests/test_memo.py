@@ -66,7 +66,7 @@ class TestNoFalseSharing:
         ({"seed": 1}, ("compile", "oracle"), ()),
         ({"assumed_queue_latency": 20}, ("compile",), ("oracle",)),
         ({"max_expr_height": 3}, ("compile", "ir_text"), ("oracle",)),
-        ({"sim_mode": "specialized"}, ("compile",), ("oracle",)),
+        ({"throughput_heuristic": True}, ("compile",), ("oracle",)),
         # the positive control: a machine-only change shares both
         ({"queue_latency": 20}, (), ("compile", "oracle")),
     ])

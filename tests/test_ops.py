@@ -117,3 +117,74 @@ class TestUnopsAndCalls:
         assert ops.eval_call("itrunc", [3.99]) == 3
         assert ops.eval_call("itrunc", [-3.99]) == -3
         assert ops.eval_call("i2f", [4]) == 4.0
+
+
+class TestSimulatorOperators:
+    """The simulator's per-operator callables (``BINOP_FNS``,
+    ``UNOP_FNS``) against the interpreter's ``eval_binop``/``eval_unop``:
+    same value and same type for every operator, both result classes and
+    edge operands.  Values compare by ``repr``, so NaN, -0.0 and 1 vs 1.0
+    all count; exceptions compare by type."""
+
+    EDGES = [0.0, -0.0, 1.5, -2.5, 7.0, float("inf"), float("-inf"),
+             float("nan"), 1e300, 0, 1, -1, 2, -7, 63, 64, 65, 200, 2**62]
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            v = fn(*args)
+        except Exception as exc:  # the interpreter's exception too
+            return "raises", type(exc)
+        return type(v), repr(v)
+
+    def test_tables_cover_every_operator_and_class(self):
+        from repro.ir import BINARY_OPS, UNARY_OPS
+
+        classes = (False, True)
+        assert set(ops.BINOP_FNS) == {
+            (op, fl) for op in BINARY_OPS for fl in classes}
+        assert set(ops.UNOP_FNS) == {
+            (op, fl) for op in UNARY_OPS for fl in classes}
+
+    @pytest.mark.parametrize("is_float", [False, True])
+    def test_binops_match_eval_binop(self, is_float):
+        from repro.ir import BINARY_OPS
+
+        dtype = F64 if is_float else I64
+        for op in sorted(BINARY_OPS):
+            fn = ops.BINOP_FNS[op, is_float]
+            for a in self.EDGES:
+                for b in self.EDGES:
+                    want = self._outcome(ops.eval_binop, op, a, b, dtype)
+                    got = self._outcome(fn, a, b)
+                    assert got == want, (op, is_float, a, b)
+
+    @pytest.mark.parametrize("is_float", [False, True])
+    def test_unops_match_eval_unop(self, is_float):
+        dtype = F64 if is_float else I64
+        for op in ("neg", "not"):
+            fn = ops.UNOP_FNS[op, is_float]
+            for a in self.EDGES:
+                want = self._outcome(ops.eval_unop, op, a, dtype)
+                assert self._outcome(fn, a) == want, (op, is_float, a)
+
+    def test_decoded_core_calls_the_table(self):
+        """A decoded ``bin``/``un`` record carries the table's callable
+        and the latency table's cost."""
+        from repro.analysis.cost import default_latencies
+        from repro.isa import Function, Instr, Program
+        from repro.sim.core import decode
+
+        lat = default_latencies()
+        for (op, fl), fn in ops.BINOP_FNS.items():
+            table = lat.float_bin if fl else lat.int_bin
+            if op not in table:
+                continue  # no latency: the core fails as the reference does
+            prog = Program("p", [Function("main", [
+                Instr(op="bin", fn=op, dst="x", a="y", b="z", is_float=fl)])])
+            rec = decode(prog, lat).bodies[0][0]
+            assert rec[4] is fn and rec[5] == table[op], (op, fl)
+        for (op, fl), fn in ops.UNOP_FNS.items():
+            prog = Program("p", [Function("main", [
+                Instr(op="un", fn=op, dst="x", a="y", is_float=fl)])])
+            assert decode(prog, lat).bodies[0][0][3] is fn, (op, fl)

@@ -80,3 +80,12 @@ def test_random_loop_queue_discipline(loop):
 def test_random_loop_seq_sim_matches_interp(loop):
     """Even the single-core lowered program matches the interpreter."""
     _assert_same(loop, 1)
+
+
+@_slow
+@given(loops())
+def test_random_loop_stealing_equivalence(loop):
+    """The work-stealing flavour (``callr`` dispatch through the fiber
+    table) matches the interpreter too."""
+    _assert_same(loop, 3, CompilerConfig(runtime_mode="stealing"),
+                 trip=10, seed=2)

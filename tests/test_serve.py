@@ -585,7 +585,7 @@ class TestServiceBoundary:
                                       "store_key"}
             assert m["memo"]["oracle"]["hits"] >= 1
             assert m["memo"]["oracle"]["entries"] == 1
-            assert "fallback" in m["specialize"]
+            assert "specialize" not in m
             await svc.aclose()
 
         run(main())

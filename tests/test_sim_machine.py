@@ -425,6 +425,17 @@ class TestFailureMessages:
             "(bin add y <- ghost x)"
         )
 
+    def test_undefined_select_operand_is_the_selected_one(self):
+        err = self._raises(SimError, [_prog("core0", [
+            Instr(op="mov", dst="c", a=Imm(0)),
+            Instr(op="select", dst="v", a="ghost_a", b="ghost_b", c="c"),
+            Instr(op="halt"),
+        ])])
+        assert str(err) == (
+            "core 0: read of undefined register 'ghost_b' at main:1 "
+            "(select v <- ghost_a ghost_b c)"
+        )
+
     def test_undefined_register_in_called_function(self):
         callee = Function("F1", [
             Instr(op="lab", label="entry"),

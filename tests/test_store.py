@@ -240,6 +240,29 @@ class TestRobustness:
         assert records.decode_run({"schema": SCHEMA_VERSION, "kind": "run",
                                    "payload": None}) is None
 
+    def test_record_with_retired_config_field_is_miss_and_recovers(
+            self, store):
+        """Records written while ``ExpConfig`` still had ``sim_mode``
+        carry it in ``payload.config``: such a record reads as a
+        counted miss, never an exception, and the recompute overwrites
+        it at the same key (keys never covered that field)."""
+        spec = get_kernel("umt2k-1")
+        cfg = ExpConfig(n_cores=2, trip=TRIP)
+        first = run_kernel(spec, cfg, store=store)
+        key = store_key_for(spec, cfg)
+        envelope = json.loads(store._path(key).read_text())
+        envelope["payload"]["config"]["sim_mode"] = "reference"
+        store._path(key).write_text(json.dumps(envelope))
+        hits, misses = store.hits, store.misses
+        assert store.get_run(key) is None
+        assert (store.hits, store.misses) == (hits, misses + 1)
+        clear_cache()
+        again = run_kernel(spec, cfg, store=store)  # recomputes + rewrites
+        _assert_runs_equal(first, again)
+        rewritten = json.loads(store._path(key).read_text())
+        assert "sim_mode" not in rewritten["payload"]["config"]
+        _assert_runs_equal(first, store.get_run(key))
+
     def test_atomic_writes_leave_no_temp_files(self, store):
         for i in range(8):
             store.put_run(f"{i:02d}" + "1" * 62, _synthetic_run())
