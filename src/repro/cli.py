@@ -7,15 +7,17 @@ Commands
   category/origin);
 * ``kernels show <kernel>`` — print the kernel IR and its flat
   normalized form;
-* ``kernels run <kernel>`` — compile + simulate one kernel, print
-  speedup, statistics and correctness;
+* ``kernels run <kernel>`` — compile, check, simulate and verify one
+  kernel through the guard, print speedup and statistics (exit 1 with
+  the guard's diagnosis when the cell fails);
 * ``ingest <file.py>`` — lower counted Python loops into the IR via
   :mod:`repro.frontend`, register them under ``frontend/`` and prove
   each against the differential python/interpreter/simulator oracle;
-* ``trace <kernel>`` — export a run as Chrome trace-event JSON
-  (open in https://ui.perfetto.dev);
-* ``profile <kernel>`` — per-core stall attribution + queue pressure,
-  and append the headline numbers to ``BENCH_obs.json``;
+* ``trace <kernel>`` — export a guarded run as Chrome trace-event
+  JSON (open in https://ui.perfetto.dev);
+* ``profile <kernel>`` — per-core stall attribution + queue pressure
+  of a guarded run, and append the headline numbers to
+  ``BENCH_obs.json``;
 * ``experiment <id>`` — run one paper artifact (E1..E13) or ``all``;
 * ``chaos`` — seeded fault-injection campaign over tier-1 kernels
   through the guarded runtime (resilience table, exit 1 on any
@@ -40,9 +42,10 @@ Commands
   the write-ahead journal and ``--resume`` replays a crashed one,
   re-dispatching only the missing cells;
 * ``serve`` — run the async compile-and-simulate daemon (NDJSON over
-  TCP: compile/run/sweep/trace/metrics/health endpoints, tiered
-  cache, singleflight coalescing, priority admission, rate limits,
-  journaled computes, supervised workers, graceful SIGTERM drain);
+  TCP: run/sweep/metrics/health endpoints, the process run memo over
+  the disk store, singleflight coalescing, priority admission, rate
+  limits, journaled computes, supervised workers, graceful SIGTERM
+  drain);
 * ``loadgen`` — zipf-distributed synthetic-client load campaign
   (cold + warm phases) against a daemon or an in-process service;
   enforces the coalescing/durability invariants (exit 1 on
@@ -115,13 +118,21 @@ def _cmd_show(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _guarded_cell(args, log=None):
+    """Compile, check, simulate and verify ``args.kernel`` through
+    :func:`~repro.runtime.guard.guarded_run` with one attempt — the
+    path every experiment cell takes — for ``kernels run``, ``trace``
+    and ``profile``.  ``log`` (an :class:`~repro.obs.events.EventLog`)
+    records the cell's events.  Returns ``(spec, guarded, seq_cycles)``,
+    or an exit code: 2 for an unknown kernel, 1 for a degraded cell
+    (compile error, checker rejection, simulator failure, wrong
+    answer), whose diagnosis is printed."""
     from .compiler import CompilerConfig
-    from .interp import run_loop
     from .kernels import get_kernel
+    from .obs.events import EventBus
     from .runtime import compile_loop, execute_kernel
+    from .runtime.guard import GuardPolicy, guarded_run
     from .sim import MachineParams
-    from .verify import verify_result
 
     try:
         spec = get_kernel(args.kernel)
@@ -129,82 +140,68 @@ def _cmd_run(args) -> int:
         return _unknown_kernel(args.kernel)
     loop = spec.loop()
     wl = spec.workload(trip=args.trip)
-    ref = run_loop(loop, wl)
-
     machine = MachineParams(
         queue_latency=args.latency, queue_depth=args.depth
     )
     config = CompilerConfig(
         speculation=args.speculate,
-        throughput_heuristic=args.throughput,
-        max_queues=args.max_queues,
+        throughput_heuristic=getattr(args, "throughput", False),
+        max_queues=getattr(args, "max_queues", None),
         profile_workload=wl,
     )
+    bus = None
+    if log is not None:
+        bus = EventBus()
+        bus.subscribe(log)
     seq = execute_kernel(compile_loop(loop, 1), wl, machine)
-    kern = compile_loop(loop, args.cores, config)
-    res = execute_kernel(kern, wl, machine, detect_races=args.races)
+    g = guarded_run(
+        loop, wl, args.cores, config=config, params=machine,
+        policy=GuardPolicy(max_attempts=1), obs=bus,
+        detect_races=getattr(args, "races", False),
+    )
+    if g.degraded:
+        print(f"kernel       : {spec.name} ({spec.source})")
+        print(f"FAILED       : {g.describe()}")
+        return 1
+    return spec, g, seq.cycles
 
-    ok = verify_result(ref, res)
-    st = kern.plan.stats
+
+def _cmd_run(args) -> int:
+    cell = _guarded_cell(args)
+    if isinstance(cell, int):
+        return cell
+    spec, g, seq_cycles = cell
+    res, st = g.sim, g.stats
     print(f"kernel       : {spec.name} ({spec.source})")
     print(f"cores        : {args.cores}  (partitions: {st.n_partitions})")
     print(f"fibers       : {st.initial_fibers}  data deps: {st.data_deps}")
     print(f"load balance : {st.load_balance:.2f}")
     print(f"com ops/iter : {st.com_ops}  queues: {st.queues_used}")
-    print(f"sequential   : {seq.cycles:12.0f} cycles")
+    print(f"sequential   : {seq_cycles:12.0f} cycles")
     print(f"parallel     : {res.cycles:12.0f} cycles")
-    print(f"speedup      : {seq.cycles / res.cycles:12.2f}x")
+    print(f"speedup      : {seq_cycles / res.cycles:12.2f}x")
     print(f"queue stall  : {res.total_queue_stall:12.0f} core-cycles")
-    print(f"bit-exact    : {ok}")
+    print("bit-exact    : True")  # the guard verified it
     if args.races:
         print(f"races        : {len(res.races)}")
         for r in res.races:
             print(f"  {r}")
-    return 0 if ok and not (args.races and res.races) else 1
-
-
-def _obs_setup(args):
-    """Shared compile+simulate-under-observation path for the ``trace``
-    and ``profile`` commands.  Returns ``(spec, kern, res, log, seq)``
-    or an int exit code on a bad kernel name."""
-    from .compiler import CompilerConfig
-    from .kernels import get_kernel
-    from .obs.events import EventBus, EventLog
-    from .runtime import compile_loop, execute_kernel
-    from .sim import MachineParams
-
-    try:
-        spec = get_kernel(args.kernel)
-    except KeyError:
-        return _unknown_kernel(args.kernel)
-    loop = spec.loop()
-    wl = spec.workload(trip=args.trip)
-    machine = MachineParams(
-        queue_latency=args.latency, queue_depth=args.depth
-    )
-    config = CompilerConfig(
-        speculation=args.speculate, profile_workload=wl
-    )
-    seq = execute_kernel(compile_loop(loop, 1), wl, machine)
-    bus = EventBus()
-    log = EventLog()
-    bus.subscribe(log)
-    kern = compile_loop(loop, args.cores, config, obs=bus)
-    res = execute_kernel(kern, wl, machine, obs=bus)
-    return spec, kern, res, log, seq
+    return 1 if args.races and res.races else 0
 
 
 def _cmd_trace(args) -> int:
+    from .obs.events import EventLog
     from .obs.timeline import write_chrome_trace
 
-    setup = _obs_setup(args)
-    if isinstance(setup, int):
-        return setup
-    spec, kern, res, log, seq = setup
+    log = EventLog()
+    cell = _guarded_cell(args, log)
+    if isinstance(cell, int):
+        return cell
+    spec, g, seq_cycles = cell
     doc = write_chrome_trace(args.out, log.events)
     dropped = f"  ({log.dropped} dropped)" if log.dropped else ""
     print(f"kernel       : {spec.name}  ({args.cores} cores, trip {args.trip})")
-    print(f"cycles       : {res.cycles:12.0f}  (sequential {seq.cycles:.0f})")
+    print(f"cycles       : {g.sim.cycles:12.0f}  (sequential {seq_cycles:.0f})")
     print(f"events       : {len(log.events)}{dropped}")
     print(f"trace events : {len(doc['traceEvents'])}")
     print(f"wrote        : {args.out}")
@@ -213,18 +210,20 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .obs.events import EventLog
     from .obs.report import (
         BENCH_PATH, bench_row, format_profile, profile_result, update_bench,
     )
     from .obs.timeline import write_chrome_trace
 
-    setup = _obs_setup(args)
-    if isinstance(setup, int):
-        return setup
-    spec, kern, res, log, seq = setup
+    log = EventLog()
+    cell = _guarded_cell(args, log)
+    if isinstance(cell, int):
+        return cell
+    spec, g, seq_cycles = cell
     prof = profile_result(
-        res, kernel=spec.name, trip=args.trip, queue_depth=args.depth,
-        stats=kern.plan.stats, seq_cycles=seq.cycles,
+        g.sim, kernel=spec.name, trip=args.trip, queue_depth=args.depth,
+        stats=g.stats, seq_cycles=seq_cycles,
     )
     print(format_profile(prof))
     if args.out:
@@ -565,8 +564,6 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         max_concurrency=args.max_concurrency,
         max_queue=args.max_queue,
-        l1_capacity=args.l1_size,
-        l1_ttl=args.l1_ttl,
         rate=args.rate,
         burst=args.burst,
         default_timeout=args.timeout,
@@ -1028,10 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="concurrent compute slots")
     vp.add_argument("--max-queue", type=int, default=1024,
                     help="bounded admission wait list")
-    vp.add_argument("--l1-size", type=int, default=4096,
-                    help="L1 LRU capacity (entries)")
-    vp.add_argument("--l1-ttl", type=float, default=None,
-                    help="L1 entry TTL in seconds (default: no expiry)")
     vp.add_argument("--rate", type=float, default=0.0,
                     help="per-client rate limit in req/s (0 = unlimited)")
     vp.add_argument("--burst", type=float, default=None,
@@ -1042,7 +1035,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="L2 store root (default $REPRO_CACHE_DIR or "
                     "~/.cache/repro/store)")
     vp.add_argument("--no-store", action="store_true",
-                    help="disable the L2 disk tier (L1 only)")
+                    help="disable the L2 disk tier (the process run "
+                    "memo only)")
     vp.add_argument("--no-journal", action="store_true",
                     help="disable the write-ahead compute journal")
     vp.add_argument("--resume", action="store_true",

@@ -562,6 +562,8 @@ def run(
     import shutil
     import tempfile
 
+    from ..experiments.common import clear_cache
+
     for name in scenarios:
         if name not in SCENARIOS:
             raise ValueError(
@@ -576,6 +578,10 @@ def run(
         for name in scenarios:
             root = base / name.replace("-", "_")
             root.mkdir(parents=True, exist_ok=True)
+            # a scenario stands for a fresh daemon process: its L1 (the
+            # run memo) starts empty like its store, so every ack it
+            # serves was made durable in that store.
+            clear_cache()
             if name == "worker-crash":
                 results.append(asyncio.run(
                     _scn_worker_crash(root, seed, requests)

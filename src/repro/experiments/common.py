@@ -8,14 +8,15 @@ the reference interpreter by :func:`repro.runtime.guard.guarded_run`,
 the one place a result is judged (an experiment that produces wrong
 answers is not a result).
 
-Results are memoised at two levels: a per-process dict, and the
-persistent content-addressed store (:mod:`repro.store`) keyed by the
-kernel's normalized IR, the compiler and machine configuration, and
-the workload ``(trip, seed)`` recipe.  A warm store makes every
-experiment idempotent — zero compile/simulate calls on re-run.  A cell
-that is computed still shares its pure stages (compiled kernel,
+Finished runs live in two tiers under one content-addressed key
+(:func:`store_key_for`: the kernel's normalized IR, the compiler and
+machine configuration, and the workload ``(trip, seed)`` recipe): the
+process memo :data:`repro.memo.RUNS` and the persistent store
+(:mod:`repro.store`).  :func:`recall` reads both.  A warm store makes
+every experiment idempotent — zero compile/simulate calls on re-run.
+A cell that is computed still shares its pure stages (compiled kernel,
 interpreter oracle, IR text, store key) with earlier cells through the
-bounded per-process memos of :mod:`repro.memo`.
+other bounded memos of :mod:`repro.memo`.
 ``run_table1_grid`` additionally fans whole kernel × config matrices
 out over the :mod:`repro.store.sweep` worker pool.
 """
@@ -115,35 +116,39 @@ class KernelRun:
         return self.seq_cycles / self.par_cycles
 
 
-#: L1: per-process memo of full runs, keyed by (kernel name, config).
-_cache: dict[tuple, KernelRun] = {}
-#: L1 for sequential-baseline cycles, keyed by content digest.
-_seq_cache: dict[str, float] = {}
+#: empties every memo of :mod:`repro.memo`, finished runs included.
+clear_cache = memo.clear
 
 
-def clear_cache() -> None:
-    """Empty the run memos and every stage memo (:mod:`repro.memo`)."""
-    _cache.clear()
-    _seq_cache.clear()
-    memo.clear()
+def seed_cache(key: str, run: KernelRun) -> None:
+    """Insert a run computed elsewhere (a sweep or serve worker
+    process) under its store key."""
+    memo.RUNS.put(key, run)
 
 
-def seed_cache(run: KernelRun) -> None:
-    """Insert an externally computed run (e.g. from a sweep worker)."""
-    _cache[(run.kernel, run.config)] = run
+def recall(key: str, store) -> tuple[str | None, KernelRun | None]:
+    """The finished run under store key ``key`` and the tier it came
+    from: ``("l1", run)`` from the process memo, ``("l2", run)`` from
+    ``store`` (promoted into the memo), or ``(None, None)``."""
+    run = memo.RUNS.lookup(key)
+    if run is not None:
+        return "l1", run
+    if store is not None:
+        run = store.get_run(key)
+        if run is not None:
+            memo.RUNS.put(key, run)
+            return "l2", run
+    return None, None
 
 
 def _workload_recipe(spec: KernelSpec) -> dict:
     return {"scalars": dict(spec.scalars), "specs": dict(spec.specs)}
 
 
-def store_key_for(spec: KernelSpec, config: ExpConfig, kind: str = "run") -> str:
-    """Content-addressed key of one grid cell.
+def store_key_for(spec: KernelSpec, config: ExpConfig) -> str:
+    """Content-addressed key of one grid cell's run record.
 
-    ``kind="run"`` keys the cell's persistent run record; serve's
-    ``compile`` and ``trace`` payloads use their own kinds and only
-    ever index its in-memory L1.  Memoised per process on
-    ``spec.loop()``, the config's content and ``kind``
+    Memoised per process on ``spec.loop()`` and the config's content
     (:data:`repro.memo.STORE_KEY`): the loop stands for its spec's seed
     and workload recipe, because :meth:`KernelSpec.loop` refuses a loop
     that another spec owns.
@@ -151,7 +156,7 @@ def store_key_for(spec: KernelSpec, config: ExpConfig, kind: str = "run") -> str
     from ..store.keys import kernel_run_key
 
     loop = spec.loop()
-    key = (loop, memo.content_key(config), kind)
+    key = (loop, memo.content_key(config))
     return memo.STORE_KEY.get(key, lambda: kernel_run_key(
         loop,
         config.n_cores,
@@ -160,7 +165,6 @@ def store_key_for(spec: KernelSpec, config: ExpConfig, kind: str = "run") -> str
         config.trip,
         spec.seed + config.seed,
         workload=_workload_recipe(spec),
-        kind=kind,
     ))
 
 
@@ -186,13 +190,14 @@ def run_kernel(
 ) -> KernelRun:
     """Run (or recall) one grid cell.
 
-    A cell found in neither the process memo nor ``store`` is run by
-    :func:`~repro.runtime.guard.guarded_run`: a static cell gets one
-    attempt, an adaptive cell the guard's full escalation ladder.  This
-    function adds the sequential baseline and records the guard's
-    verdict, so a failed cell — compile error, protocol rejection,
-    deadlock, wrong answer — comes back as a :class:`KernelRun` with
-    ``failure`` set, never as an exception.
+    A cell that :func:`recall` finds in neither the process memo nor
+    ``store`` is run by :func:`~repro.runtime.guard.guarded_run`: a
+    static cell gets one attempt, an adaptive cell the guard's full
+    escalation ladder.  This function adds the sequential baseline and
+    records the guard's verdict, so a failed cell — compile error,
+    protocol rejection, deadlock, wrong answer — comes back as a
+    :class:`KernelRun` with ``failure`` set, never as an exception.
+    A run enters the memo only once it is durable in ``store``.
 
     ``obs`` is the opt-in observability hook: when an enabled
     :class:`repro.obs.events.EventBus` is passed, the cell emits a
@@ -209,45 +214,37 @@ def run_kernel(
 
     t0 = _time.perf_counter()
     task = f"{spec.name}:c{config.n_cores}"
-    key = (spec.name, config)
-    hit = _cache.get(key)
+    digest = store_key_for(spec, config)
+    tier, hit = recall(digest, store)
     if hit is not None:
-        if store is not None:
+        if tier == "l1" and store is not None and store.get_run(digest) is None:
             # The memo says "computed"; the caller needs "durable in
             # *this* store".  After a gc/clear, or when resuming a
             # different store root in a warm process, the record may
             # be absent — rewrite it so run_kernel's contract (return
             # implies a durable record) holds for crash recovery.
-            digest = store_key_for(spec, config)
-            if store.get_run(digest) is None:
-                store.put_run(digest, hit)
+            store.put_run(digest, hit)
         _task_event(obs, task, t0, "cached")
         return hit
 
     loop = spec.loop()
-    digest = store_key_for(spec, config)
-    if store is not None:
-        cached = store.get_run(digest)
-        if cached is not None:
-            _cache[key] = cached
-            _task_event(obs, task, t0, "cached")
-            return cached
-
     wl = spec.workload(trip=config.trip, seed=spec.seed + config.seed)
 
-    # Sequential baseline: cached separately (digest-keyed) so the
-    # record under the baseline key is never a parallel KernelRun.
+    # Sequential baseline: memoised and stored under its own key, so
+    # the record under the baseline key is never a parallel KernelRun.
     seq_cfg = CompilerConfig(max_expr_height=config.max_expr_height)
     seq_digest = _seq_store_key(spec, config, loop, seq_cfg)
-    seq_cycles = _seq_cache.get(seq_digest)
-    if seq_cycles is None and store is not None:
-        seq_cycles = store.get_seq(seq_digest)
-    if seq_cycles is None:
-        k1 = compile_loop(loop, 1, seq_cfg)
-        seq_cycles = execute_kernel(k1, wl, config.machine()).cycles
-        if store is not None:
-            store.put_seq(seq_digest, spec.name, seq_cycles)
-    _seq_cache[seq_digest] = seq_cycles
+
+    def baseline() -> float:
+        cycles = store.get_seq(seq_digest) if store is not None else None
+        if cycles is None:
+            k1 = compile_loop(loop, 1, seq_cfg)
+            cycles = execute_kernel(k1, wl, config.machine()).cycles
+            if store is not None:
+                store.put_seq(seq_digest, spec.name, cycles)
+        return cycles
+
+    seq_cycles = memo.SEQ.get(seq_digest, baseline)
 
     # A static cell gets one attempt, so a deadlock is recorded as a
     # deadlock; an adaptive cell climbs the guard's whole ladder.  The
@@ -276,9 +273,9 @@ def run_kernel(
         fallback=failure is not None,
         resolved_by=g.resolved_by if config.adaptive else None,
     )
-    _cache[key] = run
     if store is not None:
         store.put_run(digest, run)
+    memo.RUNS.put(digest, run)
     _task_event(obs, task, t0, failure or "ok")
     return run
 

@@ -8,15 +8,18 @@ contract :mod:`repro.fuzz` enforces for generated programs:
    builtins, ``import math`` only) on the generated workload;
 2. **interp** — run the lowered loop through the sequential reference
    interpreter on the same workload;
-3. **sim** — compile at ``n_cores`` (including the mandatory
-   ``repro.check`` protocol stage) and run the cycle-level simulator.
+3. **sim** — compile at ``n_cores``, protocol-check, simulate and
+   verify through :func:`repro.runtime.guard.guarded_run` with one
+   attempt, the path every experiment cell takes.
 
 Arrays must agree **bit-exactly** across all three.  Returned scalars
 must agree exactly between python and interp; interp-vs-sim scalars go
 through :func:`repro.verify.verify_result`, the repo-wide definition
 of "correct" (queue read-back of reduction accumulators tolerates
-``SCALAR_RTOL = 1e-12``).  Any disagreement raises
-:class:`~repro.frontend.errors.OracleMismatch` — never a warning.
+``SCALAR_RTOL = 1e-12``).  Any disagreement — and any compile error,
+checker rejection or simulator failure — raises
+:class:`~repro.frontend.errors.OracleMismatch` with the diagnosis,
+never a warning or a traceback.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..interp.interpreter import run_loop
-from ..runtime.exec import compile_loop, execute_kernel
-from ..verify import verify_result
+from ..runtime.guard import GuardPolicy, guarded_run
 from ..workload import Workload, random_workload
 from .errors import OracleMismatch
 
@@ -153,13 +155,11 @@ def check_ingested(
                 f"scalar {name!r}: python {want!r} != interp {got!r}",
             )
 
-    kernel = compile_loop(loop, n_cores, config, check=True)
-    sim = execute_kernel(kernel, wl)
-    if not verify_result(ref, sim):
+    g = guarded_run(loop, wl, n_cores, config=config,
+                    policy=GuardPolicy(max_attempts=1))
+    if g.degraded:
         raise OracleMismatch(
-            ing.name,
-            f"interp != sim at {n_cores} cores "
-            f"(arrays {sorted(ref.arrays)}, scalars {sorted(ref.scalars)})",
+            ing.name, f"sim leg failed at {n_cores} cores: {g.describe()}",
         )
     return OracleReport(
         name=ing.name,
@@ -168,5 +168,5 @@ def check_ingested(
         n_cores=n_cores,
         arrays_checked=len(loop.arrays),
         scalars_checked=len(ing.info.live_out),
-        cycles=sim.cycles,
+        cycles=g.sim.cycles,
     )

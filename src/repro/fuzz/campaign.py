@@ -128,7 +128,16 @@ def probe_loop(
     inject: str | None = None,
     workload_seed: int = 1,
 ) -> str:
-    """Differential probe of one loop in one cell; returns a signature."""
+    """Differential probe of one loop in one cell; returns a signature.
+
+    This is the one compile → simulate → verify path that stays outside
+    :func:`repro.runtime.guard.guarded_run`, on purpose: the probe must
+    simulate an artifact the checker *rejected*, because that is how it
+    tells a checker false positive (``static-only``) from a miscompile
+    the model missed (``dynamic-only``).  The guard never runs a
+    rejected artifact, and the probe names its findings by the raw
+    exception, not by a served fallback.
+    """
     from ..runtime.exec import compile_loop, execute_kernel
     from ..runtime.guard import classify_failure
     from .artifact import decode_loop, encode_loop

@@ -1,4 +1,4 @@
-"""Bounded per-process memos for the pure stages of a cell.
+"""Bounded per-process memos for the pure stages of a cell and its results.
 
 A cell runs four stages whose result depends on nothing but their
 inputs: the compiled kernel (:func:`repro.runtime.exec.compile_loop`),
@@ -17,6 +17,12 @@ recompute all four for every cell.  Each stage sits behind one
 * workloads and configs by **content** (:func:`content_key`), so two
   equal configs share an entry and a reseeded workload misses.
 
+Two more memos hold the cell's results, keyed by the content-addressed
+store key: :data:`RUNS` (finished runs) and :data:`SEQ` (sequential
+baseline cycles).  They are this process's tier in front of the disk
+store: :func:`repro.experiments.common.run_kernel` reads them, and
+``repro serve`` uses :data:`RUNS` as its L1.
+
 A miss runs the stage's code unchanged; a hit returns the very object
 the miss returned, so memoised results are shared and read-only (the
 oracle's arrays are flagged non-writeable).  Bounds are the module
@@ -27,123 +33,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import threading
 import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Mapping
 
 import numpy as np
-
-_UNSET = object()
-
-
-def payload_cost(value: Any) -> int:
-    """Approximate in-memory cost of a cached payload, in bytes.
-
-    Payloads are JSON-shaped dicts by construction, so the encoded
-    length is a faithful (and cheap) proxy; anything unencodable is
-    charged a flat floor so the bytes bound still makes progress.
-    """
-    try:
-        return len(json.dumps(value, separators=(",", ":")))
-    except (TypeError, ValueError):
-        return 256
-
-
-class LRUCache:
-    """Size-, byte- and TTL-bounded LRU map, safe to share between threads.
-
-    ``capacity`` bounds the entry count, ``max_bytes`` the summed
-    :func:`payload_cost` of live entries, and ``ttl`` (seconds, from
-    ``clock``) expires entries lazily at lookup time.  ``clock`` is
-    injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 1024,
-        max_bytes: int | None = None,
-        ttl: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.max_bytes = max_bytes
-        self.ttl = ttl
-        self._clock = clock
-        self._lock = threading.Lock()
-        #: key -> (value, expiry-or-None, cost)
-        self._data: OrderedDict[Hashable, tuple[Any, float | None, int]] = OrderedDict()
-        self._bytes = 0
-        self.evictions = 0
-        self.expirations = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return self.get(key) is not None
-
-    @property
-    def bytes(self) -> int:
-        return self._bytes
-
-    def _drop(self, key: Hashable, *, expired: bool = False) -> None:
-        _, _, cost = self._data.pop(key)
-        self._bytes -= cost
-        if expired:
-            self.expirations += 1
-        else:
-            self.evictions += 1
-
-    def get(self, key: Hashable) -> Any | None:
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is None:
-                return None
-            value, expiry, _ = entry
-            if expiry is not None and self._clock() >= expiry:
-                self._drop(key, expired=True)
-                return None
-            self._data.move_to_end(key)
-            return value
-
-    def put(self, key: Hashable, value: Any, ttl: float | None = _UNSET) -> None:
-        if ttl is _UNSET:
-            ttl = self.ttl
-        cost = payload_cost(value)
-        with self._lock:
-            if key in self._data:
-                self._drop(key)
-            if self.max_bytes is not None and cost > self.max_bytes:
-                return  # a single over-budget entry can never fit
-            expiry = self._clock() + ttl if ttl is not None else None
-            self._data[key] = (value, expiry, cost)
-            self._bytes += cost
-            while len(self._data) > self.capacity or (
-                self.max_bytes is not None and self._bytes > self.max_bytes
-            ):
-                self._drop(next(iter(self._data)))
-
-    def purge_expired(self) -> int:
-        """Eagerly drop expired entries; returns how many."""
-        with self._lock:
-            now = self._clock()
-            dead = [
-                k for k, (_, expiry, _) in self._data.items()
-                if expiry is not None and now >= expiry
-            ]
-            for k in dead:
-                self._drop(k, expired=True)
-            return len(dead)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self._bytes = 0
-
 
 def content_key(obj: Any) -> Hashable:
     """Hashable content address of configs and workloads.
@@ -177,45 +72,62 @@ def content_key(obj: Any) -> Hashable:
 
 
 class Memo:
-    """A bounded, thread-safe memo in front of one pure stage.
+    """A bounded, thread-safe LRU memo in front of one stage.
 
     Two threads that miss on one key both compute it; the results are
-    equal by the stage's purity, and the later one is kept.
+    equal by the stage's purity, and the later one is kept.  The lock
+    covers the map and the counters, never a computation.
     """
 
     def __init__(self, stage: str, capacity: int) -> None:
         self.stage = stage
-        self.cache = LRUCache(capacity)
+        self.capacity = capacity
+        self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+
+    def lookup(self, key: Hashable) -> Any | None:
+        """The entry for ``key``, or ``None``; counts a hit or a miss."""
+        with self._lock:
+            value = self._data.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._data.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Insert ``value`` as the most recent entry, evicting the least
+        recently used one past the bound."""
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            if len(self._data) > self.capacity:
+                self._data.popitem(last=False)
 
     def get(self, key: Hashable, compute: Callable[[], Any], obs: Any = None) -> Any:
         """The memoised result for ``key``, computed by ``compute()`` on
         a miss.  A hit on an enabled ``obs`` bus emits one ``pass``
         event named ``memo:<stage>``."""
         t0 = time.perf_counter()
-        value = self.cache.get(key)
-        with self._lock:
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
+        value = self.lookup(key)
         if value is None:
             value = compute()
-            self.cache.put(key, value)
+            self.put(key, value)
         elif obs is not None and obs.enabled:
             obs.emit_pass(f"memo:{self.stage}", t0, time.perf_counter())
         return value
 
     def clear(self) -> None:
-        self.cache.clear()
         with self._lock:
+            self._data.clear()
             self.hits = self.misses = 0
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self.cache)}
+                "entries": len(self._data)}
 
 
 # Bounds, from one cold E2–E10 pass at trip 64 (the ``suite-cold``
@@ -232,6 +144,12 @@ ORACLE_ENTRIES = 64
 #: printed IR texts and store keys: small strings.
 IR_TEXT_ENTRIES = 256
 STORE_KEY_ENTRIES = 1024
+#: finished runs (``KernelRun`` records, about 1 KiB each): above the
+#: 324 distinct cells of ``experiment all`` and the 288 cells
+#: ``serve-zipf`` can request, so neither ever evicts one.
+RUNS_ENTRIES = 4096
+#: sequential-baseline cycle counts: one float per key.
+SEQ_ENTRIES = 4096
 
 #: (loop, n_cores, CompilerConfig content, check) -> LoweredKernel
 COMPILE = Memo("compile", COMPILE_ENTRIES)
@@ -239,10 +157,15 @@ COMPILE = Memo("compile", COMPILE_ENTRIES)
 ORACLE = Memo("oracle", ORACLE_ENTRIES)
 #: (loop, max_expr_height) -> printed IR
 IR_TEXT = Memo("ir_text", IR_TEXT_ENTRIES)
-#: (loop, ExpConfig content, kind) -> content-addressed key of a cell
+#: (loop, ExpConfig content) -> content-addressed key of a cell
 STORE_KEY = Memo("store_key", STORE_KEY_ENTRIES)
+#: store key -> KernelRun, this process's result tier in front of the
+#: disk store (``run_kernel``'s memo and serve's L1)
+RUNS = Memo("runs", RUNS_ENTRIES)
+#: sequential-baseline store key -> cycles
+SEQ = Memo("seq", SEQ_ENTRIES)
 
-MEMOS = (COMPILE, ORACLE, IR_TEXT, STORE_KEY)
+MEMOS = (COMPILE, ORACLE, IR_TEXT, STORE_KEY, RUNS, SEQ)
 
 
 def clear() -> None:

@@ -34,9 +34,14 @@ state plus the full record of *how* it was obtained — including
 *which* rung resolved the failure (``resolved_by`` /
 ``FailureReport.resolution``).
 
-Every experiment cell runs through :func:`guarded_run` (see
-:func:`repro.experiments.common.run_kernel`), so this module is the one
-place a simulated result is judged.
+Every experiment, sweep and serve cell runs through
+:func:`guarded_run` (see :func:`repro.experiments.common.run_kernel`),
+and so do the CLI's ``kernels run``, ``trace`` and ``profile`` and the
+simulator leg of the ingest oracle, so this module is the one place a
+simulated result is judged.  Two callers stay outside on purpose: the
+fuzz probe (:func:`repro.fuzz.campaign.probe_loop`) must simulate
+artifacts the checker rejects, and the chaos and imbalance campaigns
+judge the guard itself against their own interpreter call.
 """
 
 from __future__ import annotations
@@ -213,6 +218,7 @@ def guarded_run(
     policy: GuardPolicy | None = None,
     fault_plan=None,
     obs=None,
+    detect_races: bool = False,
 ) -> GuardedRun:
     """Compile + execute ``loop`` with graceful sequential fallback.
 
@@ -229,6 +235,10 @@ def guarded_run(
     ``guard`` event per failed attempt (named by its
     :class:`FailureKind`) and a final ``parallel``/``fallback`` event,
     and is forwarded to the compile and execute stages.
+
+    ``detect_races`` arms the simulator's happens-before race detector
+    on every parallel attempt; the served ``sim.races`` lists what it
+    found.
     """
     policy = policy or GuardPolicy()
     base = params or MachineParams()
@@ -345,7 +355,7 @@ def guarded_run(
             injector = FaultInjector(fault_plan)
         try:
             res = execute_kernel(kernel, workload, cur, faults=injector,
-                                 obs=obs)
+                                 obs=obs, detect_races=detect_races)
         except _SIM_FAILURES as exc:
             if injector is not None:
                 injected.extend(injector.events)

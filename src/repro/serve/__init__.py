@@ -1,17 +1,17 @@
 """repro.serve — the async compile-and-simulate service.
 
 The pipeline as a long-running daemon instead of a one-shot CLI:
-``compile`` / ``run`` / ``sweep`` / ``trace`` / ``metrics`` /
-``health`` over newline-delimited JSON TCP (plus an in-process
-client for tests and the load generator).  Requests are keyed by the
-same content hashes as :mod:`repro.store` and flow through a tiered
-cache (in-memory LRU L1, disk store L2) with singleflight coalescing,
-priority admission, per-client rate limits, and the guard taxonomy as
-the failure boundary.  See DESIGN.md §8.
+``run`` / ``sweep`` / ``metrics`` / ``health`` over newline-delimited
+JSON TCP (plus an in-process client for tests and the load
+generator).  Requests are keyed by the same content hashes as
+:mod:`repro.store` and read two result tiers — the process run memo
+(L1, :data:`repro.memo.RUNS`) over the disk store (L2) — with
+singleflight coalescing, priority admission, per-client rate limits,
+and the guard taxonomy as the failure boundary.  See DESIGN.md §8.
 """
 
 from .admission import AdmissionQueue, QueueFull, RateLimited, RateLimiter, TokenBucket
-from .cache import LRUCache, TieredCache, tier_stats_line
+from .cache import tier_stats_line
 from .client import ServeClient, TCPClient
 from .protocol import BadRequest, Request, parse_request
 from .service import ServeConfig, ServeService, run_payload
@@ -20,7 +20,6 @@ from .singleflight import Singleflight
 __all__ = [
     "AdmissionQueue",
     "BadRequest",
-    "LRUCache",
     "QueueFull",
     "RateLimited",
     "RateLimiter",
@@ -30,7 +29,6 @@ __all__ = [
     "ServeService",
     "Singleflight",
     "TCPClient",
-    "TieredCache",
     "TokenBucket",
     "parse_request",
     "run_payload",

@@ -6,7 +6,7 @@ from a seeded zipf distribution over the corpus and replays them
 through N concurrent synthetic clients, in two phases against the same
 service: **cold** (empty caches — every distinct cell pays one
 compile/simulate) and **warm** (same distribution, fresh sample — the
-tiered cache should absorb nearly everything).
+result tiers should absorb nearly everything).
 
 Everything is deterministic per seed: the population order, each
 client's draw sequence, and the phase structure.  The report carries

@@ -6,10 +6,10 @@ shared connection may interleave across requests — match on ``id``)::
     {"id": 7, "op": "run", "kernel": "lammps-1", "cores": 4, "trip": 64}
     {"id": 7, "ok": true, "cached": "l1", "elapsed_ms": 0.4, "result": {...}}
 
-Ops: ``compile`` | ``run`` | ``sweep`` | ``trace`` | ``metrics`` |
-``health``.  Optional fields: ``seed``, ``depth``, ``latency``,
-``speculation``, ``client`` (rate-limit identity), ``priority`` (lower
-admits sooner), ``timeout`` (seconds, per request).  ``sweep`` takes
+Ops: ``run`` | ``sweep`` | ``metrics`` | ``health``.  Optional fields:
+``seed``, ``depth``, ``latency``, ``speculation``, ``client``
+(rate-limit identity), ``priority`` (lower admits sooner), ``timeout``
+(seconds, per request).  ``sweep`` takes
 ``kernels`` (list) and ``cores`` (list) instead of the singular forms.
 
 Failures are always structured, never a dropped connection::
@@ -29,7 +29,7 @@ from typing import Any
 
 
 #: every operation the service accepts.
-OPS = ("compile", "run", "sweep", "trace", "metrics", "health")
+OPS = ("run", "sweep", "metrics", "health")
 
 #: hard cap on request trip counts — a single request must not be able
 #: to wedge an executor slot for unbounded simulated work.
@@ -92,7 +92,7 @@ def parse_request(obj: Any, default_client: str = "anon") -> Request:
     kernel = obj.get("kernel")
     if kernel is not None and not isinstance(kernel, str):
         raise BadRequest(f"'kernel' must be a string, got {kernel!r}")
-    if op in ("compile", "run", "trace") and kernel is None:
+    if op == "run" and kernel is None:
         raise BadRequest(f"op {op!r} requires 'kernel'")
 
     kernels: tuple[str, ...] = ()

@@ -3,9 +3,10 @@
 :class:`ServeService` turns decoded request dicts into response dicts.
 Every request flows::
 
-    parse/validate → per-client rate limit → tiered cache (L1 LRU,
-    L2 disk store) → singleflight coalescing → priority admission →
-    bounded executor compute → cache fill → response
+    parse/validate → per-client rate limit → result tiers (L1: the
+    process run memo, L2: the disk store) → singleflight coalescing →
+    priority admission → bounded executor compute → memo fill →
+    response
 
 Cache hits bypass admission entirely (they cost microseconds and must
 not queue behind compute).  Heavy work runs in a bounded executor —
@@ -18,7 +19,7 @@ the daemon.
 Failure boundary: compute failures are classified through the
 :class:`repro.runtime.guard.FailureKind` taxonomy and returned as
 structured error responses with provenance — the daemon itself never
-dies on a request.  Failures inside ``run`` — compile errors, checker
+dies on a request.  Failures inside a cell — compile errors, checker
 rejections, simulation failures — don't even reach that path:
 ``run_kernel`` runs every cell through the guard, which folds them
 into the ``KernelRun`` record (``failure`` / ``fallback`` provenance
@@ -40,7 +41,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any
@@ -48,7 +49,6 @@ from typing import Any
 from ..obs.events import WALL_KINDS, EventBus
 from ..obs.metrics import MetricsCollector, MetricsRegistry
 from .admission import AdmissionQueue, AdmitError, RateLimiter
-from .cache import LRUCache, TieredCache
 from .protocol import (
     BadRequest,
     Request,
@@ -87,9 +87,6 @@ class ServeConfig:
     max_concurrency: int = 4
     #: bounded admission wait list; beyond this, ``queue-full``.
     max_queue: int = 1024
-    l1_capacity: int = 4096
-    l1_max_bytes: int | None = 32 * 1024 * 1024
-    l1_ttl: float | None = None
     #: per-client token-bucket rate (req/s); 0 disables limiting.
     rate: float = 0.0
     burst: float | None = None
@@ -130,80 +127,29 @@ def run_payload(run: Any) -> dict:
     return payload
 
 
-def compute_payload(
-    kind: str, kernel: str, cfg: dict, store: Any, obs: Any = None
-) -> dict:
-    """Execute one compute op; returns a JSON-safe payload dict.
+def compute_run(kernel: str, cfg: dict, store: Any, obs: Any = None) -> Any:
+    """Run one cell in an executor (thread or worker process) and
+    return its :class:`~repro.experiments.common.KernelRun`.
 
-    Runs inside an executor (thread or worker process).  ``run`` goes
-    through the full cached/verified :func:`run_kernel` harness —
-    compile, checker and simulator failures come back *inside* the
-    payload as provenance;
-    ``compile`` and ``trace`` raise on failure and are classified by
-    the caller.  ``trace`` reports the simulation's event counts.
+    Compile, checker and simulator failures come back *inside* the run
+    as provenance.  ``run_kernel`` is looked up on its module at call
+    time, so a wrapper installed there (a profiler, a test probe) sees
+    every cell.
     """
-    from ..experiments.common import ExpConfig, run_kernel
+    from ..experiments import common
     from ..kernels import get_kernel
 
-    spec = get_kernel(kernel)
-    config = ExpConfig(**cfg)
-
-    if kind == "run":
-        return run_payload(run_kernel(spec, config, store=store, obs=obs))
-
-    loop_ir = spec.loop()
-    wl = spec.workload(trip=config.trip, seed=spec.seed + config.seed)
-    from ..runtime import compile_loop, execute_kernel
-
-    if kind == "compile":
-        k = compile_loop(
-            loop_ir, config.n_cores,
-            config.compiler(profile_workload=wl), obs=obs,
-        )
-        return {
-            "kernel": kernel,
-            "n_cores": config.n_cores,
-            "trip": config.trip,
-            "stats": asdict(k.plan.stats),
-        }
-
-    if kind == "trace":
-        from ..obs.events import EventLog
-
-        # The payload counts the simulation's events only: the compiled
-        # kernel may come from the process memo, whose hit replaces the
-        # compile pass spans, and L1 caches this payload by content.
-        k = compile_loop(
-            loop_ir, config.n_cores,
-            config.compiler(profile_workload=wl), obs=obs,
-        )
-        bus = EventBus()
-        ev_log = EventLog()
-        bus.subscribe(ev_log)
-        res = execute_kernel(k, wl, config.machine(), obs=bus)
-        counts: dict[str, int] = {}
-        for ev in ev_log.events:
-            counts[ev.kind] = counts.get(ev.kind, 0) + 1
-        return {
-            "kernel": kernel,
-            "n_cores": config.n_cores,
-            "trip": config.trip,
-            "cycles": res.cycles,
-            "queue_stall": res.total_queue_stall,
-            "instrs": res.total_instrs,
-            "events": counts,
-            "dropped": ev_log.dropped,
-        }
-
-    raise ValueError(f"unknown compute kind {kind!r}")
+    return common.run_kernel(
+        get_kernel(kernel), common.ExpConfig(**cfg), store=store, obs=obs,
+    )
 
 
-def _pool_compute(kind: str, kernel: str, cfg: dict, store_root: str | None) -> dict:
+def _pool_compute(kernel: str, cfg: dict, store_root: str | None) -> Any:
     """Picklable process-pool entry: open the store by root path."""
     from ..store.disk import ResultStore
 
     store = ResultStore(store_root) if store_root is not None else None
-    return compute_payload(kind, kernel, cfg, store)
+    return compute_run(kernel, cfg, store)
 
 
 class ServeService:
@@ -217,15 +163,6 @@ class ServeService:
         self.config = config or ServeConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.store = self._open_store()
-        self.cache = TieredCache(
-            store=self.store,
-            l1=LRUCache(
-                capacity=self.config.l1_capacity,
-                max_bytes=self.config.l1_max_bytes,
-                ttl=self.config.l1_ttl,
-            ),
-            registry=self.registry,
-        )
         self.singleflight = Singleflight(registry=self.registry)
         self.admission = AdmissionQueue(
             max_concurrency=self.config.max_concurrency,
@@ -267,7 +204,6 @@ class ServeService:
         injector = ServeFaultInjector(self.config.fault_plan)
         if self.store is not None:
             self.store = injector.wrap_store(self.store)
-            self.cache.store = self.store
         return injector
 
     def _open_journal(self) -> tuple[Any, set]:
@@ -390,6 +326,7 @@ class ServeService:
                   "failed": 0}
         if self.store is None:
             return report
+        from ..experiments import common
         from ..store.journal import SweepJournal, incomplete_journals
 
         own = self.journal.path.resolve() if self.journal is not None else None
@@ -415,10 +352,10 @@ class ServeService:
                         failed += 1
                         continue
                     try:
-                        payload = await self._in_executor(
-                            self._compute_fn("run", kernel, cfg)
+                        run = await self._in_executor(
+                            self._compute_fn(kernel, cfg)
                         )
-                        self.cache.put_run(key, payload)
+                        common.seed_cache(key, run)
                     except Exception as exc:
                         failed += 1
                         log.warning("serve: resume of %s… failed (%s: %s)",
@@ -437,49 +374,48 @@ class ServeService:
 
     # -- compute path --------------------------------------------------
 
-    def _compute_fn(self, kind: str, kernel: str, cfg: dict) -> Any:
+    def _compute_fn(self, kernel: str, cfg: dict) -> Any:
         if isinstance(self._executor, ProcessPoolExecutor) or (
             self._executor is None and self.config.workers > 0
         ):
             root = str(self.store.root) if self.store is not None else None
-            return partial(_pool_compute, kind, kernel, cfg, root)
-        return partial(
-            compute_payload, kind, kernel, cfg, self.store, self.bus
-        )
+            return partial(_pool_compute, kernel, cfg, root)
+        return partial(compute_run, kernel, cfg, self.store, self.bus)
 
     async def _compute_cell(
-        self, req: Request, kind: str, kernel: str, cfg: dict, key: str
-    ) -> dict:
-        """Admission-gated executor compute + cache fill.  Runs as the
+        self, req: Request, kernel: str, cfg: dict, key: str
+    ) -> Any:
+        """Admission-gated executor compute + memo fill.  Runs as the
         singleflight leader task, detached from any one waiter.
 
         Resilience wrapping (outermost first): circuit breaker sheds
         keys that keep failing, supervisor sheds while the executor is
         restarting, the journal records intent before dispatch and
-        completion only after the durable cache/store write."""
+        completion only after the durable store write."""
+        from ..experiments import common
+
         timeout = req.timeout or self.config.default_timeout
 
-        async def work() -> dict:
+        async def work() -> Any:
             self.breaker.check(key)
             self.supervisor.admit()
-            journaled = kind == "run" and self.journal is not None
+            journaled = self.journal is not None
             if journaled:
                 self.journal.record_intent(key, kernel, cfg)
                 self._journal_open.add(key)
-            token = self.supervisor.begin(f"{kind}:{kernel}", timeout)
+            token = self.supervisor.begin(f"run:{kernel}", timeout)
             try:
-                fn = self._compute_fn(kind, kernel, cfg)
+                fn = self._compute_fn(kernel, cfg)
                 if self.faults is not None:
                     fn = self.faults.wrap_compute(key, fn)
-                payload = await self._in_executor(fn)
+                run = await self._in_executor(fn)
                 self.registry.counter("serve.computed").inc()
-                # the durable write happens *before* the done line and
-                # before any waiter is acked: no acked result can be
-                # lost, even to kill -9 between these statements.
-                if kind == "run":
-                    self.cache.put_run(key, payload)
-                else:
-                    self.cache.put_local(key, payload)
+                # run_kernel wrote the durable record before returning,
+                # so it precedes the done line and any ack — no acked
+                # result can be lost, even to kill -9 between these
+                # statements.  A pool worker filled its own memo, not
+                # this process's.
+                common.seed_cache(key, run)
             except BaseException as exc:
                 self.supervisor.end(token, "failed")
                 self.breaker.record_failure(key)
@@ -499,15 +435,16 @@ class ServeService:
             if journaled and not self.journal.closed:
                 self.journal.record_done(key)
             self._journal_open.discard(key)
-            return payload
+            return run
 
         return await self.admission.run(req.priority, work)
 
     async def _cell(
-        self, req: Request, kernel: str, n_cores: int, kind: str = "run"
+        self, req: Request, kernel: str, n_cores: int
     ) -> tuple[str | None, dict]:
-        """One (kernel, cores) cell through cache → singleflight → compute."""
-        from ..experiments.common import ExpConfig, store_key_for
+        """One (kernel, cores) cell through the result tiers →
+        singleflight → compute; returns its tier and response payload."""
+        from ..experiments import common
         from ..kernels import get_kernel
 
         try:
@@ -515,33 +452,24 @@ class ServeService:
         except KeyError:
             raise BadRequest(f"unknown kernel {kernel!r}") from None
         cfg = req.exp_config_kwargs(n_cores)
-        key = store_key_for(spec, ExpConfig(**cfg), kind=kind)
-        tier, payload = (
-            self.cache.get_run(key) if kind == "run"
-            else self.cache.get_local(key)
-        )
-        if payload is not None:
-            return tier, payload
-        payload = await self.singleflight.do(
-            key, lambda: self._compute_cell(req, kind, kernel, cfg, key)
-        )
-        return None, payload
+        key = common.store_key_for(spec, common.ExpConfig(**cfg))
+        tier, run = common.recall(key, self.store)
+        self.registry.counter(f"cache.{tier}_hit" if tier else "cache.miss").inc()
+        if run is None:
+            run = await self.singleflight.do(
+                key, lambda: self._compute_cell(req, kernel, cfg, key)
+            )
+        return tier, run_payload(run)
 
     # -- ops -----------------------------------------------------------
 
     async def _op_run(self, req: Request) -> tuple[str | None, dict]:
-        return await self._cell(req, req.kernel, req.cores, kind="run")
-
-    async def _op_compile(self, req: Request) -> tuple[str | None, dict]:
-        return await self._cell(req, req.kernel, req.cores, kind="compile")
-
-    async def _op_trace(self, req: Request) -> tuple[str | None, dict]:
-        return await self._cell(req, req.kernel, req.cores, kind="trace")
+        return await self._cell(req, req.kernel, req.cores)
 
     async def _op_sweep(self, req: Request) -> tuple[str | None, dict]:
         cells = [(k, c) for k in req.kernels for c in req.cores_list]
         results = await asyncio.gather(
-            *(self._cell(req, k, c, kind="run") for k, c in cells)
+            *(self._cell(req, k, c) for k, c in cells)
         )
         rows = []
         all_cached = True
@@ -574,8 +502,6 @@ class ServeService:
         self.registry.gauge("serve.queue_depth").set(self.admission.depth)
         self.registry.gauge("serve.active").set(self.admission.active)
         self.registry.gauge("serve.inflight_keys").set(len(self.singleflight))
-        self.registry.gauge("serve.l1_entries").set(len(self.cache.l1))
-        self.registry.gauge("serve.l1_bytes").set(self.cache.l1.bytes)
         self.registry.gauge("serve.restarts").set(self.supervisor.restarts)
         self.registry.gauge("serve.open_breakers").set(self.breaker.open_keys)
         self.registry.gauge("serve.journal_pending").set(len(self._journal_open))
@@ -588,8 +514,8 @@ class ServeService:
             "uptime_s": round(self.uptime, 3),
             "latency_ms": self._latency_quantiles(),
             "counters": self.registry.snapshot(),
-            # this process's stage memos (process-pool workers keep
-            # their own)
+            # this process's memos, the run tier (L1) included;
+            # process-pool workers keep their own stage memos
             "memo": memo.stats(),
         }
         if self.store is not None:
@@ -657,12 +583,7 @@ class ServeService:
             # everything else is refused once shutdown began.
             self.drain.check()
             self.limiter.check(req.client)
-            dispatch = {
-                "run": self._op_run,
-                "compile": self._op_compile,
-                "trace": self._op_trace,
-                "sweep": self._op_sweep,
-            }[req.op]
+            dispatch = {"run": self._op_run, "sweep": self._op_sweep}[req.op]
             timeout = req.timeout or self.config.default_timeout
             self.drain.enter()
             try:
@@ -679,7 +600,7 @@ class ServeService:
             return error_response(req.id, exc.code, str(exc), elapsed_ms=_ms())
         except asyncio.TimeoutError:
             # The coalesced compute keeps running and will fill the
-            # cache; only this caller's wait is abandoned.
+            # run memo; only this caller's wait is abandoned.
             self.registry.counter("serve.rejected.timeout").inc()
             return error_response(
                 req.id, "timeout",

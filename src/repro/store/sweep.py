@@ -502,7 +502,9 @@ def _run_pool(
                                       type(exc).__name__)
                 else:
                     results[task.cell] = run
-                    common.seed_cache(run)  # parent L1: later serial calls reuse
+                    # parent memo: later serial calls reuse the run
+                    common.seed_cache(
+                        _task_key(by_name[task.kernel], task.config), run)
                     if scribe is not None:
                         # the worker's run_kernel persisted the record
                         # before returning: completion is now durable.

@@ -1,8 +1,38 @@
 """CLI tests (argument parsing + end-to-end command behaviour)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+
+def _break_parallel_compile(monkeypatch, broken):
+    """Make every parallel compile crash (``compile-error``) or lower to
+    a kernel with a dropped enqueue, which the checker rejects
+    (``protocol``).  The 1-core baseline compiles as usual."""
+    from repro.check import mutate_kernel
+    from repro.runtime import exec as X
+
+    parallelize, lower_plan = X.parallelize, X.lower_plan
+
+    def crashing(loop, n_cores, *a, **kw):
+        if n_cores > 1:
+            raise RuntimeError("synthetic compiler bug")
+        return parallelize(loop, n_cores, *a, **kw)
+
+    def miscompiling(plan):
+        kern = lower_plan(plan)
+        if plan.n_cores > 1:
+            return mutate_kernel(kern, "drop-enq") or kern
+        return kern
+
+    if broken == "compile-error":
+        monkeypatch.setattr(X, "parallelize", crashing)
+    else:
+        monkeypatch.setattr(X, "lower_plan", miscompiling)
 
 
 class TestParser:
@@ -297,6 +327,14 @@ class TestFrontendCommands:
         out = capsys.readouterr().out
         assert rc == 0 and "bit-exact    : True" in out
 
+    def test_ingest_reports_a_checker_rejection(self, capsys, monkeypatch):
+        _break_parallel_compile(monkeypatch, "protocol")
+        rc = main(["ingest", str(EXAMPLES / "ingest" / "bisect.py")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "ORACLE MISMATCH" in out and "attempt 0: protocol " in out
+        assert "loop(s) failed" in out
+
     def test_ingest_reports_error_with_location(self, capsys, tmp_path):
         src = tmp_path / "bad.py"
         src.write_text(
@@ -409,6 +447,28 @@ class TestObservabilityCommands:
             "--out", str(out_path),
         ])
         assert rc == 0 and out_path.exists()
+
+
+class TestFailedCells:
+    """``kernels run``, ``trace`` and ``profile`` run their cell through
+    the guard: a failed cell is a diagnosis and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("broken", ["compile-error", "protocol"])
+    @pytest.mark.parametrize("command", ["kernels run", "trace", "profile"])
+    def test_failed_cell_exits_1_with_its_kind(
+            self, command, broken, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _break_parallel_compile(monkeypatch, broken)
+        out_path = tmp_path / "t.json"
+        extra = {"kernels run": [], "trace": ["--out", str(out_path)],
+                 "profile": ["--no-bench"]}[command]
+        rc = main([*command.split(), "umt2k-1", "--cores", "4",
+                   "--trip", "16", *extra])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert f"attempt 0: {broken} " in out
+        assert "bit-exact" not in out
+        assert list(tmp_path.iterdir()) == []  # no trace, no bench file
 
 
 class TestServeCommands:

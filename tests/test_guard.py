@@ -111,7 +111,8 @@ class TestRelaxation:
         loop, wl = _case()
         seen_depths = []
 
-        def _always_deadlock(kernel, workload, params, faults=None, obs=None):
+        def _always_deadlock(kernel, workload, params, faults=None, obs=None,
+                             detect_races=False):
             seen_depths.append(params.queue_depth)
             raise DeadlockError("synthetic deadlock")
 
@@ -125,7 +126,8 @@ class TestRelaxation:
     def test_depth_relaxation_capped(self, monkeypatch):
         loop, wl = _case()
 
-        def _always_deadlock(kernel, workload, params, faults=None, obs=None):
+        def _always_deadlock(kernel, workload, params, faults=None, obs=None,
+                             detect_races=False):
             raise DeadlockError("synthetic deadlock")
 
         monkeypatch.setattr(G, "execute_kernel", _always_deadlock)
@@ -139,7 +141,8 @@ class TestRelaxation:
         loop, wl = _case()
         budgets = []
 
-        def _always_budget(kernel, workload, params, faults=None, obs=None):
+        def _always_budget(kernel, workload, params, faults=None, obs=None,
+                           detect_races=False):
             budgets.append(params.max_instrs)
             raise BudgetExceeded("synthetic budget trip")
 
@@ -152,7 +155,8 @@ class TestRelaxation:
         loop, wl = _case()
         calls = []
 
-        def _always_simerror(kernel, workload, params, faults=None, obs=None):
+        def _always_simerror(kernel, workload, params, faults=None, obs=None,
+                             detect_races=False):
             calls.append(1)
             raise SimError("synthetic invariant violation")
 
@@ -252,12 +256,13 @@ class TestRelaxation:
         loop, wl = _case()
         calls = []
 
-        def _flaky(kernel, workload, params, faults=None, obs=None):
+        def _flaky(kernel, workload, params, faults=None, obs=None,
+                   detect_races=False):
             calls.append(params.queue_depth)
             if len(calls) == 1:
                 raise DeadlockError("synthetic transient deadlock")
             return real_execute(kernel, workload, params, faults=faults,
-                                obs=obs)
+                                obs=obs, detect_races=detect_races)
 
         monkeypatch.setattr(G, "execute_kernel", _flaky)
         g = guarded_run(loop, wl, 2, params=MachineParams(queue_depth=20),
@@ -343,7 +348,8 @@ class TestAdaptiveLadder:
         loop, wl = _case()
         ref = run_loop(loop, wl)
 
-        def _always_deadlock(kernel, workload, params, faults=None, obs=None):
+        def _always_deadlock(kernel, workload, params, faults=None, obs=None,
+                             detect_races=False):
             raise DeadlockError("synthetic deadlock")
 
         class _FakeResult:
@@ -374,7 +380,8 @@ class TestAdaptiveLadder:
         loop, wl = _case()
         depths = []
 
-        def _always_deadlock(kernel, workload, params, faults=None, obs=None):
+        def _always_deadlock(kernel, workload, params, faults=None, obs=None,
+                             detect_races=False):
             depths.append(params.queue_depth)
             raise DeadlockError("synthetic deadlock")
 

@@ -97,8 +97,6 @@ class TestNoFalseSharing:
 
     def test_store_key_covers_kind_and_config_content(self):
         spec = get_kernel("umt2k-2")
-        run = C.store_key_for(spec, self.BASE)
-        assert C.store_key_for(spec, self.BASE, kind="trace") != run
         # equal ExpConfigs whose fields print differently key differently
         lat20 = C.store_key_for(spec, replace(self.BASE, queue_latency=20))
         lat20f = C.store_key_for(spec, replace(self.BASE, queue_latency=20.0))
@@ -171,6 +169,27 @@ class TestLoopIdentity:
             replace(spec, seed=3).loop()
 
 
+class TestRunTier:
+    def test_spec_with_another_loop_gets_its_own_run(self, tmp_path):
+        # same kernel name, lammps-1's loop and workload recipe: the run
+        # tier is keyed by content, so the name must not recall
+        # umt2k-1's run, nor write it under the new loop's key
+        from repro.store.disk import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        spec, donor = get_kernel("umt2k-1"), get_kernel("lammps-1")
+        imp = replace(spec, build=donor.build, specs=donor.specs,
+                      scalars=donor.scalars)
+        cfg = ExpConfig(n_cores=2, trip=16)
+        first = run_kernel(spec, cfg, store=store)
+        run = run_kernel(imp, cfg, store=store)
+        assert first.seq_cycles == 727
+        assert run is not first and run.seq_cycles == 4167
+        stored = store.get_run(C.store_key_for(imp, cfg))
+        assert stored.seq_cycles == 4167
+        assert stored.par_cycles == run.par_cycles
+
+
 class TestMemo:
     def test_hit_on_enabled_bus_emits_one_pass_event(self):
         loop = get_kernel("umt2k-1").loop()
@@ -187,7 +206,8 @@ class TestMemo:
         C.clear_cache()
         assert memo.stats() == {
             stage: {"hits": 0, "misses": 0, "entries": 0}
-            for stage in ("compile", "oracle", "ir_text", "store_key")
+            for stage in ("compile", "oracle", "ir_text", "store_key", "runs",
+                          "seq")
         }
 
     def test_bounded_lru(self):

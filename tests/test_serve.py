@@ -1,4 +1,4 @@
-"""repro.serve: tiered cache, coalescing, admission, protocol, daemon."""
+"""repro.serve: result tiers, coalescing, admission, protocol, daemon."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.serve.admission import (
     RateLimiter,
     TokenBucket,
 )
-from repro.serve.cache import LRUCache, TieredCache, tier_stats_line
+from repro.serve.cache import tier_stats_line
 from repro.serve.client import ServeClient, TCPClient
 from repro.serve.loadgen import LoadgenConfig, population, run_loadgen, zipf_cdf
 from repro.serve.protocol import BadRequest, parse_request
@@ -46,7 +46,7 @@ def run_records(root) -> int:
     return store.stats().run_records
 
 
-# -- L1 LRU ---------------------------------------------------------------
+# -- rate limiting --------------------------------------------------------
 
 class FakeClock:
     def __init__(self):
@@ -55,59 +55,6 @@ class FakeClock:
     def __call__(self):
         return self.t
 
-
-class TestLRUCache:
-    def test_capacity_eviction_is_lru(self):
-        c = LRUCache(capacity=2)
-        c.put("a", 1)
-        c.put("b", 2)
-        assert c.get("a") == 1          # refresh a
-        c.put("c", 3)                   # evicts b
-        assert c.get("b") is None
-        assert c.get("a") == 1 and c.get("c") == 3
-        assert c.evictions == 1
-
-    def test_ttl_expiry(self):
-        clock = FakeClock()
-        c = LRUCache(capacity=8, ttl=10.0, clock=clock)
-        c.put("a", {"v": 1})
-        clock.t = 9.9
-        assert c.get("a") == {"v": 1}
-        clock.t = 10.0
-        assert c.get("a") is None
-        assert c.expirations == 1
-
-    def test_per_entry_ttl_override(self):
-        clock = FakeClock()
-        c = LRUCache(capacity=8, ttl=10.0, clock=clock)
-        c.put("forever", 1, ttl=None)
-        clock.t = 1e9
-        assert c.get("forever") == 1
-
-    def test_bytes_bound(self):
-        c = LRUCache(capacity=100, max_bytes=100)
-        big = {"payload": "x" * 60}
-        c.put("a", big)
-        c.put("b", big)                 # pushes total over 100 bytes
-        assert c.get("a") is None and c.get("b") == big
-        assert c.bytes <= 100
-
-    def test_oversized_entry_rejected(self):
-        c = LRUCache(capacity=4, max_bytes=10)
-        c.put("huge", {"payload": "x" * 1000})
-        assert c.get("huge") is None and len(c) == 0
-
-    def test_purge_expired(self):
-        clock = FakeClock()
-        c = LRUCache(capacity=8, ttl=1.0, clock=clock)
-        c.put("a", 1)
-        c.put("b", 2)
-        clock.t = 2.0
-        assert c.purge_expired() == 2
-        assert len(c) == 0
-
-
-# -- rate limiting --------------------------------------------------------
 
 class TestTokenBucket:
     def test_burst_then_deny_then_refill(self):
@@ -343,7 +290,10 @@ class TestServiceCaching:
             assert r2["result"] == r1["result"]
             await svc.aclose()
 
-            # A fresh service over the same store: L2 hit, then L1.
+            # A fresh daemon over the same store: L2 hit, then L1.  The
+            # L1 is the process's run memo, and a second daemon is a
+            # second process.
+            clear_cache()
             svc2 = make_service(tmp_path)
             cli2 = ServeClient(svc2)
             r3 = await cli2.request("run", kernel="sphot-1", cores=2, trip=8)
@@ -411,42 +361,6 @@ class TestServiceCaching:
 
         run(main())
 
-    def test_compile_and_trace_ops(self, tmp_path):
-        async def main():
-            svc = make_service(tmp_path)
-            cli = ServeClient(svc)
-            r = await cli.request("compile", kernel="umt2k-6", cores=4, trip=8)
-            assert r["ok"] and r["result"]["stats"]["n_partitions"] >= 1
-            r2 = await cli.request("compile", kernel="umt2k-6", cores=4, trip=8)
-            assert r2["cached"] == "l1"  # L1-only tier for compile
-            t = await cli.request("trace", kernel="umt2k-6", cores=2, trip=8)
-            assert t["ok"] and t["result"]["events"].get("retire", 0) > 0
-            await svc.aclose()
-
-        run(main())
-
-    def test_trace_payload_independent_of_compile_memo(self, tmp_path):
-        # L1 caches a trace payload by content, so it must not depend
-        # on whether an earlier `compile` left the kernel in the memo
-        async def trace(root, compile_first):
-            clear_cache()
-            svc = make_service(root)
-            cli = ServeClient(svc)
-            if compile_first:
-                r = await cli.request("compile", kernel="umt2k-6", cores=2,
-                                      trip=8)
-                assert r["ok"]
-            t = await cli.request("trace", kernel="umt2k-6", cores=2, trip=8)
-            assert t["ok"] and t["cached"] is None
-            m = (await cli.request("metrics"))["result"]["memo"]["compile"]
-            await svc.aclose()
-            return t["result"], m["hits"]
-
-        cold, cold_hits = run(trace(tmp_path / "a", compile_first=False))
-        warm, warm_hits = run(trace(tmp_path / "b", compile_first=True))
-        assert (cold_hits, warm_hits) == (0, 1)
-        assert warm == cold
-
     def test_sweep_op(self, tmp_path):
         async def main():
             svc = make_service(tmp_path)
@@ -471,6 +385,20 @@ class TestServiceCaching:
 # -- service: admission, failure boundary, endpoints ----------------------
 
 class TestServiceBoundary:
+    @pytest.mark.parametrize("op", ["compile", "trace"])
+    def test_retired_ops_are_bad_requests(self, tmp_path, op):
+        async def main():
+            svc = make_service(tmp_path)
+            cli = ServeClient(svc)
+            r = await cli.request(op, kernel="sphot-1", cores=2, trip=8)
+            assert not r["ok"] and r["error"]["kind"] == "bad-request"
+            for known in ("run", "sweep", "metrics", "health"):
+                assert f"'{known}'" in r["error"]["message"]
+            assert counter(svc, "serve.computed") == 0
+            await svc.aclose()
+
+        run(main())
+
     def test_unknown_kernel_is_bad_request(self, tmp_path):
         async def main():
             svc = make_service(tmp_path)
@@ -504,16 +432,21 @@ class TestServiceBoundary:
         self, tmp_path, monkeypatch
     ):
         import repro.serve.service as service_mod
+        from repro.experiments.common import ExpConfig, KernelRun
 
-        def slow_compute(kind, kernel, cfg, store, obs=None):
+        def slow_compute(kernel, cfg, store, obs=None):
             import time as _t
 
             _t.sleep(0.3)
-            return {"kernel": kernel, "speedup": 1.0, "slow": True}
+            # a run that never passed through run_kernel, as from a
+            # pool worker: only the daemon's own memo fill serves it
+            return KernelRun(kernel=kernel, config=ExpConfig(**cfg),
+                             seq_cycles=300.0, par_cycles=200.0,
+                             correct=True, deadlocked=False, stats=None)
 
         async def main():
             svc = make_service(tmp_path)
-            monkeypatch.setattr(service_mod, "compute_payload", slow_compute)
+            monkeypatch.setattr(service_mod, "compute_run", slow_compute)
             cli = ServeClient(svc)
             r = await cli.request(
                 "run", kernel="sphot-1", cores=2, trip=8, timeout=0.05
@@ -525,7 +458,8 @@ class TestServiceBoundary:
             await asyncio.sleep(0.4)
             r2 = await cli.request("run", kernel="sphot-1", cores=2, trip=8)
             assert r2["ok"] and r2["cached"] == "l1"
-            assert r2["result"]["slow"] is True
+            assert r2["result"]["speedup"] == 1.5
+            assert counter(svc, "serve.computed") == 1
             await svc.aclose()
 
         run(main())
@@ -533,12 +467,12 @@ class TestServiceBoundary:
     def test_compute_failure_is_classified(self, tmp_path, monkeypatch):
         import repro.serve.service as service_mod
 
-        def broken(kind, kernel, cfg, store, obs=None):
+        def broken(kernel, cfg, store, obs=None):
             raise ValueError("synthetic compile explosion")
 
         async def main():
             svc = make_service(tmp_path)
-            monkeypatch.setattr(service_mod, "compute_payload", broken)
+            monkeypatch.setattr(service_mod, "compute_run", broken)
             cli = ServeClient(svc)
             r = await cli.request("run", kernel="sphot-1", cores=2, trip=8)
             assert not r["ok"]
@@ -582,9 +516,12 @@ class TestServiceBoundary:
                 assert resp["ok"] and resp["result"]["correct"]
             m = (await cli.request("metrics"))["result"]
             assert set(m["memo"]) == {"compile", "oracle", "ir_text",
-                                      "store_key"}
+                                      "store_key", "runs", "seq"}
             assert m["memo"]["oracle"]["hits"] >= 1
             assert m["memo"]["oracle"]["entries"] == 1
+            # every computed cell lives in the run memo, serve's L1
+            assert m["memo"]["runs"]["entries"] == \
+                m["counters"]["serve.computed"]["value"] == 2
             assert "specialize" not in m
             await svc.aclose()
 
@@ -696,8 +633,8 @@ class TestServeResilience:
         orig = svc._compute_fn
         state = {"n": 0}
 
-        def flaky(kind, kernel, cfg):
-            fn = orig(kind, kernel, cfg)
+        def flaky(kernel, cfg):
+            fn = orig(kernel, cfg)
             state["n"] += 1
             if state["n"] <= crashes:
                 def boom():
@@ -757,7 +694,7 @@ class TestServeResilience:
                                breaker_cooldown=3600.0)
             calls = {"n": 0}
 
-            def always_bad(kind, kernel, cfg):
+            def always_bad(kernel, cfg):
                 def boom():
                     calls["n"] += 1
                     raise ValueError("deterministically broken cell")
@@ -823,7 +760,7 @@ class TestServeJournal:
         async def scenario():
             svc = make_service(tmp_path)
 
-            def bad(kind, kernel, cfg):
+            def bad(kernel, cfg):
                 def boom():
                     raise ValueError("broken")
                 return boom
