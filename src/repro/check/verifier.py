@@ -17,15 +17,14 @@ Four checks per hardware queue ``(src, dst, VClass)``:
    path: each guard group must pair off completely, including §III-F
    copy-out and the §III-G dispatch/STOP/done-token protocol.
 3. **Deadlock freedom** — a blocking wait-for graph is built over the
-   pre region, ``K`` unrolled loop iterations and the post region,
-   with three edge families: program order within a core, FIFO pairing
-   (the m-th dequeue waits for the m-th enqueue), and capacity (the
-   m-th enqueue waits for the (m-depth)-th dequeue).  ``K`` is chosen
-   large enough that every queue wraps its capacity at least once.  A
-   cycle is reported with the exact transfer sequence.  The model lets
-   every guarded transfer fire ("all-fire"), which is conservative in
-   the right direction: the compiler's rank-ordered comm schedule is
-   acyclic even all-fire (see compiler/schedule.py constraint 4).
+   pre region, one copy of the loop body and the post region, with
+   three edge families: program order within a core, FIFO pairing (the
+   m-th dequeue waits for the m-th enqueue), and capacity (the m-th
+   enqueue waits for the (m-depth)-th dequeue).  A cycle is reported
+   with the exact transfer sequence.  The model lets every guarded
+   transfer fire ("all-fire"), which is conservative in the right
+   direction: the compiler's rank-ordered comm schedule is acyclic even
+   all-fire (see compiler/schedule.py constraint 4).
 4. **Well-formedness** — every register read on a core is covered by an
    earlier definition (preload, dequeue, or compute) whose guard
    chains cover the read's guard chain; a read whose only later
@@ -34,6 +33,40 @@ Four checks per hardware queue ``(src, dst, VClass)``:
 The checks read only the artifact (the per-core ``Program`` list); the
 ``CommPlan`` when available is cross-checked against the extracted
 body transfers as a fifth, cheaper consistency check.
+
+**One body copy is exact.**  The scan runs only when pairing is clean,
+so in every region of every queue the enqueues equal the dequeues.
+Unroll the body ``K`` times and label each node with its copy: ``pre``,
+body iteration *i*, or ``post``, in that order.
+
+* The m-th enqueue and the m-th dequeue of a queue sit in the same copy.
+* Program-order edges never go back a copy.
+* A capacity edge ``deq[m-d] -> enq[m]`` starts at a dequeue that comes
+  before ``deq[m]`` on the consumer core, so it never goes back a copy
+  either.
+
+So every cycle lies inside one copy.  Every body copy also has the same
+internal edges: the capacity edge into the r-th transfer of a copy
+stays inside that copy exactly when ``r >= d``, whatever the copy's
+index.  A cycle therefore exists for some ``K`` exactly when one exists
+at ``K = 1``, and the scan builds only ``pre``, one body copy and
+``post``.
+
+**Monotone in depth.**  At depth ``d' > d`` the capacity edge
+``deq[m-d'] -> enq[m]`` is a path of the depth-``d`` graph: the
+consumer's program order leads from ``deq[m-d']`` to ``deq[m-d]``,
+whose capacity edge enters ``enq[m]``.  So a program verified at depth
+``d`` is verified at every deeper depth, and the same holds queue by
+queue for per-queue depths.  ``tests/test_check.py`` holds both facts
+as properties against the ``K``-unrolled graph; no code path relies on
+the second.
+
+**Depth-free work once per kernel.**  Only the capacity edges read a
+queue depth.  :func:`check_kernel` runs everything else — extraction,
+ownership, pairing and counts, well-formedness, the ``CommPlan``
+cross-check and the depth-free part of the wait-for graph — once per
+kernel and placement, keeps it on the kernel, and adds the capacity
+edges and scans on every call.
 """
 
 from __future__ import annotations
@@ -97,7 +130,6 @@ class CheckReport:
     n_cores: int = 0
     n_queues: int = 0
     n_body_transfers: int = 0
-    unrolled_iters: int = 0
     queue_depth: int = 0
 
     @property
@@ -117,8 +149,7 @@ class CheckReport:
             return (
                 f"protocol OK: {self.n_queues} queue(s), "
                 f"{self.n_body_transfers} transfer(s)/iteration verified "
-                f"over {self.unrolled_iters} unrolled iteration(s) at "
-                f"depth {self.queue_depth}"
+                f"at depth {self.queue_depth}"
             )
         head = (
             f"protocol REJECTED: {len(self.diagnostics)} diagnostic(s) "
@@ -304,96 +335,94 @@ def _pair_region(
 # Check 3: wait-for graph under finite capacity
 # ----------------------------------------------------------------------
 
-def _deadlock_scan(
-    summaries: list[CoreSummary],
-    queues: list[QueueId],
-    per_iter: dict[QueueId, int],
-    depths: dict[QueueId, int],
-    max_unroll: int,
-    diags: list[Diagnostic],
-) -> int:
-    body_counts = [(depths[q], c) for q, c in per_iter.items() if c > 0]
-    if body_counts:
-        need = max(d // c + 2 for d, c in body_counts)
-        k = max(2, min(max_unroll, need))
-    else:
-        k = 1
+class _WaitGraph:
+    """Check 3's wait-for graph over ``pre``, one body copy and
+    ``post``, without its capacity edges, the only part that reads a
+    queue depth.
 
-    # Node = one dynamic queue-op instance; build per-core chains.
-    node_desc: list[str] = []
-    node_queue: list[tuple] = []
-    succ: list[list[int]] = []
-    enq_fifo: dict[QueueId, list[int]] = {q: [] for q in queues}
-    deq_fifo: dict[QueueId, list[int]] = {q: [] for q in queues}
-    node_pred: list[tuple] = []
+    Nodes are ints in per-core chain order; ``nodes[n]`` keeps the
+    core and instruction of node ``n`` (its region is its copy), and
+    nothing is formatted until a cycle is found.  ``succ[n]`` holds
+    the program-order successor first, then the FIFO edge of an
+    enqueue.  Queues are indexed by their position in ``keys``.
+    """
 
-    def _new_node(core: int, g: GInstr, it: int) -> int:
-        nid = len(node_desc)
-        when = "pre" if it == -1 else "post" if it == k else f"iter{it}"
-        node_desc.append(
-            f"core{core}:{g.instr.op} {g.queue!r}[{_fmt_tag(g)}] @{when}"
-        )
-        node_queue.append(_qkey(g.queue))
-        succ.append([])
-        node_pred.append(tuple((it, c, w) for c, w in g.pred))
-        if g.instr.op == "enq":
-            enq_fifo[g.queue].append(nid)
-        else:
-            deq_fifo[g.queue].append(nid)
-        return nid
+    def __init__(self, summaries: list[CoreSummary],
+                 queues: list[QueueId]):
+        index = {q: i for i, q in enumerate(queues)}
+        self.keys = [_qkey(q) for q in queues]
+        self.nodes: list[tuple[int, GInstr]] = []
+        self.queue_of: list[int] = []
+        self.enqs: list[list[int]] = [[] for _ in queues]
+        self.deqs: list[list[int]] = [[] for _ in queues]
+        succ: list[list[int]] = []
+        for s in summaries:
+            qops = s.queue_ops
+            prev = -1
+            for region in REGIONS:
+                for g in qops:
+                    if g.region != region:
+                        continue
+                    nid = len(self.nodes)
+                    qi = index[g.queue]
+                    self.nodes.append((s.core, g))
+                    self.queue_of.append(qi)
+                    succ.append([])
+                    if g.instr.op == "enq":
+                        self.enqs[qi].append(nid)
+                    else:
+                        self.deqs[qi].append(nid)
+                    if prev >= 0:
+                        succ[prev].append(nid)
+                    prev = nid
+        for es, ds in zip(self.enqs, self.deqs):
+            for e, d in zip(es, ds):
+                succ[e].append(d)          # dequeue waits on enqueue
+        self.succ = [tuple(x) for x in succ]
 
-    for s in summaries:
-        qops = [g for g in s.queue_ops if g.queue in per_iter]
-        chain: list[int] = []
-        for g in qops:
-            if g.region == "pre":
-                chain.append(_new_node(s.core, g, -1))
-        for it in range(k):
-            for g in qops:
-                if g.region == "body":
-                    chain.append(_new_node(s.core, g, it))
-        for g in qops:
-            if g.region == "post":
-                chain.append(_new_node(s.core, g, k))
-        for a, b in zip(chain, chain[1:]):
-            succ[a].append(b)
+    def scan(self, queue_depth: int, overrides: dict[tuple, int],
+             diags: list[Diagnostic]) -> None:
+        """Add the capacity edges at these depths and report one cycle."""
+        succ = list(self.succ)
+        for key, es, ds in zip(self.keys, self.enqs, self.deqs):
+            depth = overrides.get(key, queue_depth)
+            # below one slot, every enqueue blocks as it does at zero
+            for deq, enq in zip(ds, es[max(depth, 0):]):
+                succ[deq] = succ[deq] + (enq,)   # slot waits on dequeue
+        cycle = _find_cycle(succ)
+        if cycle is not None:
+            first = self.keys[self.queue_of[cycle[0]]]
+            diags.append(self._diagnostic(
+                cycle, overrides.get(first, queue_depth)
+            ))
 
-    for q in queues:
-        es, ds = enq_fifo[q], deq_fifo[q]
-        depth = depths[q]
-        n = min(len(es), len(ds))  # equal when pairing verified
-        for m in range(n):
-            succ[es[m]].append(ds[m])          # dequeue waits on enqueue
-        for m in range(depth, len(es)):
-            if m - depth < len(ds):
-                succ[ds[m - depth]].append(es[m])  # slot waits on dequeue
-
-    cycle = _find_cycle(succ)
-    if cycle is not None:
+    def _diagnostic(self, cycle: list[int], depth: int) -> Diagnostic:
         lits: dict[tuple, bool] = {}
         conflict = False
-        for nid in cycle:
-            for it, c, w in node_pred[nid]:
-                if lits.setdefault((it, c), w) != w:
+        for n in cycle:
+            g = self.nodes[n][1]
+            for c, w in g.pred:
+                if lits.setdefault((g.region, c), w) != w:
                     conflict = True
         note = (
             " (note: the cycle's guards conflict; it may be unreachable "
             "dynamically, but the schedule still violates the rank-order "
             "discipline)" if conflict else ""
         )
-        depth_by_key = {_qkey(q): d for q, d in depths.items()}
-        diags.append(Diagnostic(
+        return Diagnostic(
             category="deadlock-cycle",
-            queue=node_queue[cycle[0]],
+            queue=self.keys[self.queue_of[cycle[0]]],
             message=(
-                f"cyclic blocking at queue depth "
-                f"{depth_by_key[node_queue[cycle[0]]]} over "
+                f"cyclic blocking at queue depth {depth} over "
                 f"{len(cycle)} transfer(s){note}"
             ),
-            cycle=tuple(node_desc[n] for n in cycle),
-            cycle_queues=tuple(node_queue[n] for n in cycle),
-        ))
-    return k
+            cycle=tuple(
+                f"core{core}:{g.instr.op} {g.queue!r}[{_fmt_tag(g)}] "
+                f"@{g.region}"
+                for core, g in (self.nodes[n] for n in cycle)
+            ),
+            cycle_queues=tuple(self.keys[self.queue_of[n]] for n in cycle),
+        )
 
 
 def _find_cycle(succ: list[list[int]]) -> list[int] | None:
@@ -510,13 +539,42 @@ def _check_wellformed(
 # Entry points
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _DepthFreePass:
+    """What checking a set of programs derives without a queue depth:
+    the report's counts, the diagnostics of every check but 3, and
+    check 3's wait-for graph without capacity edges (``None`` when the
+    pairing was rejected, since the graph presumes a clean one)."""
+
+    n_cores: int
+    n_queues: int
+    n_body_transfers: int
+    diagnostics: tuple[Diagnostic, ...]
+    graph: _WaitGraph | None
+
+    def report(self, queue_depth: int,
+               queue_depths: dict[tuple, int] | None) -> CheckReport:
+        """A fresh report at these depths: the depth-free diagnostics,
+        then the deadlock scan's."""
+        report = CheckReport(
+            diagnostics=list(self.diagnostics),
+            n_cores=self.n_cores,
+            n_queues=self.n_queues,
+            n_body_transfers=self.n_body_transfers,
+            queue_depth=queue_depth,
+        )
+        if self.graph is not None:
+            self.graph.scan(queue_depth, queue_depths or {},
+                            report.diagnostics)
+        return report
+
+
 def check_programs(
     programs: list[Program],
     *,
     queue_depth: int = 20,
     preload: dict[int, set[str]] | None = None,
     plan=None,
-    max_unroll: int = 64,
     placement: dict[int, int] | None = None,
     dispatch: dict[int, int] | None = None,
     queue_depths: dict[tuple, int] | None = None,
@@ -536,9 +594,26 @@ def check_programs(
     maps ``(src, dst, vclass)`` keys to per-queue capacity overrides —
     the deadlock scan then models exactly the depths the adaptive
     runtime configured.
+
+    Runs the depth-free pass and one deadlock scan; :func:`check_kernel`
+    keeps the pass and repeats only the scan.
     """
-    report = CheckReport(n_cores=len(programs), queue_depth=queue_depth)
-    diags = report.diagnostics
+    return _depth_free_pass(
+        programs, preload=preload, plan=plan, placement=placement,
+        dispatch=dispatch,
+    ).report(queue_depth, queue_depths)
+
+
+def _depth_free_pass(
+    programs: list[Program],
+    *,
+    preload: dict[int, set[str]] | None,
+    plan,
+    placement: dict[int, int] | None,
+    dispatch: dict[int, int] | None,
+) -> _DepthFreePass:
+    """Every check but the deadlock scan, and the scan's graph."""
+    diags: list[Diagnostic] = []
     summaries = summarize_all(programs, dispatch=dispatch)
     for s in summaries:
         for p in s.problems:
@@ -582,10 +657,9 @@ def check_programs(
                     ),
                 ))
     queues.sort(key=lambda q: (q.src, q.dst, q.vclass.value))
-    report.n_queues = len(queues)
 
     pairing_clean = not diags
-    per_iter: dict[QueueId, int] = {}
+    n_body_transfers = 0
     for q in queues:
         src_core = _core_for(q.src, q.vclass)
         dst_core = _core_for(q.dst, q.vclass)
@@ -601,7 +675,6 @@ def check_programs(
         enqs = summaries[src_core].queue_ops_of(q, "enq")
         deqs = summaries[dst_core].queue_ops_of(q, "deq")
         before = len(diags)
-        body_pairs = 0
         for region in REGIONS:
             pairs = _pair_region(
                 q, region,
@@ -611,11 +684,9 @@ def check_programs(
                 check_tags=q.vclass is not VClass.CTL,
             )
             if region == "body":
-                body_pairs = len(pairs)
-        per_iter[q] = body_pairs
+                n_body_transfers += len(pairs)
         if len(diags) > before:
             pairing_clean = False
-    report.n_body_transfers = sum(per_iter.values())
 
     if plan is not None:
         _cross_check_plan(plan, summaries, diags)
@@ -623,15 +694,15 @@ def check_programs(
     for s in summaries:
         _check_wellformed(s, (preload or {}).get(s.core, set()), diags)
 
-    # The wait-for graph presumes a validated pairing; skip it when the
-    # cheaper checks already rejected the artifact.
-    if pairing_clean:
-        overrides = queue_depths or {}
-        depths = {q: overrides.get(_qkey(q), queue_depth) for q in queues}
-        report.unrolled_iters = _deadlock_scan(
-            summaries, queues, per_iter, depths, max_unroll, diags,
-        )
-    return report
+    return _DepthFreePass(
+        n_cores=len(programs),
+        n_queues=len(queues),
+        n_body_transfers=n_body_transfers,
+        diagnostics=tuple(diags),
+        # The wait-for graph presumes a validated pairing; skip it when
+        # the cheaper checks already rejected the artifact.
+        graph=_WaitGraph(summaries, queues) if pairing_clean else None,
+    )
 
 
 def _cross_check_plan(plan, summaries: list[CoreSummary],
@@ -666,7 +737,7 @@ def _cross_check_plan(plan, summaries: list[CoreSummary],
             ))
 
 
-def check_kernel(kernel, *, queue_depth: int = 20, max_unroll: int = 64,
+def check_kernel(kernel, *, queue_depth: int = 20,
                  placement: dict[int, int] | None = None,
                  queue_depths: dict[tuple, int] | None = None) -> CheckReport:
     """Verify a :class:`~repro.isa.lower.LoweredKernel` end to end.
@@ -677,18 +748,18 @@ def check_kernel(kernel, *, queue_depth: int = 20, max_unroll: int = 64,
     loader will preload; ``queue_depths`` carries any self-tuned
     per-queue capacities (same ``(src, dst, vclass)`` keys as
     :class:`~repro.sim.machine.MachineParams.queue_depths`).
+
+    The depth-free pass runs once per kernel and placement and is kept
+    on the kernel (``LoweredKernel.check_passes``); every call then
+    runs only the deadlock scan at its depths and returns a fresh
+    report.  Kernels are read-only after compile, so the pass stays
+    valid.  The placement is validated on every call, before the
+    lookup.
     """
-    loop = kernel.plan.loop
-    preload_regs = {p.name for p in loop.params}
-    dispatch = None
     if kernel.dispatch_regs:
         placement = placement or kernel.identity_placement()
         kernel.dispatch_preload(placement)  # validates bijectivity, loudly
-        dispatch = {
-            s: kernel.fiber_table[placement.get(s, s)]
-            for s in kernel.dispatch_regs
-        }
-        preload_regs |= set(kernel.dispatch_regs.values())
+        key = tuple(sorted(placement.items()))
     elif placement is not None and any(
         placement.get(s, s) != s for s in range(kernel.n_cores)
     ):
@@ -696,13 +767,30 @@ def check_kernel(kernel, *, queue_depth: int = 20, max_unroll: int = 64,
             "static-mode kernel cannot be checked under a non-identity "
             "placement; compile with runtime_mode='stealing'"
         )
-    return check_programs(
+    else:
+        key = None
+    passes = kernel.check_passes
+    found = passes.get(key)
+    if found is None:
+        # executor threads may race here; both compute the same pass
+        found = passes.setdefault(key, _kernel_pass(kernel, placement))
+    return found.report(queue_depth, queue_depths)
+
+
+def _kernel_pass(kernel, placement: dict[int, int] | None) -> _DepthFreePass:
+    """The depth-free pass of ``kernel`` under a validated placement."""
+    preload_regs = {p.name for p in kernel.plan.loop.params}
+    dispatch = None
+    if kernel.dispatch_regs:
+        dispatch = {
+            s: kernel.fiber_table[placement.get(s, s)]
+            for s in kernel.dispatch_regs
+        }
+        preload_regs |= set(kernel.dispatch_regs.values())
+    return _depth_free_pass(
         kernel.programs,
-        queue_depth=queue_depth,
         preload={0: preload_regs},
         plan=kernel.plan.comm,
-        max_unroll=max_unroll,
         placement=placement if kernel.dispatch_regs else None,
         dispatch=dispatch,
-        queue_depths=queue_depths,
     )

@@ -65,6 +65,12 @@ class LoweredKernel:
     #: stealing mode: secondary core id -> dispatch register the loader
     #: preloads on the primary (empty in static mode).
     dispatch_regs: dict[int, str] = field(default_factory=dict)
+    #: the protocol checker's depth-free pass per placement, filled by
+    #: :func:`repro.check.check_kernel`.  Not an ``__init__`` field, so
+    #: a ``dataclasses.replace`` copy (a mutant) starts with none.
+    check_passes: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_cores(self) -> int:

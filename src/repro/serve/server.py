@@ -61,12 +61,15 @@ async def _handle_line(
 
 async def _handle_conn(
     service: ServeService,
+    conns: dict,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
     peer = str(writer.get_extra_info("peername"))
     wlock = asyncio.Lock()
     tasks: set[asyncio.Task] = set()
+    me = asyncio.current_task()
+    conns[me] = (writer, tasks)
     try:
         while True:
             try:
@@ -99,15 +102,32 @@ async def _handle_conn(
             writer.close()
         except (ConnectionError, RuntimeError):
             pass
+        del conns[me]
+
+
+async def _close_idle(conns: dict) -> None:
+    """Close every connection with no request in flight and wait for
+    its handler: the reader sees EOF and the handler returns normally,
+    instead of being cancelled mid-read when the event loop shuts
+    down."""
+    idle = [task for task, (_, tasks) in conns.items() if not tasks]
+    for task in idle:
+        conns[task][0].close()
+    if idle:
+        await asyncio.wait(idle, timeout=5.0)
 
 
 async def start_server(
-    service: ServeService, host: str = "127.0.0.1", port: int = 0
+    service: ServeService, host: str = "127.0.0.1", port: int = 0,
+    conns: dict | None = None,
 ) -> asyncio.AbstractServer:
     """Bind and start serving; ``port=0`` picks an ephemeral port
-    (read it back from ``server.sockets[0].getsockname()``)."""
+    (read it back from ``server.sockets[0].getsockname()``).  ``conns``,
+    when given, is kept mapping each open connection's handler task to
+    its writer and its set of in-flight request tasks."""
+    conns = {} if conns is None else conns
     return await asyncio.start_server(
-        lambda r, w: _handle_conn(service, r, w),
+        lambda r, w: _handle_conn(service, conns, r, w),
         host=host, port=port, limit=MAX_LINE,
     )
 
@@ -125,10 +145,11 @@ async def serve_forever(
     port)`` once listening.  SIGTERM/SIGINT trigger the graceful-drain
     path: stop accepting, refuse new compute with structured
     ``draining`` errors, flush in-flight requests under
-    ``config.drain_deadline``, checkpoint the write-ahead journal, and
-    return normally (exit 0).  With ``config.resume`` set, incomplete
-    journals under the store root are replayed *before* the socket
-    binds, so a restarted daemon owes nothing from its previous life.
+    ``config.drain_deadline``, checkpoint the write-ahead journal,
+    close the connections left idle, and return normally (exit 0).
+    With ``config.resume`` set, incomplete journals under the store
+    root are replayed *before* the socket binds, so a restarted daemon
+    owes nothing from its previous life.
     """
     service = ServeService(config, registry=registry)
     if config.resume:
@@ -140,7 +161,8 @@ async def serve_forever(
             rep["recomputed"], rep["failed"],
         )
     service.start_watchdog()
-    server = await start_server(service, host, port)
+    conns: dict = {}
+    server = await start_server(service, host, port, conns)
     addr = server.sockets[0].getsockname()[:2]
     log.info("serve: listening on %s:%s", *addr)
 
@@ -157,25 +179,17 @@ async def serve_forever(
     if ready is not None:
         ready(addr)
     try:
+        # The server accepts from start_server on.  Not serve_forever():
+        # from Python 3.12 its cancellation waits for every connection
+        # to close, so an idle client would hold the daemon before the
+        # drain began.
         async with server:
-            serve_task = asyncio.ensure_future(server.serve_forever())
-            stop_task = asyncio.ensure_future(stop.wait())
-            try:
-                await asyncio.wait(
-                    {serve_task, stop_task},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-            finally:
-                stop_task.cancel()
-                serve_task.cancel()
-                await asyncio.gather(
-                    serve_task, stop_task, return_exceptions=True
-                )
-            if stop.is_set():
-                log.info("serve: signal received; draining")
-                server.close()  # stop accepting new connections
-                report = await service.drain_and_close()
-                log.info("serve: %s", report.format())
+            await stop.wait()
+            log.info("serve: signal received; draining")
+            server.close()  # stop accepting new connections
+            report = await service.drain_and_close()
+            log.info("serve: %s", report.format())
+            await _close_idle(conns)
     finally:
         for sig in hooked:
             loop.remove_signal_handler(sig)

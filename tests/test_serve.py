@@ -571,6 +571,42 @@ class TestTCPServer:
 
         run(main())
 
+    def test_sigterm_with_an_idle_connection_exits_quietly(self, tmp_path):
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import repro
+
+        env = dict(
+            os.environ, REPRO_CACHE_DIR=str(tmp_path / "store"),
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving on"), line
+            host, port = line.split()[-1].rsplit(":", 1)
+            with socket.create_connection((host, int(port))):
+                time.sleep(0.3)  # the daemon accepts; nothing is sent
+                proc.send_signal(signal.SIGTERM)
+                out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "serve: drained, exiting" in out
+        assert "Traceback" not in err, err
+
 
 # -- loadgen --------------------------------------------------------------
 
