@@ -9,7 +9,7 @@ import pytest
 
 from repro.compiler import CompilerConfig
 from repro.interp import run_loop
-from repro.ir import F64, I64, LoopBuilder, sqrt
+from repro.ir import F64, I64, BinOp, Call, LoopBuilder, Select, sqrt
 from repro.runtime import compile_loop, execute_kernel
 from repro.sim import MachineParams
 from repro.workload import random_workload
@@ -87,6 +87,54 @@ def build_branchy_loop():
         w = b.let("w", -v)
         u = b.let("u", w + 0.25)
     b.store(out, i, u + w)
+    return b.build()
+
+
+def build_every_node_loop():
+    """One loop that reaches every expression node, operator and
+    intrinsic of the IR: int and float arrays and assignments, int
+    division and remainder by zero, non-finite intrinsics, a select
+    with mixed-type arms and nested conditionals."""
+    b = LoopBuilder("every-node", trip="n")
+    i = b.index
+    x = b.array("x", F64)
+    k = b.array("k", I64)
+    o = b.array("o", F64)
+    m = b.array("m", I64)
+    a = b.param("a", F64)
+    c = b.accumulator("c", I64)
+    s = b.accumulator("s", F64)
+    j = b.let("j", k[i])
+    z = b.let("z", j - j)
+    r = b.let("r", x[j] * a - x[i] / (x[i] + 1.0))
+    q = b.let("q", (j + 3) * 2 - (j / 3) + j % 5 + j / z + j % z)
+    h = b.let("h", BinOp("min", j, 40) + BinOp("max", j, 7) + (j << 3) + (j >> 1))
+    f = b.let("f", r % 0.7 + r / (r - r) + BinOp("min", r, a) + BinOp("max", r, q))
+    g = b.let("g", (j < 9) + (j <= 9) + (j > 9) + (j >= 9) + j.eq(9) + j.ne(9))
+    lg = b.let("lg", ((r > 0.5) & (j < 64)) + ((r < 0.1) | (j > 60)) + ((j > 3) ^ (r > 1.0)))
+    u = b.let("u", -r + -j + ~j + ~r)
+    w = b.let(
+        "w",
+        sqrt(r) + sqrt(-r) + Call("exp", r) + Call("exp", 1000.0 + r)
+        + Call("log", r) + Call("log", r - r) + Call("log", -r)
+        + Call("sin", r) + Call("cos", r) + Call("abs", -r) + Call("floor", r)
+        + Call("pow", r, a) + Call("pow", -r, 0.5) + Call("pow", 10.0 + r, 400.0),
+    )
+    n = b.let("n", Call("abs", -j) + Call("itrunc", r * 10.0)
+              + Call("itrunc", r / (r - r)) + Call("itrunc", Call("log", -r)))
+    e = b.let("e", Call("i2f", j) + Select(j > 60, j, r) + Select(g, r, a))
+    b.let("jf", j + 0, F64)
+    b.let("ri", r * 100.0, I64)
+    with b.if_(j > 32) as br:
+        b.store(o, i, j)
+        with b.if_(r > 1.0) as inner:
+            b.set(c, c + q + h)
+        with inner.otherwise():
+            b.store(m, i, n + g)
+    with br.otherwise():
+        b.store(o, i, f + w + e)
+        b.store(m, i, q - lg + u)
+    b.set(s, s + e + u)
     return b.build()
 
 

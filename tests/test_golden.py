@@ -29,6 +29,13 @@ of runs that reaches every opcode and every core hook: Table I at 1, 2
 and 4 cores, the speculated (``select``) and work-stealing
 (``callr``/``ret``) flavours, a traced run with its simulator events,
 race detection, timing faults and the adaptive runtime.
+
+A fourth locks the reference interpreter, the oracle every cell is
+verified against: one digest over every ``InterpResult`` field (arrays
+by dtype and bytes, live-outs and the final environment by type and
+``repr``, and the four dynamic counters) of every registered kernel,
+Table I at a long trip, a fixed batch of fuzz-grammar loops and one
+loop that reaches every expression node and operator.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 
 import pytest
@@ -46,11 +54,16 @@ from repro.compiler import CompilerConfig
 from repro.experiments import REGISTRY, TRIP_FREE
 from repro.experiments.chaos_serve import SCENARIOS
 from repro.faults import FaultInjector, FaultPlan
-from repro.kernels import get_kernel, table1_kernels
+from repro.fuzz.gen import RandomDraw, build_loop
+from repro.interp import run_loop
+from repro.kernels import all_kernels, get_kernel, table1_kernels
 from repro.obs.events import SIM_KINDS, EventBus
 from repro.runtime import compile_loop, execute_kernel
 from repro.runtime.adaptive import adaptive_run
 from repro.store import ResultStore
+from repro.workload import random_workload
+
+from .conftest import build_every_node_loop
 
 TRIP = 24
 
@@ -81,6 +94,15 @@ RUN_RECORDS_DIGEST = (
 SIM_TRIP = 64
 SIM_DIGEST = (
     "0c5b3adff6aa20ac93785f2850a1d43d8360c9329c3516b2cc4c60c174cdf378"
+)
+
+#: trips of the interpreter golden (every kernel, then Table I), how
+#: many fuzz-grammar loops it adds, and the sha256 of their dump.
+INTERP_TRIP = 64
+INTERP_LONG_TRIP = 512
+INTERP_FUZZ_LOOPS = 24
+INTERP_DIGEST = (
+    "fdd401bfaf4e4a0ea21e98402a38a4c2edfbc0456cea25a2fb82ea6090fb2e64"
 )
 
 
@@ -237,3 +259,47 @@ def test_simulator_results_match_golden():
     assert len(runs) == 18 * 5 + 5
     blob = json.dumps(runs, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == SIM_DIGEST
+
+
+# -- the interpreter golden -----------------------------------------------
+
+
+def _interp_dump(res) -> dict:
+    """Every field of one ``InterpResult``; scalars by type and ``repr``."""
+
+    def values(named: dict) -> dict:
+        return {k: [type(v).__name__, repr(v)] for k, v in sorted(named.items())}
+
+    return {
+        "arrays": {
+            name: [str(buf.dtype), hashlib.sha256(buf.tobytes()).hexdigest()]
+            for name, buf in sorted(res.arrays.items())
+        },
+        "scalars": values(res.scalars),
+        "env": values(res.env),
+        "counts": [res.stmt_execs, res.op_execs, res.loads, res.stores],
+    }
+
+
+def _interpreter_runs() -> dict:
+    """Name -> dump of every run the interpreter golden covers."""
+    out = {}
+    for spec in all_kernels():
+        out[f"{spec.name}@{INTERP_TRIP}"] = _interp_dump(
+            run_loop(spec.loop(), spec.workload(trip=INTERP_TRIP)))
+    for spec in table1_kernels():
+        out[f"{spec.name}@{INTERP_LONG_TRIP}"] = _interp_dump(
+            run_loop(spec.loop(), spec.workload(trip=INTERP_LONG_TRIP)))
+    loops = [build_loop(RandomDraw(random.Random(seed)), name=f"fuzz-{seed}")
+             for seed in range(INTERP_FUZZ_LOOPS)]
+    for seed, loop in enumerate(loops + [build_every_node_loop()]):
+        wl = random_workload(loop, trip=INTERP_TRIP, seed=seed)
+        out[f"{loop.name}@{INTERP_TRIP}"] = _interp_dump(run_loop(loop, wl))
+    return out
+
+
+def test_interpreter_results_match_golden():
+    runs = _interpreter_runs()
+    assert len(runs) == len(all_kernels()) + 18 + INTERP_FUZZ_LOOPS + 1
+    blob = json.dumps(runs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == INTERP_DIGEST
