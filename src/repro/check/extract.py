@@ -90,23 +90,32 @@ class GInstr:
 
 @dataclass
 class CoreSummary:
-    """Recovered structure of one core's program."""
+    """Recovered structure of one core's program.
+
+    ``ops`` is complete when the summary is built; nothing appends to
+    it later, so its queue ops are listed and bucketed by (queue, kind)
+    once, here, instead of on every lookup.
+    """
 
     core: int
     ops: list[GInstr] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
     is_driver: bool = False
     dispatch_fn: int | None = None   # function the driver dispatches
+    #: the queue ops of ``ops``, in order.
+    queue_ops: list[GInstr] = field(init=False, repr=False, compare=False)
+    _buckets: dict[tuple[QueueId | None, str], list[GInstr]] = field(
+        init=False, repr=False, compare=False)
 
-    @property
-    def queue_ops(self) -> list[GInstr]:
-        return [g for g in self.ops if g.is_queue_op]
+    def __post_init__(self) -> None:
+        self.queue_ops = [g for g in self.ops if g.is_queue_op]
+        self._buckets = {}
+        for g in self.queue_ops:
+            self._buckets.setdefault((g.queue, g.instr.op), []).append(g)
 
     def queue_ops_of(self, qid: QueueId, kind: str) -> list[GInstr]:
-        return [
-            g for g in self.ops
-            if g.is_queue_op and g.instr.op == kind and g.queue == qid
-        ]
+        """The ``kind`` (``enq``/``deq``) ops on ``qid``, in order."""
+        return list(self._buckets.get((qid, kind), ()))
 
 
 # ----------------------------------------------------------------------

@@ -86,31 +86,39 @@ def _dec_expr(d: dict, arrays: dict[str, ArraySym]) -> Expr:
 
 def _enc_stmt(s: Stmt) -> dict:
     if isinstance(s, Assign):
-        return {"k": "assign", "target": s.target,
-                "expr": _enc_expr(s.expr), "dtype": s.dtype.value}
-    if isinstance(s, Store):
-        return {"k": "store", "array": s.array.name,
-                "index": _enc_expr(s.index), "expr": _enc_expr(s.expr)}
-    if isinstance(s, If):
-        return {"k": "if", "cond": _enc_expr(s.cond),
-                "then": [_enc_stmt(x) for x in s.then],
-                "orelse": [_enc_stmt(x) for x in s.orelse]}
-    raise TypeError(f"cannot encode statement {s!r}")
+        d = {"k": "assign", "target": s.target,
+             "expr": _enc_expr(s.expr), "dtype": s.dtype.value}
+    elif isinstance(s, Store):
+        d = {"k": "store", "array": s.array.name,
+             "index": _enc_expr(s.index), "expr": _enc_expr(s.expr)}
+    elif isinstance(s, If):
+        d = {"k": "if", "cond": _enc_expr(s.cond),
+             "then": [_enc_stmt(x) for x in s.then],
+             "orelse": [_enc_stmt(x) for x in s.orelse]}
+    else:
+        raise TypeError(f"cannot encode statement {s!r}")
+    # lines feed the §III-B proximity term: without them a decoded loop
+    # can compile to different programs than the loop that was encoded
+    d["line"] = s.line
+    return d
 
 
 def _dec_stmt(d: dict, arrays: dict[str, ArraySym]) -> Stmt:
     k = d["k"]
     if k == "assign":
-        return Assign(d["target"], _dec_expr(d["expr"], arrays),
-                      DType(d["dtype"]))
-    if k == "store":
-        return Store(arrays[d["array"]], _dec_expr(d["index"], arrays),
-                     _dec_expr(d["expr"], arrays))
-    if k == "if":
-        return If(_dec_expr(d["cond"], arrays),
-                  [_dec_stmt(x, arrays) for x in d["then"]],
-                  [_dec_stmt(x, arrays) for x in d["orelse"]])
-    raise ValueError(f"unknown statement kind {k!r}")
+        s = Assign(d["target"], _dec_expr(d["expr"], arrays),
+                   DType(d["dtype"]))
+    elif k == "store":
+        s = Store(arrays[d["array"]], _dec_expr(d["index"], arrays),
+                  _dec_expr(d["expr"], arrays))
+    elif k == "if":
+        s = If(_dec_expr(d["cond"], arrays),
+               [_dec_stmt(x, arrays) for x in d["then"]],
+               [_dec_stmt(x, arrays) for x in d["orelse"]])
+    else:
+        raise ValueError(f"unknown statement kind {k!r}")
+    s.line = d.get("line", 0)  # artifacts saved before lines were kept
+    return s
 
 
 def encode_loop(loop: Loop) -> dict:

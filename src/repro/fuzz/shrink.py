@@ -77,6 +77,13 @@ def _rebuild(loop: Loop, body: list[Stmt]) -> Loop:
 # Candidate generation
 # ----------------------------------------------------------------------
 
+def _at(new: Stmt, old: Stmt) -> Stmt:
+    """``new``, placed on ``old``'s line: a rebuilt statement keeps the
+    line the §III-B proximity term saw."""
+    new.line = old.line
+    return new
+
+
 def _stmt_removals(body: list[Stmt]):
     """Every body with one statement removed or one If simplified,
     smallest-effect edits last so big cuts are tried first."""
@@ -95,7 +102,7 @@ def _stmt_removals(body: list[Stmt]):
                 kw = {
                     "then": s.then, "orelse": s.orelse, arm_name: new_arm,
                 }
-                yield body[:j] + [If(s.cond, kw["then"], kw["orelse"])] \
+                yield body[:j] + [_at(If(s.cond, kw["then"], kw["orelse"]), s)] \
                     + body[j + 1:]
 
 
@@ -111,12 +118,12 @@ def _expr_substitutions(body: list[Stmt]):
         if isinstance(s, Assign):
             for sub in _subexprs(s.expr):
                 if sub.dtype == s.dtype:
-                    yield body[:j] + [Assign(s.target, sub, s.dtype)] \
+                    yield body[:j] + [_at(Assign(s.target, sub, s.dtype), s)] \
                         + body[j + 1:]
         elif isinstance(s, Store):
             for sub in _subexprs(s.expr):
                 if sub.dtype == s.expr.dtype:
-                    yield body[:j] + [Store(s.array, s.index, sub)] \
+                    yield body[:j] + [_at(Store(s.array, s.index, sub), s)] \
                         + body[j + 1:]
 
 

@@ -1,9 +1,16 @@
-"""Tree-walking interpreter for structured loops (sequential semantics).
+"""Reference interpreter for structured loops (sequential semantics).
 
-Evaluates a :class:`~repro.ir.stmts.Loop` directly on a
-:class:`~repro.workload.Workload`.  All scalar arithmetic is delegated
-to :mod:`repro.ops` so results agree exactly with the simulator's
-functional execution.
+Each call compiles the :class:`~repro.ir.stmts.Loop` into nested Python
+closures bound to that run's copy of the
+:class:`~repro.workload.Workload` arrays and its scalar environment,
+then runs the trip loop over them.  Everything a node needs that does
+not change during the run is resolved once at build time: its result
+dtype and converter, and each array's buffer, length and bounds check.
+
+All scalar arithmetic is delegated to :func:`repro.ops.eval_binop`,
+:func:`~repro.ops.eval_unop` and :func:`~repro.ops.eval_call`, never to
+the simulator's per-operator callables, so the oracle stays an
+independent path to the same results.
 """
 
 from __future__ import annotations
@@ -12,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import ops
 from ..ir.nodes import BinOp, Call, Const, Expr, Load, Select, UnOp, VarRef
 from ..ir.stmts import Assign, If, Loop, Stmt, Store
+from ..ops import eval_binop, eval_call, eval_unop
 from ..workload import Workload
 
 
@@ -32,101 +39,177 @@ class InterpResult:
     env: dict[str, float | int] = field(default_factory=dict)
 
 
-class _Interp:
-    def __init__(self, loop: Loop, workload: Workload):
-        workload.validate_for(loop)
-        self.loop = loop
-        self.arrays = {k: v.copy() for k, v in workload.arrays.items()}
-        self.env: dict[str, float | int] = {}
-        for p in loop.params:
-            v = workload.scalars[p.name]
-            self.env[p.name] = float(v) if p.dtype.is_float else int(v)
-        self.stmt_execs = 0
-        self.op_execs = 0
-        self.nloads = 0
-        self.nstores = 0
+class _Builder:
+    """Compiles one run's closures.
+
+    Every node of an executed statement is evaluated exactly once (a
+    select evaluates both arms, and nothing short-circuits), so the
+    dynamic counters are tallied per block: ``blocks`` holds each
+    block's static ``[stmts, ops, loads, stores]`` with a one-element
+    list its closure bumps each time it runs.  The closures capture
+    only the run's buffers, environment and their own children, never
+    the builder, so they form no reference cycle.
+    """
+
+    def __init__(self, loop: Loop, arrays: dict[str, np.ndarray],
+                 env: dict[str, float | int]):
+        self.where = loop.name
+        self.arrays = arrays
+        self.env = env
+        self.blocks: list[tuple[list[int], list[int]]] = []
+        self.counts = [0, 0, 0, 0]
 
     # -- expressions ---------------------------------------------------
-    def eval(self, e: Expr):
+    def expr(self, e: Expr):
         if isinstance(e, Const):
-            return e.value
+            value = e.value
+            return lambda: value
         if isinstance(e, VarRef):
-            try:
-                return self.env[e.name]
-            except KeyError:
-                raise NameError(
-                    f"{self.loop.name}: read of undefined scalar {e.name!r}"
-                ) from None
+            return self._var(e.name)
         if isinstance(e, Load):
-            self.nloads += 1
-            idx = int(self.eval(e.index))
-            buf = self.arrays[e.array.name]
-            if not (0 <= idx < len(buf)):
-                raise IndexError(
-                    f"{self.loop.name}: {e.array.name}[{idx}] out of bounds "
-                    f"(len {len(buf)})"
-                )
-            v = buf[idx]
-            return float(v) if e.array.dtype.is_float else int(v)
+            return self._load(e)
+        self.counts[1] += 1
+        dtype = e.dtype
         if isinstance(e, BinOp):
-            self.op_execs += 1
-            return ops.eval_binop(e.op, self.eval(e.lhs), self.eval(e.rhs), e.dtype)
+            op, lhs, rhs = e.op, self.expr(e.lhs), self.expr(e.rhs)
+            return lambda: eval_binop(op, lhs(), rhs(), dtype)
         if isinstance(e, UnOp):
-            self.op_execs += 1
-            return ops.eval_unop(e.op, self.eval(e.operand), e.dtype)
+            op, operand = e.op, self.expr(e.operand)
+            return lambda: eval_unop(op, operand(), dtype)
         if isinstance(e, Call):
-            self.op_execs += 1
-            return ops.eval_call(e.fn, [self.eval(a) for a in e.args])
+            fn, args = e.fn, [self.expr(a) for a in e.args]
+            return lambda: eval_call(fn, [a() for a in args])
         if isinstance(e, Select):
-            self.op_execs += 1
-            # NOTE: both arms are evaluated (select is a non-branching
-            # instruction), matching the simulated core.
-            a, b = self.eval(e.a), self.eval(e.b)
-            v = a if self.eval(e.cond) else b
-            return float(v) if e.dtype.is_float else int(v)
+            a, b, cond = self.expr(e.a), self.expr(e.b), self.expr(e.cond)
+            conv = float if dtype.is_float else int
+
+            def select():
+                # both arms first: select is a non-branching
+                # instruction, matching the simulated core
+                va, vb = a(), b()
+                return conv(va if cond() else vb)
+
+            return select
         raise TypeError(type(e))  # pragma: no cover
 
-    # -- statements -----------------------------------------------------
-    def exec_block(self, block: list[Stmt]) -> None:
-        for s in block:
-            self.stmt_execs += 1
-            if isinstance(s, Assign):
-                v = self.eval(s.expr)
-                self.env[s.target] = float(v) if s.dtype.is_float else int(v)
-            elif isinstance(s, Store):
-                self.nstores += 1
-                idx = int(self.eval(s.index))
-                buf = self.arrays[s.array.name]
-                if not (0 <= idx < len(buf)):
-                    raise IndexError(
-                        f"{self.loop.name}: store {s.array.name}[{idx}] out of "
-                        f"bounds (len {len(buf)})"
-                    )
-                buf[idx] = self.eval(s.expr)
-            elif isinstance(s, If):
-                if self.eval(s.cond):
-                    self.exec_block(s.then)
-                else:
-                    self.exec_block(s.orelse)
-            else:  # pragma: no cover - defensive
-                raise TypeError(type(s))
+    def _var(self, name: str):
+        env, where = self.env, self.where
 
-    def run(self) -> InterpResult:
-        trip = int(self.env[self.loop.trip])
-        for i in range(trip):
-            self.env[self.loop.index] = i
-            self.exec_block(self.loop.body)
-        return InterpResult(
-            arrays=self.arrays,
-            scalars={v: self.env[v] for v in self.loop.live_out if v in self.env},
-            stmt_execs=self.stmt_execs,
-            op_execs=self.op_execs,
-            loads=self.nloads,
-            stores=self.nstores,
-            env=dict(self.env),
-        )
+        def var():
+            try:
+                return env[name]
+            except KeyError:
+                raise NameError(
+                    f"{where}: read of undefined scalar {name!r}"
+                ) from None
+
+        return var
+
+    def _load(self, e: Load):
+        self.counts[2] += 1
+        index = self.expr(e.index)
+        name, where = e.array.name, self.where
+        buf = self.arrays[name]
+        n, item = len(buf), buf.item
+        conv = float if e.array.dtype.is_float else int
+
+        def load():
+            i = int(index())
+            if not 0 <= i < n:
+                raise IndexError(f"{where}: {name}[{i}] out of bounds (len {n})")
+            return conv(item(i))
+
+        return load
+
+    # -- statements -----------------------------------------------------
+    def block(self, stmts: list[Stmt]):
+        outer, self.counts = self.counts, [len(stmts), 0, 0, 0]
+        fns = [self._stmt(s) for s in stmts]
+        hits = [0]
+        self.blocks.append((self.counts, hits))
+        self.counts = outer
+
+        def run():
+            hits[0] += 1
+            for f in fns:
+                f()
+
+        return run
+
+    def _stmt(self, s: Stmt):
+        if isinstance(s, Assign):
+            return self._assign(s)
+        if isinstance(s, Store):
+            return self._store(s)
+        if isinstance(s, If):
+            cond = self.expr(s.cond)
+            then, orelse = self.block(s.then), self.block(s.orelse)
+
+            def branch():
+                if cond():
+                    then()
+                else:
+                    orelse()
+
+            return branch
+        raise TypeError(type(s))  # pragma: no cover - defensive
+
+    def _assign(self, s: Assign):
+        env, target, value = self.env, s.target, self.expr(s.expr)
+        conv = float if s.dtype.is_float else int
+
+        def assign():
+            env[target] = conv(value())
+
+        return assign
+
+    def _store(self, s: Store):
+        self.counts[3] += 1
+        index, value = self.expr(s.index), self.expr(s.expr)
+        name, where = s.array.name, self.where
+        buf = self.arrays[name]
+        n = len(buf)
+
+        def store():
+            i = int(index())
+            if not 0 <= i < n:
+                raise IndexError(
+                    f"{where}: store {name}[{i}] out of bounds (len {n})"
+                )
+            buf[i] = value()
+
+        return store
+
+    def totals(self) -> list[int]:
+        """``[stmt_execs, op_execs, loads, stores]`` of the blocks run."""
+        out = [0, 0, 0, 0]
+        for counts, (hits,) in self.blocks:
+            for k in range(4):
+                out[k] += hits * counts[k]
+        return out
 
 
 def run_loop(loop: Loop, workload: Workload) -> InterpResult:
     """Execute ``loop`` sequentially on (a copy of) ``workload``."""
-    return _Interp(loop, workload).run()
+    workload.validate_for(loop)
+    arrays = {k: v.copy() for k, v in workload.arrays.items()}
+    env: dict[str, float | int] = {}
+    for p in loop.params:
+        v = workload.scalars[p.name]
+        env[p.name] = float(v) if p.dtype.is_float else int(v)
+    builder = _Builder(loop, arrays, env)
+    body = builder.block(loop.body)
+    index = loop.index
+    for i in range(int(env[loop.trip])):
+        env[index] = i
+        body()
+    stmt_execs, op_execs, loads, stores = builder.totals()
+    return InterpResult(
+        arrays=arrays,
+        scalars={v: env[v] for v in loop.live_out if v in env},
+        stmt_execs=stmt_execs,
+        op_execs=op_execs,
+        loads=loads,
+        stores=stores,
+        env=dict(env),
+    )

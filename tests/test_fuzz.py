@@ -26,8 +26,10 @@ from repro.fuzz import (
     shrink_loop,
 )
 from repro.interp import run_loop
-from repro.ir import fmt_loop
+from repro.ir import fmt_loop, walk_stmts
+from repro.kernels import all_kernels, table1_kernels
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime import compile_loop
 from repro.workload import random_workload
 
 CELL = FuzzCell(2, 20, False)
@@ -112,6 +114,24 @@ class TestShrink:
         assert loop_size(small) <= loop_size(loop)
         assert spent > 0
 
+    @pytest.mark.parametrize("trial", [0, 5])  # a top-level store; an if
+    def test_rebuilt_statements_keep_their_lines(self, trial):
+        loop = _loop(0, trial)
+        lines = {s.line for s in walk_stmts(loop.body)}
+        seen = []
+
+        def probe(cand):
+            # accept every edit that keeps the top-level count: If arm
+            # removals and expression substitutions, never removals
+            seen.append(cand)
+            return len(cand.body)
+
+        shrink_loop(loop, probe)
+        rebuilt = [s for c in seen for s in c.body
+                   if not any(s is t for t in loop.body)]
+        assert rebuilt and 0 not in lines
+        assert all(s.line in lines for c in seen for s in walk_stmts(c.body))
+
     def test_noop_when_probe_rejects_everything(self):
         loop = _loop(0)
         small, _ = shrink_loop(loop, lambda cand: fmt_loop(cand))
@@ -123,6 +143,38 @@ class TestArtifact:
     def test_loop_json_round_trip(self):
         loop = _loop(0, 2)
         assert fmt_loop(decode_loop(encode_loop(loop))) == fmt_loop(loop)
+
+    def test_every_registered_kernel_keeps_its_lines(self):
+        for spec in all_kernels():
+            loop = spec.loop()
+            back = decode_loop(encode_loop(loop))
+            assert fmt_loop(back) == fmt_loop(loop), spec.name
+            assert ([s.line for s in walk_stmts(back.body)]
+                    == [s.line for s in walk_stmts(loop.body)]), spec.name
+
+    def test_table1_compiles_identically_after_round_trip(self):
+        # lines feed the §III-B proximity term, so a codec that dropped
+        # them would replay a loop the campaign never compiled
+        for spec in table1_kernels():
+            loop = spec.loop()
+            back = decode_loop(encode_loop(loop))
+            for cores in (2, 4):
+                got = compile_loop(back, cores, check=False).programs
+                want = compile_loop(loop, cores, check=False).programs
+                assert [p.dump() for p in got] == [p.dump() for p in want], (
+                    f"{spec.name}@{cores}")
+
+    def test_artifact_without_lines_still_loads(self):
+        def strip(stmts):
+            for d in stmts:
+                del d["line"]
+                strip(d.get("then", []) + d.get("orelse", []))
+
+        doc = encode_loop(_loop(0, 2))
+        strip(doc["body"])
+        back = decode_loop(doc)
+        assert fmt_loop(back) == fmt_loop(_loop(0, 2))
+        assert {s.line for s in walk_stmts(back.body)} == {0}
 
     def test_replay_reproduces_twice(self, tmp_path):
         res = run_campaign(
