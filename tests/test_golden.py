@@ -20,7 +20,10 @@ leaves there is digested too, so a refactor must keep the stored
 records byte-identical, not only the reports.  ``seq`` records are left
 out: they are written only on a miss, so which of them a run writes
 depends on what ran earlier in the process.  Run records do not: a
-cell recalled from the process memo is re-written to the store.
+cell recalled from the process memo is re-written to the store.  A
+second digest covers only what each run record says, its ``kernel``
+and ``payload`` without the key or the schema, so a change that means
+to move the keys re-records the first digest and must leave this one.
 
 A third gate locks the simulator itself: one digest over a canonical
 dump of every ``SimResult`` (cycles, per-core counters and stall
@@ -88,6 +91,11 @@ DIGESTS = {
 RUN_RECORDS = 324
 RUN_RECORDS_DIGEST = (
     "0288dc5d95014686019113cc27cc85554a363360e4dd165947b26dff36484588"
+)
+#: sha256 over the sorted canonical JSON of each run record's kernel
+#: and payload (no key, no schema).
+RUN_PAYLOADS_DIGEST = (
+    "78d482a0adba733930560e79455ad6e9a4b0ee490fff9ea0244006b990cd8b4c"
 )
 
 #: trip of the simulator golden's runs, and the sha256 of their dump.
@@ -171,6 +179,18 @@ def test_run_records_match_golden(experiment_all):
             digest.update(data)
             n += 1
     assert (n, digest.hexdigest()) == (RUN_RECORDS, RUN_RECORDS_DIGEST)
+
+
+def test_run_record_payloads_match_golden(experiment_all):
+    docs = []
+    for path in ResultStore(experiment_all[2])._record_paths():
+        envelope = json.loads(path.read_bytes())
+        if envelope["kind"] == "run":
+            docs.append(json.dumps(
+                {"kernel": envelope["kernel"], "payload": envelope["payload"]},
+                sort_keys=True, separators=(",", ":")))
+    digest = hashlib.sha256("\n".join(sorted(docs)).encode()).hexdigest()
+    assert (len(docs), digest) == (RUN_RECORDS, RUN_PAYLOADS_DIGEST)
 
 
 # -- the simulator golden -------------------------------------------------
