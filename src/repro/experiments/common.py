@@ -9,14 +9,14 @@ the one place a result is judged (an experiment that produces wrong
 answers is not a result).
 
 Finished runs live in two tiers under one content-addressed key
-(:func:`store_key_for`: the kernel's normalized IR, the compiler and
+(:func:`store_key_for`: the kernel's loop digest, the compiler and
 machine configuration, and the workload ``(trip, seed)`` recipe): the
 process memo :data:`repro.memo.RUNS` and the persistent store
 (:mod:`repro.store`).  :func:`recall` reads both.  A warm store makes
 every experiment idempotent — zero compile/simulate calls on re-run.
 A cell that is computed still shares its pure stages (compiled kernel,
-interpreter oracle, IR text, store key) with earlier cells through the
-other bounded memos of :mod:`repro.memo`.
+interpreter oracle, store key) with earlier cells through the other
+bounded memos of :mod:`repro.memo`.
 ``run_table1_grid`` additionally fans whole kernel × config matrices
 out over the :mod:`repro.store.sweep` worker pool.
 """
@@ -32,6 +32,7 @@ import numpy as np
 from .. import memo
 from ..compiler import CompilerConfig
 from ..compiler.pipeline import PlanStats
+from ..ir.codec import loop_digest
 from ..kernels import KernelSpec, table1_kernels
 from ..runtime import compile_loop, execute_kernel
 from ..runtime.guard import FailureKind, GuardPolicy, guarded_run
@@ -148,15 +149,15 @@ def _workload_recipe(spec: KernelSpec) -> dict:
 def store_key_for(spec: KernelSpec, config: ExpConfig) -> str:
     """Content-addressed key of one grid cell's run record.
 
-    Memoised per process on ``spec.loop()`` and the config's content
-    (:data:`repro.memo.STORE_KEY`): the loop stands for its spec's seed
-    and workload recipe, because :meth:`KernelSpec.loop` refuses a loop
-    that another spec owns.
+    Memoised per process on the spec's loop digest, its seed and
+    workload recipe (:meth:`KernelSpec.recipe_key`) and the config's
+    content (:data:`repro.memo.STORE_KEY`), each a content address, so
+    equal cells share an entry whichever spec objects they come from.
     """
     from ..store.keys import kernel_run_key
 
     loop = spec.loop()
-    key = (loop, memo.content_key(config))
+    key = (loop_digest(loop), spec.recipe_key(), memo.content_key(config))
     return memo.STORE_KEY.get(key, lambda: kernel_run_key(
         loop,
         config.n_cores,
@@ -197,7 +198,10 @@ def run_kernel(
     records the guard's verdict, so a failed cell — compile error,
     protocol rejection, deadlock, wrong answer — comes back as a
     :class:`KernelRun` with ``failure`` set, never as an exception.
-    A run enters the memo only once it is durable in ``store``.
+    A run enters the memo only once it is durable in ``store``.  Both
+    tiers are read under :func:`store_key_for`, so a spec whose loop
+    differs from another's in anything the compiler reads — a dtype, a
+    statement line, an alias group, a miss rate — gets its own run.
 
     ``obs`` is the opt-in observability hook: when an enabled
     :class:`repro.obs.events.EventBus` is passed, the cell emits a

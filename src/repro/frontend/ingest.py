@@ -94,8 +94,9 @@ def ingest_file(path: str | os.PathLike, fn: str | None = None) -> list[Ingested
 def to_kernel_spec(ing: IngestedLoop) -> KernelSpec:
     """Wrap an ingested loop as a first-class registry kernel."""
     nest, info = ing.nest, ing.info
-    # rebuild from the cached parse/infer result: lower() emits a fresh
-    # IR tree per call, matching the hand-built kernels' builders
+    # rebuild from the cached parse/infer result, like the hand-built
+    # kernels' builders (stages key loops by content, so the rebuilt
+    # loop and ``ing.loop`` share every memo entry)
     build = lambda: lower(info, ing.name)  # noqa: E731
     return KernelSpec(
         name=ing.name,

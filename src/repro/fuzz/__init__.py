@@ -7,7 +7,7 @@ findings (:mod:`.shrink`) and saves them as replayable JSON artifacts
 (:mod:`.artifact`).
 """
 
-from .artifact import decode_loop, encode_loop, load_artifact, save_artifact
+from .artifact import load_artifact, save_artifact
 from .campaign import (
     DEFAULT_MATRIX,
     Finding,
@@ -29,8 +29,6 @@ __all__ = [
     "RandomDraw",
     "build_loop",
     "mutate_loop",
-    "decode_loop",
-    "encode_loop",
     "load_artifact",
     "loop_size",
     "probe_loop",

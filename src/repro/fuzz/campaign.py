@@ -32,6 +32,7 @@ from pathlib import Path
 from ..compiler.config import CompilerConfig
 from ..check import check_kernel, mutate_kernel
 from ..interp import run_loop
+from ..ir.codec import decode_loop, encode_loop
 from ..ir.stmts import Loop
 from ..sim import MachineFailure, MachineParams, MemoryFault, SimError
 from ..verify import verify_result
@@ -140,9 +141,8 @@ def probe_loop(
     """
     from ..runtime.exec import compile_loop, execute_kernel
     from ..runtime.guard import classify_failure
-    from .artifact import decode_loop, encode_loop
 
-    # Canonicalize through the artifact codec first: node identity is
+    # Canonicalize through the loop codec first: node identity is
     # computation identity in this IR, and generated loops share leaf
     # nodes (a DAG), which the JSON tree encoding cannot represent.
     # Probing the canonical tree form everywhere — campaign, shrinker

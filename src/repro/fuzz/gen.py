@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 
 from ..ir import F64, LoopBuilder, as_expr, fabs, sqrt
+from ..ir.codec import decode_loop, encode_loop
 from ..ir.nodes import BinOp, Const, Expr, fmax, fmin, iter_nodes
 from ..ir.stmts import Assign, If, Loop, Store
 
@@ -138,8 +139,6 @@ def mutate_loop(
     fallback when a const mutation pushed the program non-finite
     (NaN never compares equal, so it would read as a miscompile).
     """
-    from .artifact import decode_loop, encode_loop
-
     out = decode_loop(encode_loop(loop))  # private deep copy
     out.name = name if name is not None else f"{loop.name}-mut"
     swaps: list[BinOp] = []

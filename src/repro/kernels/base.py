@@ -12,12 +12,11 @@ DESIGN.md, substitutions table).
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from ..ir.stmts import Loop
+from ..memo import content_key
 from ..workload import ArraySpec, Workload, random_workload
 
 #: §IV taxonomy categories.
@@ -36,11 +35,6 @@ CATEGORIES = (
 #: ingested from real Python source by :mod:`repro.frontend` are
 #: ``frontend``.
 ORIGINS = ("hand-built", "synthetic", "frontend")
-
-#: serialises the first ``KernelSpec.loop()`` of each spec across threads.
-_BUILD_LOCK = threading.RLock()
-#: every loop some live spec has built (loops hash by identity).
-_OWNED: weakref.WeakSet[Loop] = weakref.WeakSet()
 
 
 @dataclass(frozen=True)
@@ -65,29 +59,31 @@ class KernelSpec:
             raise ValueError(f"bad origin {self.origin!r}")
 
     def loop(self) -> Loop:
-        """The spec's loop, built on first use.
+        """The spec's loop, built on first use and kept on the spec.
 
-        Every later call returns that same object, because the stage
-        memos (:mod:`repro.memo`) key loops by identity.  The store-key
-        memo also lets the loop stand for the spec's seed and workload
-        recipe, so no two specs may share a loop: ``build`` must return
-        a fresh loop per call, and a loop another spec owns raises
-        ``ValueError``.  Nothing may mutate it.
+        Every later call returns that same object, so its digest
+        (:func:`repro.ir.codec.loop_digest`) is computed once.  Stages
+        key loops by that digest, never by identity, so two specs may
+        share a loop.  Nothing may mutate it.
         """
         loop = self.__dict__.get("_loop")
         if loop is None:
-            with _BUILD_LOCK:
-                loop = self.__dict__.get("_loop")
-                if loop is None:
-                    loop = self.build()
-                    if loop in _OWNED:
-                        raise ValueError(
-                            f"kernel {self.name!r}: build() returned a loop "
-                            f"another spec owns; it must build a fresh one"
-                        )
-                    _OWNED.add(loop)
-                    object.__setattr__(self, "_loop", loop)
+            # two threads may both build; both return the one kept
+            loop = self.__dict__.setdefault("_loop", self.build())
         return loop
+
+    def recipe_key(self) -> str:
+        """The spec's seed and workload recipe as one string (the
+        ``repr`` of their :func:`~repro.memo.content_key`), computed on
+        first use and kept on the spec like its loop.  The store-key memo
+        (:func:`repro.experiments.common.store_key_for`) hashes it on
+        every lookup, and a string, unlike a nested tuple, keeps its
+        hash."""
+        key = self.__dict__.get("_recipe_key")
+        if key is None:
+            key = self.__dict__.setdefault("_recipe_key", repr(
+                content_key((self.seed, self.scalars, self.specs))))
+        return key
 
     def workload(self, trip: int | None = None, seed: int | None = None) -> Workload:
         lp = self.loop()

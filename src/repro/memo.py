@@ -1,21 +1,22 @@
 """Bounded per-process memos for the pure stages of a cell and its results.
 
-A cell runs four stages whose result depends on nothing but their
+A cell runs three stages whose result depends on nothing but their
 inputs: the compiled kernel (:func:`repro.runtime.exec.compile_loop`),
-the interpreter oracle (in :func:`repro.runtime.guard.guarded_run`), the
-printed IR (:func:`repro.store.keys.ir_text`) and the store key
-(:func:`repro.experiments.common.store_key_for`).  Experiments that vary
-only the machine (Fig 13 latencies, E8 queue depths) would otherwise
-recompute all four for every cell.  Each stage sits behind one
-:class:`Memo`, keyed on exactly that stage's inputs:
+the interpreter oracle (in :func:`repro.runtime.guard.guarded_run`) and
+the store key (:func:`repro.experiments.common.store_key_for`).
+Experiments that vary only the machine (Fig 13 latencies, E8 queue
+depths) would otherwise recompute all three for every cell.  Each stage
+sits behind one :class:`Memo`, keyed on the content of exactly that
+stage's inputs:
 
-* loops by **identity** — :class:`~repro.ir.stmts.Loop` hashes by
-  identity, and :meth:`repro.kernels.base.KernelSpec.loop` returns one
-  object per spec.  The printed IR is not a content address: it leaves
-  out dtypes and statement lines, and lines feed the §III-B proximity
-  term;
-* workloads and configs by **content** (:func:`content_key`), so two
-  equal configs share an entry and a reseeded workload misses.
+* loops by their digest (:func:`repro.ir.codec.loop_digest`), the
+  SHA-256 of a complete encoding, computed once per loop object, so
+  two loops share an entry exactly when they are equal and no key
+  holds a loop;
+* workloads and configs by :func:`content_key`, so two equal configs
+  share an entry and a reseeded workload misses.  The store-key memo
+  also names the spec's seed and workload recipe
+  (:meth:`repro.kernels.base.KernelSpec.recipe_key`).
 
 Two more memos hold the cell's results, keyed by the content-addressed
 store key: :data:`RUNS` (finished runs) and :data:`SEQ` (sequential
@@ -141,8 +142,7 @@ COMPILE_ENTRIES = 4
 #: 18 entries catch all 306 hits; on ``serve-zipf`` 79 of 212 computed
 #: cells can hit, spread over more (kernel, seed) workloads.
 ORACLE_ENTRIES = 64
-#: printed IR texts and store keys: small strings.
-IR_TEXT_ENTRIES = 256
+#: store keys: small strings.
 STORE_KEY_ENTRIES = 1024
 #: finished runs (``KernelRun`` records, about 1 KiB each): above the
 #: 324 distinct cells of ``experiment all`` and the 288 cells
@@ -151,13 +151,12 @@ RUNS_ENTRIES = 4096
 #: sequential-baseline cycle counts: one float per key.
 SEQ_ENTRIES = 4096
 
-#: (loop, n_cores, CompilerConfig content, check) -> LoweredKernel
+#: (loop digest, n_cores, CompilerConfig content, check) -> LoweredKernel
 COMPILE = Memo("compile", COMPILE_ENTRIES)
-#: (loop, workload content) -> InterpResult with read-only arrays
+#: (loop digest, workload content) -> InterpResult with read-only arrays
 ORACLE = Memo("oracle", ORACLE_ENTRIES)
-#: (loop, max_expr_height) -> printed IR
-IR_TEXT = Memo("ir_text", IR_TEXT_ENTRIES)
-#: (loop, ExpConfig content) -> content-addressed key of a cell
+#: (loop digest, spec recipe key, ExpConfig content) -> content-addressed
+#: key of a cell
 STORE_KEY = Memo("store_key", STORE_KEY_ENTRIES)
 #: store key -> KernelRun, this process's result tier in front of the
 #: disk store (``run_kernel``'s memo and serve's L1)
@@ -165,7 +164,7 @@ RUNS = Memo("runs", RUNS_ENTRIES)
 #: sequential-baseline store key -> cycles
 SEQ = Memo("seq", SEQ_ENTRIES)
 
-MEMOS = (COMPILE, ORACLE, IR_TEXT, STORE_KEY, RUNS, SEQ)
+MEMOS = (COMPILE, ORACLE, STORE_KEY, RUNS, SEQ)
 
 
 def clear() -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from ..compiler.config import CompilerConfig
 from ..compiler.pipeline import ParallelPlan, parallelize
+from ..ir.codec import loop_digest
 from ..ir.stmts import Loop
 from ..isa.lower import LoweredKernel, lower_plan
 from ..memo import COMPILE, content_key
@@ -31,11 +32,13 @@ def compile_loop(
     pre-flight, the fuzzer) pass ``check=False`` to avoid paying twice.
 
     Kernels are memoised per process (:data:`repro.memo.COMPILE`) on
-    the loop's identity, ``n_cores``, the content of every config field
-    and ``check``.  A hit returns the kernel the miss built, shared with
-    every other caller: nothing may mutate it.
+    the loop's digest (:func:`repro.ir.codec.loop_digest`), ``n_cores``,
+    the content of every config field and ``check``.  A hit returns the
+    kernel the miss built, shared with every other caller, also one
+    passing an equal loop object: nothing may mutate it.
     """
-    key = (loop, n_cores, content_key(config or CompilerConfig()), check)
+    key = (loop_digest(loop), n_cores,
+           content_key(config or CompilerConfig()), check)
     return COMPILE.get(
         key, lambda: _compile(loop, n_cores, config, obs, check), obs,
     )

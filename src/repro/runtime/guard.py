@@ -52,6 +52,7 @@ from dataclasses import dataclass, field, replace
 
 from ..compiler.pipeline import PlanStats
 from ..interp import run_loop
+from ..ir.codec import loop_digest
 from ..ir.stmts import Loop
 from ..memo import ORACLE, content_key
 from ..obs.events import span
@@ -246,9 +247,9 @@ def guarded_run(
         obs = None
     # The reference interpreter is both the verification oracle and the
     # fallback answer, so the guarantee costs one sequential execution
-    # per (loop, workload content) and process; cells that differ only
-    # in cores or machine share it.
-    ref = ORACLE.get((loop, content_key(workload)),
+    # per (loop content, workload content) and process; cells that
+    # differ only in cores or machine share it.
+    ref = ORACLE.get((loop_digest(loop), content_key(workload)),
                      lambda: _read_only(run_loop(loop, workload)), obs)
 
     failures: list[FailureReport] = []

@@ -5,7 +5,8 @@ workload) cells on every process start; this package removes that
 waste and turns the kernel × config matrix into a schedulable grid:
 
 * :mod:`repro.store.keys` — SHA-256 cache keys over the kernel's
-  normalized IR text, the :class:`~repro.compiler.CompilerConfig`, the
+  loop digest (:func:`repro.ir.codec.loop_digest`), the
+  :class:`~repro.compiler.CompilerConfig`, the
   :class:`~repro.sim.MachineParams` and the workload ``(trip, seed)``
   recipe.  Anything that can change a simulated cycle count changes
   the key; nothing else does.
@@ -27,7 +28,7 @@ waste and turns the kernel × config matrix into a schedulable grid:
 
 from .disk import ResultStore, StoreStats, StoreWriteError, default_store, store_root
 from .journal import JournalState, SweepJournal, load_journal, new_journal_path
-from .keys import SCHEMA_VERSION, ir_text, kernel_run_key, stable_digest
+from .keys import SCHEMA_VERSION, kernel_run_key, stable_digest
 from .sweep import resume_grid, run_grid
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "StoreWriteError",
     "SweepJournal",
     "default_store",
-    "ir_text",
     "kernel_run_key",
     "load_journal",
     "new_journal_path",

@@ -2,10 +2,10 @@
 
 A key is the SHA-256 digest of a canonical JSON document combining
 
-* the kernel's IR, rendered through :mod:`repro.ir.printer` in both
-  structured (``fmt_loop``) and normalized flat (``fmt_flat``) form —
-  any change to the loop body, its arrays, params or live-outs changes
-  the text and therefore the key;
+* the kernel's loop, as its content address
+  (:func:`repro.ir.codec.loop_digest`): the digest of a complete
+  encoding, so any change to the body, its dtypes or statement lines,
+  or its arrays, params or live-outs changes the key;
 * the :class:`~repro.compiler.CompilerConfig` (``profile_workload``
   excluded: it is derived from the workload ``(trip, seed)`` which is
   keyed separately);
@@ -28,16 +28,17 @@ import json
 from typing import Any, Mapping
 
 from ..compiler.config import CompilerConfig
-from ..ir import fmt_flat, fmt_loop, normalize
+from ..ir.codec import loop_digest
 from ..ir.stmts import Loop
-from ..memo import IR_TEXT
 from ..sim.machine import MachineParams
 
 #: bump to invalidate every existing key and record.
 #: v2: adaptive runtime — CompilerConfig.runtime_mode,
 #: MachineParams.queue_depths, ExpConfig.adaptive and KernelRun
 #: resolution provenance all enter the digests/payloads.
-SCHEMA_VERSION = 2
+#: v3: the loop enters as its digest (:func:`loop_digest`), not as
+#: printed IR, which left out dtypes, lines, alias groups and miss rates.
+SCHEMA_VERSION = 3
 
 #: CompilerConfig fields that never influence results content-wise.
 #: ``profile_workload`` is derived from the workload ``(trip, seed)``
@@ -74,17 +75,9 @@ def stable_digest(obj: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def ir_text(loop: Loop, max_expr_height: int = 2) -> str:
-    """Canonical printed form of a loop: structured + normalized flat.
-
-    Memoised per process on the loop's identity and the height
-    (:data:`repro.memo.IR_TEXT`): printing normalizes the loop, and
-    every store lookup of a cell needs the text.
-    """
-    return IR_TEXT.get((loop, max_expr_height), lambda: (
-        fmt_loop(loop) + "\n"
-        + fmt_flat(normalize(loop, max_height=max_expr_height))
-    ))
+#: the name the benchmark's layer tracer (``bench/trace.py``) times the
+#: loop part of a key by.
+ir_text = loop_digest
 
 
 def kernel_run_key(
@@ -107,12 +100,12 @@ def kernel_run_key(
         {
             "schema": SCHEMA_VERSION,
             "kind": kind,
-            "ir": ir_text(loop, config.max_expr_height),
+            "loop": loop_digest(loop),
             "n_cores": n_cores,
-            "compiler": _plain(config),
-            "machine": _plain(machine),
+            "compiler": config,
+            "machine": machine,
             "trip": trip,
             "seed": seed,
-            "workload": _plain(workload) if workload is not None else None,
+            "workload": workload,
         }
     )

@@ -90,7 +90,7 @@ DIGESTS = {
 #: file bytes, in sorted path order.
 RUN_RECORDS = 324
 RUN_RECORDS_DIGEST = (
-    "0288dc5d95014686019113cc27cc85554a363360e4dd165947b26dff36484588"
+    "92faaeefb3c8dbb1f6eeae657f267f218faccf3c4529219f3da93fe5b7287a3a"
 )
 #: sha256 over the sorted canonical JSON of each run record's kernel
 #: and payload (no key, no schema).

@@ -17,7 +17,7 @@ from repro import memo
 from repro.compiler import CompilerConfig
 from repro.experiments import common as C
 from repro.experiments.common import ExpConfig, run_kernel, run_table1_grid
-from repro.fuzz.artifact import encode_loop
+from repro.ir.codec import decode_loop, encode_loop, loop_digest
 from repro.kernels import get_kernel, table1_kernels
 from repro.obs.events import EventBus, EventLog
 from repro.runtime import compile_loop, guarded_run
@@ -65,7 +65,7 @@ class TestNoFalseSharing:
     @pytest.mark.parametrize("change, missed, shared", [
         ({"seed": 1}, ("compile", "oracle"), ()),
         ({"assumed_queue_latency": 20}, ("compile",), ("oracle",)),
-        ({"max_expr_height": 3}, ("compile", "ir_text"), ("oracle",)),
+        ({"max_expr_height": 3}, ("compile",), ("oracle",)),
         ({"throughput_heuristic": True}, ("compile",), ("oracle",)),
         # the positive control: a machine-only change shares both
         ({"queue_latency": 20}, (), ("compile", "oracle")),
@@ -155,18 +155,32 @@ class TestLoopIdentity:
         assert run.correct
         assert spec.loop() is loop
         assert json.dumps(encode_loop(loop), sort_keys=True) == before
+        # the digest kept on the loop still names its content
+        assert loop_digest(loop) == loop_digest(decode_loop(encode_loop(loop)))
 
     def test_replaced_spec_builds_its_own_loop(self):
         spec = get_kernel("umt2k-2")
         assert replace(spec, seed=3).loop() is not spec.loop()
 
-    def test_specs_never_share_a_loop(self):
-        # the store-key memo lets a loop stand for its spec's seed
+    def test_specs_sharing_a_loop_keep_their_seeds(self):
+        # the store-key memo names the spec's seed and recipe, so a loop
+        # shared by two specs never stands for either one's workload
         shared = get_kernel("umt2k-2").build()
         spec = replace(get_kernel("umt2k-2"), build=lambda: shared)
-        assert spec.loop() is shared
-        with pytest.raises(ValueError, match="another spec owns"):
-            replace(spec, seed=3).loop()
+        other = replace(spec, seed=3)
+        assert spec.loop() is shared and other.loop() is shared
+        cfg = ExpConfig(n_cores=2, trip=TRIP)
+        assert C.store_key_for(spec, cfg) != C.store_key_for(other, cfg)
+        first = run_kernel(spec, cfg, store=None)
+        second = run_kernel(other, cfg, store=None)
+        assert second is not first
+        assert memo.stats()["oracle"]["entries"] == 2  # two workloads
+        C.clear_cache()
+        alone = run_kernel(replace(get_kernel("umt2k-2"), seed=3), cfg,
+                           store=None)
+        assert first.correct and second.correct
+        assert (second.seq_cycles, second.par_cycles, second.instrs) == (
+            alone.seq_cycles, alone.par_cycles, alone.instrs)
 
 
 class TestRunTier:
@@ -206,8 +220,7 @@ class TestMemo:
         C.clear_cache()
         assert memo.stats() == {
             stage: {"hits": 0, "misses": 0, "entries": 0}
-            for stage in ("compile", "oracle", "ir_text", "store_key", "runs",
-                          "seq")
+            for stage in ("compile", "oracle", "store_key", "runs", "seq")
         }
 
     def test_bounded_lru(self):

@@ -515,8 +515,8 @@ class TestServiceBoundary:
                                          trip=8, seed=3)
                 assert resp["ok"] and resp["result"]["correct"]
             m = (await cli.request("metrics"))["result"]
-            assert set(m["memo"]) == {"compile", "oracle", "ir_text",
-                                      "store_key", "runs", "seq"}
+            assert set(m["memo"]) == {"compile", "oracle", "store_key",
+                                      "runs", "seq"}
             assert m["memo"]["oracle"]["hits"] >= 1
             assert m["memo"]["oracle"]["entries"] == 1
             # every computed cell lives in the run memo, serve's L1

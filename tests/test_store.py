@@ -23,11 +23,12 @@ from repro.experiments.common import (
     run_kernel,
     store_key_for,
 )
+from repro.ir.codec import decode_loop, encode_loop, loop_digest
 from repro.kernels import get_kernel, table1_kernels
 from repro.runtime import guard as G
 from repro.store import ResultStore, kernel_run_key, run_grid
 from repro.store import records
-from repro.store.keys import SCHEMA_VERSION, ir_text, stable_digest
+from repro.store.keys import SCHEMA_VERSION, stable_digest
 from repro.store.sweep import _estimate_cycles, resolve_workers
 
 TRIP = 12
@@ -73,7 +74,9 @@ class TestKeys:
         spec = get_kernel("umt2k-1")
         cfg = ExpConfig(n_cores=2, trip=TRIP)
         k1 = store_key_for(spec, cfg)
-        # a copy of the spec builds its own loop: an independent key
+        # a copy of the spec builds its own loop: an independent key,
+        # once the store-key memo no longer holds the first one
+        clear_cache()
         k2 = store_key_for(dataclasses.replace(spec), cfg)
         assert k1 is not k2  # no memo self-comparison
         assert k1 == k2
@@ -83,7 +86,7 @@ class TestKeys:
         k1 = store_key_for(get_kernel("umt2k-1"), cfg)
         k2 = store_key_for(get_kernel("lammps-1"), cfg)
         assert k1 != k2
-        assert ir_text(get_kernel("umt2k-1").loop()) != ir_text(
+        assert loop_digest(get_kernel("umt2k-1").loop()) != loop_digest(
             get_kernel("lammps-1").loop()
         )
 
@@ -126,10 +129,53 @@ class TestKeys:
         assert stable_digest({"b": 1, "a": 2}) == stable_digest({"a": 2, "b": 1})
         assert stable_digest([1, 2]) != stable_digest([2, 1])
 
-    def test_schema_is_v2_for_adaptive_fields(self):
-        # runtime_mode / queue_depths / adaptive / resolved_by all enter
-        # the digests and payloads, so v1 records must read as misses
-        assert SCHEMA_VERSION == 2
+    def test_schema_is_v3_for_loop_digests(self):
+        # keys name the loop by its digest since v3 (v2 added the
+        # adaptive fields), so records keyed by printed IR read as misses
+        assert SCHEMA_VERSION == 3
+
+
+def _lammps1_copy(edit=None):
+    """A codec copy of lammps-1's loop, its encoding changed by ``edit``."""
+    doc = encode_loop(get_kernel("lammps-1").loop())
+    if edit is not None:
+        edit(doc)
+    return decode_loop(doc)
+
+
+#: one edit for each thing of a loop the compiler reads and the printed
+#: IR of schema v2 left out of the key
+_EDITS = {
+    "dtype": lambda doc: doc["body"][1].update(dtype="i64"),
+    "line": lambda doc: doc["body"][1].update(line=20),
+    "miss_rate": lambda doc: doc["arrays"][1].update(miss_rate=0.5),
+    "alias_group": lambda doc: [a.update(alias_group="one")
+                                for a in doc["arrays"]],
+}
+
+
+class TestKeyCompleteness:
+    CFG = ExpConfig(n_cores=4, trip=32)
+
+    @staticmethod
+    def _spec(loop):
+        return dataclasses.replace(get_kernel("lammps-1"), build=lambda: loop)
+
+    def test_copies_differing_in_one_thing_get_distinct_keys(self):
+        original = store_key_for(get_kernel("lammps-1"), self.CFG)
+        # an unedited copy has the same content, so the same key
+        assert store_key_for(self._spec(_lammps1_copy()), self.CFG) == original
+        keys = {name: store_key_for(self._spec(_lammps1_copy(edit)), self.CFG)
+                for name, edit in _EDITS.items()}
+        assert original not in keys.values()
+        assert len(set(keys.values())) == len(keys), keys
+
+    def test_warm_store_runs_the_alias_copy(self, store):
+        warm = run_kernel(get_kernel("lammps-1"), self.CFG, store=store)
+        copy = self._spec(_lammps1_copy(_EDITS["alias_group"]))
+        run = run_kernel(copy, self.CFG, store=store)
+        assert run.correct
+        assert (warm.par_cycles, run.par_cycles) == (5127, 7293)
 
 
 class TestRoundTrip:
