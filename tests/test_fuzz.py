@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro import memo
 from repro.fuzz import (
     DEFAULT_MATRIX,
     FuzzCell,
@@ -23,7 +24,6 @@ from repro.fuzz import (
     save_artifact,
     shrink_loop,
 )
-from repro import memo
 from repro.interp import run_loop
 from repro.ir import fmt_loop, walk_stmts
 from repro.ir.codec import decode_loop, encode_loop
