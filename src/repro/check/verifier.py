@@ -772,7 +772,7 @@ def check_kernel(kernel, *, queue_depth: int = 20,
     passes = kernel.check_passes
     found = passes.get(key)
     if found is None:
-        # executor threads may race here; both compute the same pass
+        # two threads may race here; both compute the same pass
         found = passes.setdefault(key, _kernel_pass(kernel, placement))
     return found.report(queue_depth, queue_depths)
 

@@ -33,10 +33,10 @@ NDJSON lines, slow-loris) is client *behavior*, not daemon state, so
 it lives in the E12 scenarios (:mod:`repro.experiments.chaos_serve`)
 rather than in the plan.
 
-Injection only arms in thread-executor mode (``workers=0``): a process
-pool's workers open their own store by root path and never see the
-wrapper.  E12 runs its chaos services in thread mode for exactly this
-reason.
+Injection only arms on the in-process lane (``workers=0``, one
+thread): a process pool's workers open their own store by root path
+and never see the wrapper.  E12 runs its chaos services on that lane
+for exactly this reason.
 """
 
 from __future__ import annotations

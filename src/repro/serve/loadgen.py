@@ -252,6 +252,10 @@ async def _run_campaign(
         return counters.get(name, {}).get("value", 0.0)
 
     store = metrics.get("store", {})
+    workers = metrics.get("workers")
+    writes = store.get("writes")
+    if workers is not None and writes is not None:
+        writes += workers["store"]["writes"]  # pool workers write the records
     report = {
         "schema": BENCH_SCHEMA,
         "config": {
@@ -268,9 +272,10 @@ async def _run_campaign(
         "computed": int(counter("serve.computed")),
         "unhandled": int(counter("serve.unhandled")),
         "run_records": store.get("run_records"),
-        "store_writes": store.get("writes"),
+        "store_writes": writes,
         "server_latency_ms": metrics.get("latency_ms"),
         "memo": metrics.get("memo"),
+        "workers": workers,
     }
     return report
 
@@ -314,6 +319,16 @@ def format_report(report: dict) -> str:
             f"{stage} {s['hits']} hit / {s['misses']} miss"
             for stage, s in report["memo"].items()
         ))
+    workers = report.get("workers")
+    if workers:
+        st = workers["store"]
+        lines.append(
+            f"workers      : {len(workers['pids'])} pid(s); memo "
+            + ", ".join(f"{stage} {s['hits']} hit / {s['misses']} miss"
+                        for stage, s in workers["memo"].items())
+            + f"; store {st['hits']} hit / {st['misses']} miss / "
+            f"{st['writes']} write"
+        )
     lines.append(f"unhandled    : {report['unhandled']}")
     return "\n".join(lines)
 
