@@ -36,7 +36,7 @@ from typing import Any, Mapping, Sequence
 log = logging.getLogger(__name__)
 
 #: environment variable selecting the default worker count for sweeps
-#: ("" / "0" / "1" = serial, "auto" = cpu count, N = N processes).
+#: ("" / "0" / "1" = serial, "auto" = usable CPUs, N = N processes).
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: backoff between pool retry rounds: base * 2^attempt, capped, jittered.
@@ -87,9 +87,18 @@ class SweepTask:
         return (self.kernel, self.config)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the
+    platform has one, else every CPU): the automatic worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def resolve_workers(workers: int | str | None) -> int:
     """Normalize a worker-count request; 0/1 means serial, -1 means
-    "auto" (cpu count).
+    "auto" (:func:`usable_cpus`).
 
     Explicit arguments are strict: strings that are neither
     "auto"/"max" nor an integer, and negative counts other than -1,
@@ -104,7 +113,7 @@ def resolve_workers(workers: int | str | None) -> int:
         workers = os.environ.get(WORKERS_ENV, "").strip() or "0"
     if isinstance(workers, str):
         if workers.lower() in ("auto", "max"):
-            workers = os.cpu_count() or 1
+            workers = usable_cpus()
         else:
             try:
                 workers = int(workers)
@@ -122,7 +131,7 @@ def resolve_workers(workers: int | str | None) -> int:
             )
         if workers != -1:
             log.warning("%s=%d is negative; treating as auto", WORKERS_ENV, workers)
-        workers = os.cpu_count() or 1
+        workers = usable_cpus()
     return workers
 
 
