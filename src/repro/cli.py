@@ -718,12 +718,6 @@ def _cmd_ingest(args) -> int:
         register_ingested,
     )
 
-    from .kernels import all_kernels
-
-    # force the registry autoload first: re-ingesting a file the
-    # examples/ingest autoload already registered is then idempotent
-    # instead of a duplicate-name skirmish
-    all_kernels()
     try:
         ingested = ingest_file(args.file, fn=args.function)
     except FrontendError as exc:

@@ -25,7 +25,9 @@ Variants:
   unidirectional dependences between any two nodes in the final graph",
   implemented exactly as described: "looking for cycles at each step in
   the graph transformation.  If any cycles are found, then all nodes
-  that are part of the same cycle are merged together."
+  that are part of the same cycle are merged together."  The cycles are
+  the strongly connected components of more than one node
+  (:func:`cycle_groups`, Tarjan's algorithm).
 
 Correctness pre-step: *cohesion groups* (loop-carried dependences,
 see :mod:`repro.compiler.codegraph`) are unioned before any heuristic
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from ..analysis.cost import CostModel
@@ -100,6 +101,68 @@ class _UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         return ra
+
+
+def cycle_groups(dep: np.ndarray) -> list[list[int]]:
+    """The strongly connected components of more than one node in the
+    digraph with an edge ``i -> j`` wherever ``dep[i, j]`` is nonzero:
+    each as a sorted list of node positions, the lists in sorted order.
+
+    Tarjan's algorithm, iterative.  The edge lists come from one
+    ``np.nonzero``, which yields them grouped by source in row order.
+    """
+    n = len(dep)
+    src, dst = np.nonzero(dep)
+    # node v's successors are succ[first[v]:first[v + 1]]
+    first = np.searchsorted(src, np.arange(n + 1)).tolist()
+    succ = dst.tolist()
+    index = [-1] * n   # discovery order; -1 until visited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    groups: list[list[int]] = []
+    visited = 0
+    for root in range(n):
+        if index[root] >= 0 or first[root] == first[root + 1]:
+            continue  # seen, or no out-edge: on no cycle it can start
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [(root, first[root])]  # (node, its next edge to follow)
+        while path:
+            v, e = path[-1]
+            end = first[v + 1]
+            while e < end:
+                w = succ[e]
+                e += 1
+                if index[w] < 0:
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # every edge of v followed
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    group = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        group.append(w)
+                        if w == v:
+                            break
+                    if len(group) > 1:
+                        groups.append(sorted(group))
+                continue
+            path[-1] = (v, e)  # descend into the unvisited w
+            index[w] = low[w] = visited
+            visited += 1
+            stack.append(w)
+            on_stack[w] = True
+            path.append((w, first[w]))
+    groups.sort()
+    return groups
 
 
 def _fiber_cost(fiber: Fiber, cost: CostModel) -> float:
@@ -213,14 +276,8 @@ def merge_partitions(
 
     def merge_cycles() -> None:
         """Throughput heuristic: collapse every directed cycle."""
-        while True:
-            g = nx.DiGraph(np.argwhere(dep).tolist())
-            sccs = sorted(
-                sorted(c) for c in nx.strongly_connected_components(g) if len(c) > 1
-            )
-            if not sccs:
-                return
-            for first, *rest in sccs:
+        while groups := cycle_groups(dep):
+            for first, *rest in groups:
                 for j in rest:
                     absorb(first, j)
 

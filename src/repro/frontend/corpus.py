@@ -1,12 +1,16 @@
 """Autoload the committed ingest corpus into the kernel registry.
 
 Every ``*.py`` file under ``examples/ingest/`` (override with the
-``REPRO_INGEST_DIR`` environment variable) is ingested on first
-registry access, so ``repro kernels list``, the sweep engine,
-``repro characterize --namespace frontend`` and the serve daemon all
-see the corpus without any explicit wiring.  Worker processes resolve
-kernels by *name* and trigger the same autoload, so ``frontend/...``
-tasks dispatch across processes exactly like built-in kernels.
+``REPRO_INGEST_DIR`` environment variable) is ingested on the first
+registry lookup that needs it (``all_kernels()``,
+``frontend_kernels()``, registering a frontend kernel, or
+``get_kernel()`` of a name the hand-built modules do not define), so
+``repro kernels list``, the sweep engine, ``repro characterize
+--namespace frontend`` and the serve daemon all see the corpus without
+any explicit wiring, while a Table-I run never parses it.  Worker
+processes resolve kernels by *name* and trigger the same autoload, so
+``frontend/...`` tasks dispatch across processes exactly like built-in
+kernels.
 
 A file that fails to ingest is skipped with a warning — a broken
 example must not take down the whole registry — but ``repro ingest``

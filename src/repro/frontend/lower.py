@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import ast
 import math
+from pathlib import Path
 
 from ..analysis.alias import affine_of
 from ..ir import (
@@ -103,7 +104,10 @@ class _Lowerer:
             self.name,
             trip=n.trip,
             index=n.index,
-            source=f"{n.filename}:{n.fn_name}:{n.line}",
+            # the file's name only, as in KernelSpec.source: the loop
+            # digest covers this field, so a path would key one file
+            # differently in every checkout
+            source=f"{Path(n.filename).name}:{n.fn_name}:{n.line}",
         )
         self.arrays: dict[str, ArraySym] = {}
         self.dtypes: dict[str, DType] = {n.index: I64, n.trip: I64}

@@ -100,6 +100,10 @@ _REGISTRY: dict[str, KernelSpec] = {}
 
 
 def register(spec: KernelSpec) -> KernelSpec:
+    if spec.origin == "frontend":
+        # the committed corpus goes in first, so a file ingested by
+        # hand registers after it, as it would after any full listing
+        _ensure_frontend()
     if spec.name in _REGISTRY:
         raise ValueError(f"duplicate kernel {spec.name!r}")
     _REGISTRY[spec.name] = spec
@@ -107,18 +111,22 @@ def register(spec: KernelSpec) -> KernelSpec:
 
 
 def get_kernel(name: str) -> KernelSpec:
-    _ensure_loaded()
-    return _REGISTRY[name]
+    _ensure_builtins()
+    spec = _REGISTRY.get(name)
+    if spec is None:
+        _ensure_frontend()
+        spec = _REGISTRY[name]
+    return spec
 
 
 def all_kernels() -> list[KernelSpec]:
-    _ensure_loaded()
+    _ensure_frontend()
     return list(_REGISTRY.values())
 
 
 def table1_kernels() -> list[KernelSpec]:
     """The 18 amenable loops of Table I, in table order."""
-    _ensure_loaded()
+    _ensure_builtins()
     order = [
         "lammps-1", "lammps-2", "lammps-3", "lammps-4", "lammps-5",
         "irs-1", "irs-2", "irs-3", "irs-4", "irs-5",
@@ -134,27 +142,42 @@ def corpus_kernels() -> list[KernelSpec]:
     Frontend-ingested kernels are deliberately excluded: the paper's
     taxonomy counts cover exactly the 51 Sequoia loops.
     """
-    _ensure_loaded()
+    _ensure_builtins()
     return [k for k in _REGISTRY.values() if k.origin != "frontend"]
 
 
 def frontend_kernels() -> list[KernelSpec]:
     """Kernels ingested from real Python source (``frontend/`` names)."""
-    _ensure_loaded()
+    _ensure_frontend()
     return [k for k in _REGISTRY.values() if k.origin == "frontend"]
 
 
-_loaded = False
+#: the hand-built modules register on first registry access; the
+#: ingest corpus (:func:`repro.frontend.corpus.autoload`) only when a
+#: lookup needs it, so a Table-I run never parses it.
+_builtins_loaded = False
+_frontend_loaded = False
 
 
-def _ensure_loaded() -> None:
-    global _loaded
-    if _loaded:
+def _ensure_builtins() -> None:
+    global _builtins_loaded
+    if _builtins_loaded:
         return
-    # mark loaded *before* the imports: the frontend autoload registers
-    # through this module, and must not recurse into loading.
-    _loaded = True
     from . import corpus, irs, lammps, sphot, umt2k  # noqa: F401 (registration side effects)
+
+    # set only once they are in: a thread arriving meanwhile waits on
+    # the import locks instead of reading a half-filled registry
+    _builtins_loaded = True
+
+
+def _ensure_frontend() -> None:
+    global _frontend_loaded
+    if _frontend_loaded:
+        return
+    _ensure_builtins()
+    # mark loaded *before* the autoload: it registers through this
+    # module, and must not recurse into loading.
+    _frontend_loaded = True
     from ..frontend.corpus import autoload
 
     autoload()

@@ -45,15 +45,37 @@ SCHEMA_VERSION = 3
 #: keyed separately.
 _EXCLUDED_FIELDS = frozenset({"profile_workload"})
 
+#: types :func:`_plain` returns as they are (exact types only: a
+#: subclass, such as a numpy ``float64``, takes the general branches).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: per type, the field names :func:`_plain` keys a dataclass instance
+#: by (``_EXCLUDED_FIELDS`` left out), or None for any other type.
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name not in _EXCLUDED_FIELDS)
+
 
 def _plain(obj: Any) -> Any:
     """Reduce ``obj`` to canonical JSON-serializable plain data."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out: dict[str, Any] = {"__type__": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            if f.name in _EXCLUDED_FIELDS:
-                continue
-            out[f.name] = _plain(getattr(obj, f.name))
+    cls = type(obj)
+    if cls in _SCALARS:
+        return obj
+    if cls is dict and all(type(k) is str for k in obj):
+        # distinct str keys: the order is left to json's sort_keys
+        return {k: _plain(v) for k, v in obj.items()}
+    try:
+        names = _FIELD_NAMES[cls]
+    except KeyError:
+        names = _FIELD_NAMES.setdefault(cls, _field_names(cls))
+    if names is not None:
+        out: dict[str, Any] = {"__type__": cls.__name__}
+        for name in names:
+            out[name] = _plain(getattr(obj, name))
         return out
     if isinstance(obj, enum.Enum):
         return f"{type(obj).__name__}.{obj.name}"

@@ -8,17 +8,22 @@ source line/column — never a crash, never a silent mislowering.
 import numpy as np
 import pytest
 
+from repro.experiments.common import ExpConfig, clear_cache, store_key_for
 from repro.frontend import (
     FrontendError,
     check_ingested,
     infer,
+    ingest_file,
     ingest_source,
     lower,
     parse_source,
     run_python_oracle,
+    to_kernel_spec,
 )
+from repro.frontend.corpus import default_ingest_dir
 from repro.interp import run_loop
 from repro.ir import fmt_flat, fmt_loop, normalize
+from repro.ir.codec import loop_digest
 from repro.ir.types import F64, I64
 from repro.workload import random_workload
 
@@ -244,6 +249,31 @@ class TestLower:
         )
         again = lower(ing.info, ing.name)
         assert fmt_loop(again) == fmt_loop(ing.loop)
+
+    def test_checkout_path_leaves_the_key_alone(self, tmp_path):
+        """One file ingested from two directories (two checkouts sharing
+        a store) gets one loop digest and one store key: the loop
+        records the file's name, not its path."""
+        text = (default_ingest_dir() / "blas.py").read_text()
+        keys, digests = [], []
+        for where in ("a", "b"):
+            path = tmp_path / where / "blas.py"
+            path.parent.mkdir()
+            path.write_text(text)
+            ing = ingest_file(path)[0]
+            digests.append(loop_digest(ing.loop))
+            clear_cache()  # the second key is built, not recalled
+            keys.append(store_key_for(to_kernel_spec(ing), ExpConfig(n_cores=2)))
+        assert digests[0] == digests[1]
+        assert keys[0] == keys[1]
+        assert ing.loop.source.startswith("blas.py:")
+
+    def test_diagnostics_keep_the_full_path(self, tmp_path):
+        path = tmp_path / "bad.py"
+        path.write_text("def f(n, a):\n    for i in range(n):\n        a[i] = a[i] // 2\n")
+        with pytest.raises(FrontendError) as exc:
+            ingest_file(path)
+        assert str(path) in exc.value.format()
 
     def test_int_division_matches_python(self):
         """`s / 2` with int s must lower as float division (Python

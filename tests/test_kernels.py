@@ -1,8 +1,14 @@
 """Tests for the kernel suite: registry integrity, buildability, and
 Table I metadata."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.interp import run_loop
 from repro.ir import fmt_loop, normalize
 from repro.kernels import (
@@ -19,6 +25,39 @@ TABLE1_NAMES = [
     "umt2k-1", "umt2k-2", "umt2k-3", "umt2k-4", "umt2k-5", "umt2k-6",
     "sphot-1", "sphot-2",
 ]
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter over this checkout; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestStartup:
+    """What the registry loads, and when."""
+
+    def test_table1_cell_loads_neither_networkx_nor_the_frontend(self):
+        out = _fresh_interpreter(
+            "import sys\n"
+            "import repro.experiments\n"
+            "from repro.experiments.common import ExpConfig, store_key_for\n"
+            "from repro.kernels import table1_kernels\n"
+            "store_key_for(table1_kernels()[0], ExpConfig())\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'\n"
+            "             or m.startswith('repro.frontend')))\n"
+        )
+        assert out.strip() == "[]"
+
+    def test_frontend_name_resolves_in_a_fresh_process(self):
+        out = _fresh_interpreter(
+            "from repro.kernels import get_kernel\n"
+            "spec = get_kernel('frontend/dot')\n"
+            "print(spec.name, spec.origin, spec.loop().name)\n"
+        )
+        assert out.split() == ["frontend/dot", "frontend", "frontend/dot"]
 
 
 class TestRegistry:

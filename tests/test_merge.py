@@ -5,7 +5,10 @@ import json
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiler import (
     CompilerConfig,
@@ -14,6 +17,7 @@ from repro.compiler import (
     merge_partitions,
 )
 from repro.compiler.config import MergeWeights
+from repro.compiler.merge import cycle_groups
 from repro.fuzz.gen import RandomDraw, build_loop
 from repro.ir import F64, LoopBuilder, normalize
 from repro.kernels import corpus_kernels, get_kernel
@@ -121,6 +125,54 @@ class TestThroughputHeuristic:
         g = _graph(get_kernel("lammps-2").loop())
         parts = merge_partitions(g, 4, CompilerConfig())
         assert len(parts) >= 2
+
+
+@st.composite
+def dep_matrices(draw):
+    """A dependence-count matrix as the merge keeps one: up to 50 nodes,
+    integer edge counts, a zero diagonal; nodes no edge touches stay
+    isolated.  The edges close a few short cycles, then join random
+    pairs, so components chain into one another and sometimes fuse."""
+    n = draw(st.integers(0, 50))
+    dep = np.zeros((n, n), dtype=np.int64)
+    if n:
+        node = st.integers(0, n - 1)
+        edges = []
+        for ring in draw(st.lists(st.lists(node, min_size=2, max_size=5), max_size=8)):
+            edges += zip(ring, ring[1:] + ring[:1])
+        edges += draw(st.lists(st.tuples(node, node), max_size=2 * n))
+        for i, j in edges:
+            if i != j:
+                dep[i, j] = draw(st.integers(1, 9))
+    return dep
+
+
+class TestCycleGroups:
+    """``cycle_groups`` against networkx, the reference it replaced."""
+
+    @staticmethod
+    def _networkx(dep):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(len(dep)))
+        g.add_edges_from(np.argwhere(dep).tolist())
+        return sorted(
+            sorted(c) for c in nx.strongly_connected_components(g) if len(c) > 1
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(dep_matrices())
+    def test_matches_networkx(self, dep):
+        assert cycle_groups(dep) == self._networkx(dep)
+
+    def test_long_cycle_and_chain(self):
+        # deeper than Python's recursion limit: one 1500-node cycle
+        # and a chain feeding it
+        n = 1500
+        dep = np.zeros((n + 5, n + 5), dtype=np.int8)
+        dep[np.arange(n), (np.arange(n) + 1) % n] = 1
+        dep[n:n + 4, n + 1:n + 5] = np.eye(4, dtype=np.int8)
+        dep[n + 4, 0] = 2
+        assert cycle_groups(dep) == [list(range(n))] == self._networkx(dep)
 
 
 class TestMultiPair:

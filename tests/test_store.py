@@ -9,12 +9,17 @@ engine's serial/parallel equivalence and fallbacks.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import multiprocessing
 import os
+from typing import Any, Mapping
 
+import numpy as np
 import pytest
 
+from repro.analysis.cost import CostModel, LatencyTable, default_latencies
+from repro.compiler import CompilerConfig
 from repro.experiments import common as C
 from repro.experiments.common import (
     ExpConfig,
@@ -24,11 +29,13 @@ from repro.experiments.common import (
     store_key_for,
 )
 from repro.ir.codec import decode_loop, encode_loop, loop_digest
-from repro.kernels import get_kernel, table1_kernels
+from repro.ir.types import DType, VClass
+from repro.kernels import all_kernels, get_kernel, table1_kernels
 from repro.runtime import guard as G
 from repro.store import ResultStore, kernel_run_key, run_grid
 from repro.store import records
-from repro.store.keys import SCHEMA_VERSION, stable_digest
+from repro.sim import MachineParams
+from repro.store.keys import _EXCLUDED_FIELDS, SCHEMA_VERSION, _plain, stable_digest
 from repro.store.sweep import _estimate_cycles, resolve_workers
 
 TRIP = 12
@@ -133,6 +140,94 @@ class TestKeys:
         # keys name the loop by its digest since v3 (v2 added the
         # adaptive fields), so records keyed by printed IR read as misses
         assert SCHEMA_VERSION == 3
+
+
+def _reference_plain(obj: Any) -> Any:
+    """The reflective canonicaliser keys were first built with: the
+    reference :func:`repro.store.keys._plain` must match byte for byte."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        out: dict[str, Any] = {"__type__": type(obj).__name__}
+        for f in dataclasses.fields(obj):
+            if f.name in _EXCLUDED_FIELDS:
+                continue
+            out[f.name] = _reference_plain(getattr(obj, f.name))
+        return out
+    if isinstance(obj, enum.Enum):
+        return f"{type(obj).__name__}.{obj.name}"
+    if isinstance(obj, Mapping):
+        return {str(k): _reference_plain(v)
+                for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = [_reference_plain(v) for v in obj]
+        return sorted(items, key=repr) if isinstance(obj, (set, frozenset)) else items
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    if hasattr(obj, "item"):  # numpy scalar
+        return obj.item()
+    return repr(obj)
+
+
+def _key_doc(spec, compiler: CompilerConfig, machine: MachineParams) -> dict:
+    """The document :func:`kernel_run_key` digests, for ``spec``."""
+    return {
+        "schema": SCHEMA_VERSION, "kind": "run",
+        "loop": loop_digest(spec.loop()), "n_cores": 4,
+        "compiler": compiler, "machine": machine, "trip": TRIP,
+        "seed": spec.seed, "workload": C._workload_recipe(spec),
+    }
+
+
+class _Colour(enum.Enum):
+    RED = 1
+    BLUE = "b"
+
+
+def _canonical_documents() -> dict[str, Any]:
+    """Key documents the goldens never build, and synthetic ones that
+    reach every branch of the canonicaliser."""
+    lat = default_latencies()
+    slow = LatencyTable(
+        float_bin={**lat.float_bin, "div": 31}, call={**lat.call, "exp": 55},
+        load_miss=90, enqueue=2,
+    )
+    spec = get_kernel("umt2k-1")
+    docs = {
+        "stealing+depths": _key_doc(
+            spec, CompilerConfig(runtime_mode="stealing"),
+            MachineParams(queue_depths=(((0, 1, "gpr"), 3), ((2, 0, "fpr"), 7)))),
+        "speculation+multi-pair+throughput": _key_doc(
+            spec, CompilerConfig(speculation=True, multi_pair_merge=True,
+                                 throughput_heuristic=True, max_queues=3),
+            MachineParams(queue_depth=4, queue_latency=50)),
+        "latency-table": _key_doc(
+            spec, CompilerConfig(cost=CostModel(lat=slow, miss_rates={"x": 0.25}),
+                                 profile_workload=spec.workload(trip=TRIP)),
+            MachineParams(latencies=slow, cache_lines=64)),
+        "synthetic": {
+            "set": {3, 1, 2}, "frozenset": frozenset({"b", "a", "c"}),
+            "tuple": (1, (2.5, None), [True]), "enum": [_Colour.RED, _Colour.BLUE,
+                                                        DType.F64, VClass.FPR],
+            "numpy": [np.float64(1.5), np.int64(-3), np.bool_(True), np.float32(0.1)],
+            "keys": {2: "int", "1": "str", 1: "int, same str", (0, 1): "tuple",
+                     None: "none", DType.I64: "enum"},
+            "mixed-set": {1, "1", (2, 3), None},
+            "type": CompilerConfig, "other": range(3),
+        },
+    }
+    for k in all_kernels():
+        docs[f"recipe/{k.name}"] = C._workload_recipe(k)
+    return docs
+
+
+def _canonical(plain: Any) -> str:
+    return json.dumps(plain, sort_keys=True, separators=(",", ":"))
+
+
+def test_canonical_json_matches_reflective_reference():
+    docs = _canonical_documents()
+    assert len(docs) == 4 + len(all_kernels())
+    for name, doc in docs.items():
+        assert _canonical(_plain(doc)) == _canonical(_reference_plain(doc)), name
 
 
 def _lammps1_copy(edit=None):
