@@ -55,6 +55,13 @@ less 100 when ``c_a+c_b`` exceeds the size cap.  The evaluation is
 elementwise float64 in exactly that operation order, so a score is the
 same bit for bit however many pairs are scored at once.  One argmax
 over the matrix then picks the next pair.
+
+Work: a call can count its own deterministic work into a
+:class:`MergeWork` — the selection rounds, the pair affinities computed
+(n² at the start and n for each merge) and the live pairs the
+selection looked at (all of them, every round).  The multi-pair variant
+saves rounds and therefore selection; it computes the same affinities,
+one row per merge, as the single-pair merge does.
 """
 
 from __future__ import annotations
@@ -81,6 +88,18 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition(p{self.pid}, {len(self.fids)} fibers, {self.n_compute_ops} ops)"
+
+
+@dataclass
+class MergeWork:
+    """Deterministic work of :func:`merge_partitions` calls."""
+
+    #: selection rounds (each picks one pair, or several disjoint ones)
+    rounds: int = 0
+    #: pair affinities computed
+    affinity_evals: int = 0
+    #: live pairs examined by selection, summed over the rounds
+    pairs_examined: int = 0
 
 
 class _UnionFind:
@@ -183,15 +202,18 @@ def merge_partitions(
     graph: CodeGraph,
     n_parts: int,
     config: CompilerConfig | None = None,
+    work: MergeWork | None = None,
 ) -> list[Partition]:
     """Merge the code graph down to at most ``n_parts`` partitions.
 
     Returns partitions ordered deterministically (by earliest op rank);
     partition 0 is the one the primary core runs inline (§III-G).  If
     the graph has fewer independent nodes than cores (tiny loop bodies,
-    or heavy cohesion), fewer partitions are returned.
+    or heavy cohesion), fewer partitions are returned.  The call adds
+    its counts to ``work`` when one is given.
     """
     config = config or CompilerConfig()
+    work = work if work is not None else MergeWork()
     fibers = graph.fibers
     if not fibers:
         raise ValueError("empty code graph")
@@ -250,6 +272,7 @@ def merge_partitions(
         )
         score[both > cap] -= 100.0
         score[..., ~alive] = -np.inf
+        work.affinity_evals += score.size
         return score
 
     # live pairs (i < j) in the upper triangle; -inf everywhere else
@@ -284,7 +307,10 @@ def merge_partitions(
     if config.throughput_heuristic:
         merge_cycles()
 
-    while (n_live := np.count_nonzero(alive)) > n_parts:
+    while (n_live := int(np.count_nonzero(alive))) > n_parts:
+        # every live pair (i < j) has a finite affinity
+        work.rounds += 1
+        work.pairs_examined += n_live * (n_live - 1) // 2
         if config.multi_pair_merge:
             # disjoint pairs, best first (ties: smallest i, then j); no
             # more than half the live nodes can pair up at once

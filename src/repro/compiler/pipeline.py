@@ -28,7 +28,7 @@ from ..obs.events import span
 from .codegraph import CodeGraph, build_code_graph
 from .comm import CommPlan, plan_communication
 from .config import CompilerConfig
-from .merge import Partition, load_balance_ratio, merge_partitions
+from .merge import MergeWork, Partition, load_balance_ratio, merge_partitions
 from .schedule import PartitionSchedule, schedule_all
 from .speculation import apply_speculation
 
@@ -37,7 +37,8 @@ __all__ = ["ParallelPlan", "PlanStats", "parallelize", "sequential_plan"]
 
 @dataclass
 class PlanStats:
-    """Per-kernel compile-time statistics (paper Table III)."""
+    """Per-kernel compile-time statistics (paper Table III), and the
+    §III-B merge's counted work (:class:`~repro.compiler.merge.MergeWork`)."""
 
     initial_fibers: int
     data_deps: int
@@ -46,6 +47,9 @@ class PlanStats:
     queues_used: int
     hw_queues_used: int
     n_partitions: int
+    merge_rounds: int
+    merge_affinity_evals: int
+    merge_pairs_examined: int
     partition_costs: list[float] = field(default_factory=list)
     partition_ops: list[int] = field(default_factory=list)
 
@@ -135,8 +139,9 @@ def _compile_one(
         if len(group) > 1:
             graph.cohesion.append(group)
 
+    counted = MergeWork()
     with span(obs, "merge"):
-        merged = merge_partitions(graph, n_cores, config)
+        merged = merge_partitions(graph, n_cores, config, counted)
     candidates = [merged]
     if config.refine and len(merged) > 1:
         from .refine import refine_partitions
@@ -185,6 +190,9 @@ def _compile_one(
         queues_used=comm.queues_used,
         hw_queues_used=comm.hw_queues_used,
         n_partitions=len(partitions),
+        merge_rounds=counted.rounds,
+        merge_affinity_evals=counted.affinity_evals,
+        merge_pairs_examined=counted.pairs_examined,
         partition_costs=[p.cost for p in partitions],
         partition_ops=[p.n_compute_ops for p in partitions],
     )
@@ -259,6 +267,7 @@ def _bare_plan(
     stats = PlanStats(
         initial_fibers=0, data_deps=0, load_balance=1.0, com_ops=0,
         queues_used=0, hw_queues_used=0, n_partitions=len(partitions),
+        merge_rounds=0, merge_affinity_evals=0, merge_pairs_examined=0,
     )
     return ParallelPlan(
         loop=loop, body=body, n_cores=n_cores, config=config, graph=graph,

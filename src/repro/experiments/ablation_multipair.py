@@ -5,18 +5,32 @@ that chooses multiple node pairs to merge at each step ... This version
 allows faster compilation, and becomes useful when there are a large
 number of fibers to process."
 
-We measure both the compile-time saving and the performance impact of
-the coarser merge decisions.
+We measure the performance impact of the coarser merge decisions, and
+the compile-time saving as the merge's counted work on the largest
+kernels (where the paper says the variant "becomes useful"): selection
+rounds, live pairs examined by selection and pair affinities computed
+(:class:`~repro.compiler.merge.MergeWork`).  The counts come from the
+compile statistics of the grid's own 4-core runs, so they are exact and
+a warm store answers them without a merge.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from ..compiler import CompilerConfig, parallelize
-from ..kernels import table1_kernels
 from .common import ExpConfig, amean, run_table1_grid
+
+#: the kernels with the most fibers in the paper's Table III (irs-5 390,
+#: irs-1 208, sphot-2 478).
+LARGE = ("irs-5", "irs-1", "sphot-2")
+
+#: counted merge work: (key, report label); ``PlanStats`` holds each
+#: count as ``merge_<key>``.
+WORK = (
+    ("rounds", "rounds"),
+    ("pairs_examined", "pairs examined"),
+    ("affinity_evals", "affinity evaluations"),
+)
 
 
 @dataclass
@@ -24,7 +38,9 @@ class MultiPairResult:
     rows: list[dict]
     avg_single: float
     avg_multi: float
-    compile_speedup: float  # single-pair compile time / multi-pair
+    #: per large kernel in the grid: its initial fibers and, for each
+    #: variant, the merge's counted work by ``WORK`` key
+    merge_work: list[dict]
 
 
 def run(trip: int = 64) -> MultiPairResult:
@@ -42,29 +58,23 @@ def run(trip: int = 64) -> MultiPairResult:
             }
         )
 
-    # compile-time comparison of the merge step itself on the largest
-    # kernels (where the paper says the variant "becomes useful").
-    from ..compiler import build_code_graph, merge_partitions
-    from ..ir import normalize as _normalize
-
-    big = [s for s in table1_kernels() if s.name in ("irs-5", "irs-1", "sphot-2")]
-    t_single = t_multi = 0.0
-    for spec in big:
-        graph = build_code_graph(_normalize(spec.loop(), max_height=2))
-        t0 = time.perf_counter()
-        for _ in range(3):
-            merge_partitions(graph, 4, CompilerConfig())
-        t_single += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for _ in range(3):
-            merge_partitions(graph, 4, CompilerConfig(multi_pair_merge=True))
-        t_multi += time.perf_counter() - t0
+    by_kernel = {a.kernel: (a, b) for a, b in zip(single, multi)}
+    merge_work = []
+    for name in LARGE:
+        if name not in by_kernel:
+            continue
+        row = {"kernel": name,
+               "fibers": by_kernel[name][0].stats.initial_fibers}
+        for variant, cell in zip(("single", "multi"), by_kernel[name]):
+            row[variant] = {key: getattr(cell.stats, f"merge_{key}")
+                            for key, _ in WORK}
+        merge_work.append(row)
 
     return MultiPairResult(
         rows=rows,
         avg_single=round(amean(r.speedup for r in single), 2),
         avg_multi=round(amean(r.speedup for r in multi), 2),
-        compile_speedup=round(t_single / max(t_multi, 1e-9), 2),
+        merge_work=merge_work,
     )
 
 
@@ -75,9 +85,14 @@ def format_result(res: MultiPairResult) -> str:
     ]
     for r in res.rows:
         lines.append(f"{r['kernel']:10s} {r['single']:7.2f} {r['multi']:7.2f}")
+    kernels = ", ".join(w["kernel"] for w in res.merge_work) or "none"
+    totals = ", ".join(
+        f"{sum(w['single'][key] for w in res.merge_work):,}/"
+        f"{sum(w['multi'][key] for w in res.merge_work):,} {label}"
+        for key, label in WORK
+    )
     lines.append(
         f"average: single={res.avg_single} multi={res.avg_multi}; "
-        f"merge compile-time speedup on large kernels: "
-        f"{res.compile_speedup}x"
+        f"merge work on {kernels} (single/multi): {totals}"
     )
     return "\n".join(lines)

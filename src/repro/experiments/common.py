@@ -24,7 +24,7 @@ out over the :mod:`repro.store.sweep` worker pool.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -169,11 +169,25 @@ def store_key_for(spec: KernelSpec, config: ExpConfig) -> str:
     ))
 
 
+def _seq_machine(config: ExpConfig) -> MachineParams:
+    """The machine of a cell's sequential baseline: ``config``'s, with
+    the queue fields at their :class:`MachineParams` defaults.  A 1-core
+    kernel has no queue operation (``run_kernel`` checks), so every
+    queue latency and depth shares one baseline, and a default cell
+    keeps its key."""
+    return replace(
+        config.machine(),
+        queue_depth=MachineParams.queue_depth,
+        queue_latency=MachineParams.queue_latency,
+        queue_depths=MachineParams.queue_depths,
+    )
+
+
 def _seq_store_key(spec: KernelSpec, config: ExpConfig, loop, seq_cfg) -> str:
     from ..store.keys import kernel_run_key
 
     return kernel_run_key(
-        loop, 1, seq_cfg, config.machine(), config.trip,
+        loop, 1, seq_cfg, _seq_machine(config), config.trip,
         spec.seed + config.seed,
         workload=_workload_recipe(spec), kind="seq",
     )
@@ -221,12 +235,14 @@ def run_kernel(
     digest = store_key_for(spec, config)
     tier, hit = recall(digest, store)
     if hit is not None:
-        if tier == "l1" and store is not None and store.get_run(digest) is None:
+        if tier == "l1" and store is not None and not store.has(digest):
             # The memo says "computed"; the caller needs "durable in
             # *this* store".  After a gc/clear, or when resuming a
             # different store root in a warm process, the record may
             # be absent — rewrite it so run_kernel's contract (return
             # implies a durable record) holds for crash recovery.
+            # Existence is the test: the memo already holds the run,
+            # so the record is not read again.
             store.put_run(digest, hit)
         _task_event(obs, task, t0, "cached")
         return hit
@@ -243,7 +259,14 @@ def run_kernel(
         cycles = store.get_seq(seq_digest) if store is not None else None
         if cycles is None:
             k1 = compile_loop(loop, 1, seq_cfg)
-            cycles = execute_kernel(k1, wl, config.machine()).cycles
+            if any(ins.op in ("enq", "deq") for prog in k1.programs
+                   for fn in prog.functions for ins in fn.instrs):
+                raise ValueError(
+                    f"{spec.name}: the sequential baseline uses a queue, "
+                    "so its cycles would depend on the queue parameters "
+                    "its key leaves out"
+                )
+            cycles = execute_kernel(k1, wl, _seq_machine(config)).cycles
             if store is not None:
                 store.put_seq(seq_digest, spec.name, cycles)
         return cycles

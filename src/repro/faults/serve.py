@@ -190,6 +190,9 @@ class FaultyStore:
     def get_seq(self, key: str):
         return self._store.get_seq(key)
 
+    def has(self, key: str) -> bool:
+        return self._store.has(key)
+
     def put(self, key: str, envelope: dict) -> None:
         self._injector.check_write(key)
         self._store.put(key, envelope)

@@ -21,8 +21,9 @@ stage's inputs:
 Two more memos hold the cell's results, keyed by the content-addressed
 store key: :data:`RUNS` (finished runs) and :data:`SEQ` (sequential
 baseline cycles).  They are this process's tier in front of the disk
-store: :func:`repro.experiments.common.run_kernel` reads them, and
-``repro serve`` uses :data:`RUNS` as its L1.
+store: :func:`repro.experiments.common.run_kernel` reads them,
+``run_grid``'s longest-job-first sort fills :data:`RUNS` with the
+records it reads, and ``repro serve`` uses :data:`RUNS` as its L1.
 
 A miss runs the stage's code unchanged; a hit returns the very object
 the miss returned, so memoised results are shared and read-only (the

@@ -179,6 +179,16 @@ class ResultStore:
         self.hits += 1
         return envelope
 
+    def has(self, key: str) -> bool:
+        """Whether a record exists under ``key``, without reading it.
+
+        The durability test for a result this process already holds
+        (a run-memo hit): the record is neither decoded nor counted as
+        a hit or a miss.  A corrupt record still reads as a miss
+        through :meth:`get`.
+        """
+        return os.path.isfile(self._path(key))
+
     def put(self, key: str, envelope: dict) -> None:
         """Atomically persist an envelope (temp file + rename).
 

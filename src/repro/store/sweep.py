@@ -142,12 +142,19 @@ def _task_key(spec: Any, config: Any) -> str:
 
 
 def _estimate_cycles(store: Any, spec: Any, config: Any) -> float:
-    """Expected task cost from a stored prior run; unknown → +inf so
+    """Expected task cost from a prior run; unknown → +inf so
     never-seen tasks are scheduled first (longest-job-first under
-    uncertainty)."""
+    uncertainty).
+
+    The run is read through :func:`~repro.experiments.common.recall`,
+    so a stored record enters the run memo here and the cell's own
+    lookup in ``run_kernel`` is a memo hit: one store read per cell.
+    """
+    from ..experiments.common import recall
+
     if store is None:
         return math.inf
-    run = store.get_run(_task_key(spec, config))
+    _, run = recall(_task_key(spec, config), store)
     if run is None:
         return math.inf
     if run.deadlocked or not math.isfinite(run.par_cycles):

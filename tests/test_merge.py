@@ -15,9 +15,10 @@ from repro.compiler import (
     build_code_graph,
     load_balance_ratio,
     merge_partitions,
+    parallelize,
 )
 from repro.compiler.config import MergeWeights
-from repro.compiler.merge import cycle_groups
+from repro.compiler.merge import MergeWork, cycle_groups
 from repro.fuzz.gen import RandomDraw, build_loop
 from repro.ir import F64, LoopBuilder, normalize
 from repro.kernels import corpus_kernels, get_kernel
@@ -173,6 +174,39 @@ class TestCycleGroups:
         dep[n:n + 4, n + 1:n + 5] = np.eye(4, dtype=np.int8)
         dep[n + 4, 0] = 2
         assert cycle_groups(dep) == [list(range(n))] == self._networkx(dep)
+
+
+class TestMergeWork:
+    @staticmethod
+    def _six_fibers():
+        """Six independent stores: six fibers, no edges, no cohesion."""
+        b = LoopBuilder("six", trip="n")
+        x = b.array("x", F64)
+        for k in range(6):
+            b.store(b.array(f"o{k}", F64), b.index, x[b.index] * float(k + 2))
+        return b.build()
+
+    @pytest.mark.parametrize("multi, counts", [
+        # 6 -> 5 -> 4 -> 3 -> 2: pairs examined C(6,2)+C(5,2)+C(4,2)+C(3,2)
+        (False, dict(rounds=4, affinity_evals=60, pairs_examined=34)),
+        # 6 -> 3 (three disjoint pairs) -> 2: C(6,2)+C(3,2)
+        (True, dict(rounds=2, affinity_evals=60, pairs_examined=18)),
+    ])
+    def test_counts_on_a_hand_built_graph(self, multi, counts):
+        """Affinities: the 6x6 start plus one row of 6 for each of the
+        four merges, whichever variant picks them."""
+        loop = self._six_fibers()
+        g = _graph(loop)
+        assert (len(g.fibers), g.cohesion, len(g.edges)) == (6, [], 0)
+        cfg = CompilerConfig(multi_pair_merge=multi)
+        work = MergeWork()
+        assert len(merge_partitions(g, 2, cfg, work)) == 2
+        assert work == MergeWork(**counts)
+        stats = parallelize(loop, 2, cfg).stats
+        assert (stats.merge_rounds, stats.merge_affinity_evals,
+                stats.merge_pairs_examined) == (
+            counts["rounds"], counts["affinity_evals"],
+            counts["pairs_examined"])
 
 
 class TestMultiPair:

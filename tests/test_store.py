@@ -348,6 +348,55 @@ class TestRoundTrip:
         )
         assert run.correct and run.speedup > 0
 
+    def test_latency_sweep_shares_one_seq_record_per_kernel(self, store):
+        """The baseline's key leaves the queue parameters out: one 'seq'
+        record per kernel serves every latency and depth, and its cycles
+        are what the 1-core kernel takes on each of those machines."""
+        specs = [get_kernel("umt2k-1"), get_kernel("lammps-1")]
+        latencies = (5, 20, 50, 100)
+        runs = {
+            (spec.name, lat): run_kernel(
+                spec, ExpConfig(n_cores=4, queue_latency=lat, trip=TRIP),
+                store=store)
+            for spec in specs for lat in latencies
+        }
+        seq_records = [
+            envelope for envelope in (
+                json.loads(path.read_text())
+                for path in store._record_paths())
+            if envelope["kind"] == "seq"]
+        assert sorted(r["kernel"] for r in seq_records) == sorted(
+            spec.name for spec in specs)
+        seq = {r["kernel"]: r["payload"]["cycles"] for r in seq_records}
+        for spec in specs:
+            k1 = C.compile_loop(spec.loop(), 1, CompilerConfig())
+            wl = spec.workload(trip=TRIP, seed=spec.seed)
+            for lat in latencies:
+                assert runs[spec.name, lat].seq_cycles == seq[spec.name]
+                direct = C.execute_kernel(
+                    k1, wl, MachineParams(queue_latency=lat, queue_depth=1))
+                assert direct.cycles == seq[spec.name]
+
+    def test_default_cell_keeps_its_seq_key(self):
+        spec, cfg = get_kernel("umt2k-1"), ExpConfig(trip=TRIP)
+        seq_cfg = CompilerConfig(max_expr_height=cfg.max_expr_height)
+        old = kernel_run_key(
+            spec.loop(), 1, seq_cfg, cfg.machine(), TRIP, spec.seed,
+            workload=C._workload_recipe(spec), kind="seq")
+        assert C._seq_store_key(spec, cfg, spec.loop(), seq_cfg) == old
+
+    def test_seq_baseline_with_a_queue_fails_loudly(self, store, monkeypatch):
+        compile_loop = C.compile_loop
+        monkeypatch.setattr(
+            C, "compile_loop",
+            lambda loop, n_cores, cfg=None: compile_loop(loop, 2, cfg))
+        with pytest.raises(ValueError, match="baseline uses a queue"):
+            run_kernel(get_kernel("umt2k-1"), ExpConfig(n_cores=2, trip=TRIP),
+                       store=store)
+        assert not any(
+            json.loads(p.read_text())["kind"] == "seq"
+            for p in store._record_paths())
+
 
 class TestRobustness:
     def test_corrupted_record_is_miss_and_recovers(self, store):
@@ -402,6 +451,50 @@ class TestRobustness:
         _assert_runs_equal(first, again)
         rewritten = json.loads(store._path(key).read_text())
         assert "sim_mode" not in rewritten["payload"]["config"]
+        _assert_runs_equal(first, store.get_run(key))
+
+    def test_record_without_merge_counts_is_miss_and_recovers(self, store):
+        """Records written before ``PlanStats`` counted the merge's work
+        lack ``merge_*`` in ``payload.stats``: such a record reads as a
+        counted miss, and the recompute overwrites it at the same key."""
+        spec = get_kernel("umt2k-1")
+        cfg = ExpConfig(n_cores=2, trip=TRIP)
+        first = run_kernel(spec, cfg, store=store)
+        assert first.stats.merge_rounds > 0
+        key = store_key_for(spec, cfg)
+        envelope = json.loads(store._path(key).read_text())
+        for field in ("merge_rounds", "merge_affinity_evals",
+                      "merge_pairs_examined"):
+            del envelope["payload"]["stats"][field]
+        store._path(key).write_text(json.dumps(envelope))
+        hits, misses = store.hits, store.misses
+        assert store.get_run(key) is None
+        assert (store.hits, store.misses) == (hits, misses + 1)
+        clear_cache()
+        again = run_kernel(spec, cfg, store=store)  # recomputes + rewrites
+        _assert_runs_equal(first, again)
+        rewritten = json.loads(store._path(key).read_text())
+        assert rewritten["payload"]["stats"]["merge_rounds"] == (
+            first.stats.merge_rounds)
+        _assert_runs_equal(first, store.get_run(key))
+
+    def test_memo_hit_tests_existence_and_rewrites_a_missing_record(
+            self, store, monkeypatch):
+        """A run-memo hit asks the store whether the record exists and
+        reads nothing; a record that is gone is written again."""
+        spec = get_kernel("umt2k-1")
+        cfg = ExpConfig(n_cores=2, trip=TRIP)
+        first = run_kernel(spec, cfg, store=store)
+        key = store_key_for(spec, cfg)
+        reads = []
+        monkeypatch.setattr(store, "get", lambda k: reads.append(k))
+        assert run_kernel(spec, cfg, store=store) is first
+        assert reads == [] and store.has(key)
+        store._path(key).unlink()
+        assert not store.has(key)
+        assert run_kernel(spec, cfg, store=store) is first
+        assert reads == [] and store.has(key)
+        monkeypatch.undo()
         _assert_runs_equal(first, store.get_run(key))
 
     def test_atomic_writes_leave_no_temp_files(self, store):
@@ -514,6 +607,22 @@ class TestSweep:
         run = run_kernel(spec, cfg, store=store)
         assert _estimate_cycles(store, spec, cfg) == run.par_cycles
         assert _estimate_cycles(None, spec, cfg) == float("inf")
+
+    def test_warm_grid_reads_each_record_once(self, store, monkeypatch):
+        """The longest-job-first sort reads a stored run into the run
+        memo, so the cell itself is a memo hit: one read per cell."""
+        specs = [get_kernel("umt2k-1"), get_kernel("lammps-1")]
+        cfgs = [ExpConfig(n_cores=c, trip=TRIP) for c in (2, 4)]
+        cold = run_grid(specs, cfgs, workers=0, store=store)
+        clear_cache()
+        reads = []
+        get = store.get
+        monkeypatch.setattr(store, "get", lambda k: reads.append(k) or get(k))
+        warm = run_grid(specs, cfgs, workers=0, store=store)
+        assert sorted(reads) == sorted(
+            store_key_for(s, c) for s in specs for c in cfgs)
+        for cell, run in cold.items():
+            _assert_runs_equal(run, warm[cell])
 
     def test_resolve_workers(self, monkeypatch):
         assert resolve_workers(0) == 0
