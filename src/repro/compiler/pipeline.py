@@ -8,9 +8,18 @@ Pass order (paper §III):
 3. fiber extraction + code-graph construction (§III-A, §III-B);
 4. cohesion for live-out temporaries (§III-F needs a unique source
    partition per live-out value);
-5. merging down to ``n_cores`` partitions (§III-B);
-6. communication planning (§III-D/E) and per-partition scheduling;
-7. statistics (the Table III columns).
+5. merging down to ``n_cores`` partitions (§III-B), then refinement
+   and the queue limit: the candidate partitionings;
+6. per candidate: communication planning (§III-D/E), per-partition
+   scheduling and statistics (the Table III columns);
+7. profile-directed selection among the candidates (§III-I): each is
+   lowered and profiled once, and the winner's kernel is kept.
+
+Steps 2–4 read the loop and ``max_expr_height`` only, step 5 also the
+core count and the rest of the config; step 7 alone reads the profile
+workload.  Steps 2–4 and 5 are memoised per process on exactly those
+inputs (:data:`repro.memo.CODEGRAPH`, :data:`repro.memo.PARTITIONS`),
+so nothing after them may mutate the shared body or code graph.
 
 The result is a :class:`ParallelPlan`, which :mod:`repro.isa.lower`
 turns into per-core machine programs (outlined functions + the §III-G
@@ -19,11 +28,13 @@ runtime protocol).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from ..ir.codec import loop_digest
 from ..ir.normalize import normalize
 from ..ir.printer import fmt_loop
 from ..ir.stmts import FlatBody, Loop
+from ..memo import CODEGRAPH, PARTITIONS, config_digest
 from ..obs.events import span
 from .codegraph import CodeGraph, build_code_graph
 from .comm import CommPlan, plan_communication
@@ -76,6 +87,11 @@ class ParallelPlan:
     schedules: list[PartitionSchedule]
     comm: CommPlan
     stats: PlanStats
+    #: the kernel the §III-I selection lowered this plan to for its
+    #: profile run, if it ran one.  :func:`repro.runtime.exec.compile_loop`
+    #: serves it instead of lowering the plan again, and clears the
+    #: field so that the kernel's plan does not refer back to it.
+    lowered: object | None = field(default=None, repr=False, compare=False)
 
     @property
     def primary_pid(self) -> int:
@@ -97,6 +113,13 @@ def parallelize(
     non-speculated variants are both compiled and the faster one is
     kept — the multi-version + dynamic-feedback scheme of §III-I
     (limitation 1).
+
+    Only the §III-I profile selection reads the workload.  What comes
+    before it is memoised per process on what it reads
+    (:data:`repro.memo.CODEGRAPH`, :data:`repro.memo.PARTITIONS`), so a
+    compile that differs in its profile workload alone re-runs only the
+    selection.  When the selection profiled the plan it returns, the
+    kernel it lowered to do so rides along in ``plan.lowered``.
     """
     if n_cores < 1:
         raise ValueError("n_cores must be >= 1")
@@ -105,15 +128,127 @@ def parallelize(
     if config.speculation:
         with span(obs, "speculate"):
             spec_loop = apply_speculation(loop)
-        plan_spec = _compile_one(spec_loop, n_cores, config, obs)
+        spec = _compile_one(spec_loop, n_cores, config, obs)
         if fmt_loop(spec_loop) == fmt_loop(loop) or not config.autotune:
-            return plan_spec
-        plan_base = _compile_one(loop, n_cores, config, obs)
+            return spec.served()
+        base = _compile_one(loop, n_cores, config, obs)
         with span(obs, "profile-versions"):
-            c_spec = _profile_plan(plan_spec, config)
-            c_base = _profile_plan(plan_base, config)
-        return plan_spec if c_spec <= c_base else plan_base
-    return _compile_one(loop, n_cores, config, obs)
+            c_spec = spec.profile(config, obs)
+            c_base = base.profile(config, obs)
+        return (spec if c_spec <= c_base else base).served()
+    return _compile_one(loop, n_cores, config, obs).served()
+
+
+@dataclass
+class _Selected:
+    """The plan a selection picked, with the kernel and profile cycles
+    of its profile run when it had one."""
+
+    plan: ParallelPlan
+    kernel: object | None = None
+    cycles: float | None = None
+
+    def profile(self, config: CompilerConfig, obs) -> float:
+        """The plan's profile cycles, running the profile on first use."""
+        if self.cycles is None:
+            self.cycles, self.kernel = _profile_plan(self.plan, config, obs)
+        return self.cycles
+
+    def served(self) -> ParallelPlan:
+        self.plan.lowered = self.kernel
+        return self.plan
+
+
+def _code_graph(work: Loop, max_height: int, obs) -> tuple[FlatBody, CodeGraph]:
+    """Normalize ``work`` and build its code graph, with §III-F
+    cohesion for live-out temporaries: workload- and core-independent,
+    so memoised on (loop digest, height) and shared read-only."""
+
+    def build() -> tuple[FlatBody, CodeGraph]:
+        with span(obs, "normalize"):
+            body = normalize(work, max_height=max_height)
+        with span(obs, "codegraph"):
+            graph = build_code_graph(body)
+        # §III-F: each live-out temporary needs a single source
+        # partition so the copy-out at loop exit has one sender.
+        fs = graph.fiberset
+        for name in work.live_out:
+            group = {
+                fs.fiber_of(fs.root_op[st.sid]).fid
+                for st in body.stmts
+                if st.target == name
+            }
+            if len(group) > 1:
+                graph.cohesion.append(group)
+        return body, graph
+
+    return CODEGRAPH.get((loop_digest(work), max_height), build, obs)
+
+
+def _candidates(
+    work: Loop,
+    body: FlatBody,
+    graph: CodeGraph,
+    n_cores: int,
+    config: CompilerConfig,
+    obs,
+) -> tuple[list[list[Partition]], MergeWork]:
+    """The §III-B merge, its refinement and the queue limit: the
+    candidate partitionings the selection chooses among, and the
+    merge's counted work.  Memoised without the profile workload, as
+    fiber-id sets and costs rebuilt against the shared ``graph``."""
+
+    def build() -> tuple[tuple, MergeWork]:
+        counted = MergeWork()
+        with span(obs, "merge"):
+            merged = merge_partitions(graph, n_cores, config, counted)
+        candidates = [merged]
+        if config.refine and len(merged) > 1:
+            from .refine import refine_partitions
+
+            with span(obs, "refine"):
+                refined = refine_partitions(graph, merged, config)
+            if _assignment_of(refined) != _assignment_of(merged):
+                candidates.append(refined)
+            # NOTE: adding a communication-averse candidate (refined
+            # against a pessimistic latency) lifts the Fig 12 average to
+            # the paper's 2.05 but flattens the Fig 13 sensitivity curve
+            # the paper emphasises — the compiler becomes smarter than
+            # the one under study.  We keep the faithful pipeline here;
+            # experiment E10 quantifies what the extra candidate would
+            # buy.
+
+        if config.max_queues is not None:
+            with span(obs, "queue-limit"):
+                candidates = [
+                    _enforce_queue_limit(c, graph, body, config.max_queues)
+                    for c in candidates
+                ]
+        compact = tuple(
+            tuple((p.fids, p.cost) for p in parts) for parts in candidates
+        )
+        return compact, counted
+
+    key = (loop_digest(work), n_cores,
+           config_digest(replace(config, profile_workload=None)))
+    compact, counted = PARTITIONS.get(key, build, obs)
+    return [_rebuild(parts, graph) for parts in compact], counted
+
+
+def _rebuild(parts: tuple, graph: CodeGraph) -> list[Partition]:
+    """Partitions from their ``(fids, cost)`` pairs, in pid order."""
+    fs = graph.fiberset
+    pid_of = {fid: pid for pid, (fids, _) in enumerate(parts) for fid in fids}
+    ops: list[list] = [[] for _ in parts]
+    for op in sorted(fs.ops, key=lambda o: o.rank):
+        ops[pid_of[fs.fiber_of(op).fid]].append(op)
+    return [
+        Partition(
+            pid=pid, fids=fids, ops=ops[pid], cost=cost,
+            n_compute_ops=sum(1 for o in ops[pid] if o.kind == "expr"),
+        )
+        for pid, (fids, cost) in enumerate(parts)
+    ]
 
 
 def _compile_one(
@@ -121,92 +256,46 @@ def _compile_one(
     n_cores: int,
     config: CompilerConfig,
     obs=None,
-) -> ParallelPlan:
-    with span(obs, "normalize"):
-        body = normalize(work, max_height=config.max_expr_height)
-    with span(obs, "codegraph"):
-        graph = build_code_graph(body)
+) -> _Selected:
+    body, graph = _code_graph(work, config.max_expr_height, obs)
+    candidates, counted = _candidates(work, body, graph, n_cores, config, obs)
+    n_data_deps = graph.n_data_deps
 
-    # §III-F: each live-out temporary needs a single source partition so
-    # the copy-out at loop exit has one sender.
-    fs = graph.fiberset
-    for name in work.live_out:
-        group = {
-            fs.fiber_of(fs.root_op[st.sid]).fid
-            for st in body.stmts
-            if st.target == name
-        }
-        if len(group) > 1:
-            graph.cohesion.append(group)
+    def plan_of(partitions: list[Partition]) -> ParallelPlan:
+        with span(obs, "comm"):
+            comm = plan_communication(graph, partitions, body)
+        with span(obs, "schedule"):
+            schedules = schedule_all(partitions, graph, comm)
+        stats = PlanStats(
+            initial_fibers=graph.fiberset.n_initial_fibers,
+            data_deps=n_data_deps,
+            load_balance=load_balance_ratio(partitions),
+            com_ops=comm.n_com_ops,
+            queues_used=comm.queues_used,
+            hw_queues_used=comm.hw_queues_used,
+            n_partitions=len(partitions),
+            merge_rounds=counted.rounds,
+            merge_affinity_evals=counted.affinity_evals,
+            merge_pairs_examined=counted.pairs_examined,
+            partition_costs=[p.cost for p in partitions],
+            partition_ops=[p.n_compute_ops for p in partitions],
+        )
+        return ParallelPlan(
+            loop=work, body=body, n_cores=n_cores, config=config,
+            graph=graph, partitions=partitions, schedules=schedules,
+            comm=comm, stats=stats,
+        )
 
-    counted = MergeWork()
-    with span(obs, "merge"):
-        merged = merge_partitions(graph, n_cores, config, counted)
-    candidates = [merged]
-    if config.refine and len(merged) > 1:
-        from .refine import refine_partitions
-
-        with span(obs, "refine"):
-            refined = refine_partitions(graph, merged, config)
-        if _assignment_of(refined) != _assignment_of(merged):
-            candidates.append(refined)
-        # NOTE: adding a communication-averse candidate (refined against
-        # a pessimistic latency) lifts the Fig 12 average to the paper's
-        # 2.05 but flattens the Fig 13 sensitivity curve the paper
-        # emphasises — the compiler becomes smarter than the one under
-        # study.  We keep the faithful pipeline here; experiment E10
-        # quantifies what the extra candidate would buy.
-
-    if config.max_queues is not None:
-        with span(obs, "queue-limit"):
-            candidates = [
-                _enforce_queue_limit(c, graph, body, config.max_queues)
-                for c in candidates
-            ]
-
-    partitions = candidates[0]
-    with span(obs, "comm"):
-        comm = plan_communication(graph, partitions, body)
-    with span(obs, "schedule"):
-        schedules = schedule_all(partitions, graph, comm)
-    if len(candidates) > 1 and config.autotune:
-        with span(obs, "autotune"):
-            best = None
-            for cand in candidates:
-                c_comm = plan_communication(graph, cand, body)
-                c_sched = schedule_all(cand, graph, c_comm)
-                cand_plan = _bare_plan(work, body, n_cores, config, graph,
-                                       cand, c_sched, c_comm)
-                cycles = _profile_plan(cand_plan, config)
-                if best is None or cycles < best[0]:
-                    best = (cycles, cand, c_comm, c_sched)
-            _, partitions, comm, schedules = best
-
-    stats = PlanStats(
-        initial_fibers=fs.n_initial_fibers,
-        data_deps=graph.n_data_deps,
-        load_balance=load_balance_ratio(partitions),
-        com_ops=comm.n_com_ops,
-        queues_used=comm.queues_used,
-        hw_queues_used=comm.hw_queues_used,
-        n_partitions=len(partitions),
-        merge_rounds=counted.rounds,
-        merge_affinity_evals=counted.affinity_evals,
-        merge_pairs_examined=counted.pairs_examined,
-        partition_costs=[p.cost for p in partitions],
-        partition_ops=[p.n_compute_ops for p in partitions],
-    )
-    return ParallelPlan(
-        loop=work,
-        body=body,
-        n_cores=n_cores,
-        config=config,
-        graph=graph,
-        partitions=partitions,
-        schedules=schedules,
-        comm=comm,
-        stats=stats,
-    )
+    if len(candidates) == 1 or not config.autotune:
+        return _Selected(plan_of(candidates[0]))
+    # §III-I: profile each candidate once, keep the first fastest
+    best = None
+    for partitions in candidates:
+        cand = _Selected(plan_of(partitions))
+        cycles = cand.profile(config, obs)
+        if best is None or cycles < best.cycles:
+            best = cand
+    return best
 
 
 def _assignment_of(partitions: list[Partition]) -> frozenset:
@@ -254,33 +343,17 @@ def _enforce_queue_limit(
     return parts
 
 
-def _bare_plan(
-    loop: Loop,
-    body: FlatBody,
-    n_cores: int,
-    config: CompilerConfig,
-    graph: CodeGraph,
-    partitions: list[Partition],
-    schedules: list[PartitionSchedule],
-    comm: CommPlan,
-) -> ParallelPlan:
-    stats = PlanStats(
-        initial_fibers=0, data_deps=0, load_balance=1.0, com_ops=0,
-        queues_used=0, hw_queues_used=0, n_partitions=len(partitions),
-        merge_rounds=0, merge_affinity_evals=0, merge_pairs_examined=0,
-    )
-    return ParallelPlan(
-        loop=loop, body=body, n_cores=n_cores, config=config, graph=graph,
-        partitions=partitions, schedules=schedules, comm=comm, stats=stats,
-    )
-
-
-def _profile_plan(plan: ParallelPlan, config: CompilerConfig) -> float:
-    """Simulate a short synthetic profile run of one candidate plan and
-    return its cycle count (infinity on deadlock/failure).
+def _profile_plan(
+    plan: ParallelPlan, config: CompilerConfig, obs=None,
+) -> tuple[float, object | None]:
+    """Lower one candidate plan, simulate a short synthetic profile run
+    of it and return its cycle count and the kernel: infinity on
+    deadlock or failure, and no kernel if the lowering itself failed.
 
     This is the §III-I "profile directed feedback mechanism": the
     compiler cannot statically predict execution time, so it measures.
+    A failed run loses the selection and, on an enabled ``obs`` bus,
+    is counted as one ``profile-failed`` guard event.
     """
     # local imports: isa/runtime import compiler.pipeline at module load
     from ..isa.lower import lower_plan
@@ -288,20 +361,25 @@ def _profile_plan(plan: ParallelPlan, config: CompilerConfig) -> float:
     from ..sim.machine import MachineParams
     from ..workload import random_workload
 
+    kern = None
     try:
-        kern = lower_plan(plan)
+        with span(obs, "lower"):
+            kern = lower_plan(plan)
         if config.profile_workload is not None:
             wl = config.profile_workload.copy()
             wl.scalars[plan.loop.trip] = config.autotune_trip
         else:
             wl = random_workload(plan.loop, trip=config.autotune_trip, seed=7)
-        res = execute_kernel(
-            kern, wl,
-            MachineParams(queue_latency=config.assumed_queue_latency),
-        )
-        return res.cycles
-    except Exception:
-        return float("inf")
+        with span(obs, "autotune"):
+            res = execute_kernel(
+                kern, wl,
+                MachineParams(queue_latency=config.assumed_queue_latency),
+            )
+        return res.cycles, kern
+    except Exception as exc:
+        if obs is not None:
+            obs.emit_guard("profile-failed", 0, note=type(exc).__name__)
+        return float("inf"), kern
 
 
 def sequential_plan(loop: Loop, config: CompilerConfig | None = None) -> ParallelPlan:

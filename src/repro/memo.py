@@ -18,6 +18,22 @@ stage's inputs:
   also names the spec's seed and workload recipe
   (:meth:`repro.kernels.base.KernelSpec.recipe_key`).
 
+The compile itself is split at the one step that reads the workload,
+the §III-I profile selection, into two more stages that a compile-memo
+miss goes through (:mod:`repro.compiler.pipeline`):
+
+* :data:`CODEGRAPH` — normalization, the code graph and live-out
+  cohesion, keyed by (loop digest, ``max_expr_height``) and shared by
+  every core count, config and workload;
+* :data:`PARTITIONS` — merge, refinement and the queue limit, keyed by
+  (loop digest, ``n_cores``, :func:`config_digest` of the compiler
+  config without its profile workload).  An entry holds each candidate
+  as its fiber-id sets and costs, plus the merge's counted work, and is
+  rebuilt into partitions against the shared code graph.
+
+A new workload seed or trip therefore re-runs only the profile
+selection.
+
 Two more memos hold the cell's results, keyed by the content-addressed
 store key: :data:`RUNS` (finished runs) and :data:`SEQ` (sequential
 baseline cycles).  They are this process's tier in front of the disk
@@ -71,6 +87,19 @@ def content_key(obj: Any) -> Hashable:
             for f in dataclasses.fields(obj)
         ))
     return obj
+
+
+def config_digest(config: Any) -> bytes:
+    """A 16-byte digest of ``config``'s :func:`content_key`.
+
+    The content key of a compiler config is about 20 KB of nested
+    tuples (the cost model's latency tables); a memo that keeps
+    many entries keys by this digest instead.  The digest is over the
+    key's ``repr``, which is unambiguous for what a config holds:
+    strings, bytes, numbers and tuples of them.
+    """
+    return hashlib.blake2b(repr(content_key(config)).encode(),
+                           digest_size=16).digest()
 
 
 class Memo:
@@ -135,10 +164,22 @@ class Memo:
 # Bounds, from one cold E2–E10 pass at trip 64 (the ``suite-cold``
 # benchmark workload) and the ``serve-zipf`` request mix.
 
-#: compiled kernels (about 90 KiB each on Table I).  ``run_grid``
-#: dispatches kernel-major, so reuse is consecutive: 2 entries catch
-#: 256 of the 328 possible hits; 64 catch 292 and 128 all of them.
+#: compiled kernels (about 100 KiB each at 4 cores on Table I, decoded
+#: programs included; the code graph they point to is held once by
+#: :data:`CODEGRAPH`).  ``run_grid`` dispatches kernel-major, so reuse
+#: is consecutive: 2 entries catch 256 of the 328 possible hits; 64
+#: catch 292 and 128 all of them.  A miss past the bound re-runs only
+#: the profile selection, lowering and check, since the stages below
+#: hold the rest.
 COMPILE_ENTRIES = 4
+#: normalized bodies with their code graphs (about 50 KiB each on
+#: Table I, 259 KiB for irs-5): 23 (loop, height) pairs in a cold
+#: E2–E10 pass, 18 on ``serve-zipf``.
+CODEGRAPH_ENTRIES = 32
+#: candidate partitionings, as fiber-id sets and costs (about 4 KiB
+#: each on Table I, 19 KiB for irs-5): 167 (loop, cores, config) keys
+#: in a cold E2–E10 pass, 54 on ``serve-zipf``.
+PARTITIONS_ENTRIES = 256
 #: interpreter results.  Reuse cycles over the 18 Table-I kernels, so
 #: 18 entries catch all 306 hits; on ``serve-zipf`` 79 of 212 computed
 #: cells can hit, spread over more (kernel, seed) workloads.
@@ -154,6 +195,11 @@ SEQ_ENTRIES = 4096
 
 #: (loop digest, n_cores, CompilerConfig content, check) -> LoweredKernel
 COMPILE = Memo("compile", COMPILE_ENTRIES)
+#: (loop digest, max_expr_height) -> (FlatBody, CodeGraph), read-only
+CODEGRAPH = Memo("codegraph", CODEGRAPH_ENTRIES)
+#: (loop digest, n_cores, config digest without the profile workload)
+#: -> (candidates as ((fids, cost), ...) per partition, MergeWork)
+PARTITIONS = Memo("partitions", PARTITIONS_ENTRIES)
 #: (loop digest, workload content) -> InterpResult with read-only arrays
 ORACLE = Memo("oracle", ORACLE_ENTRIES)
 #: (loop digest, spec recipe key, ExpConfig content) -> content-addressed
@@ -165,7 +211,7 @@ RUNS = Memo("runs", RUNS_ENTRIES)
 #: sequential-baseline store key -> cycles
 SEQ = Memo("seq", SEQ_ENTRIES)
 
-MEMOS = (COMPILE, ORACLE, STORE_KEY, RUNS, SEQ)
+MEMOS = (COMPILE, CODEGRAPH, PARTITIONS, ORACLE, STORE_KEY, RUNS, SEQ)
 
 
 def clear() -> None:

@@ -35,7 +35,10 @@ def compile_loop(
     the loop's digest (:func:`repro.ir.codec.loop_digest`), ``n_cores``,
     the content of every config field and ``check``.  A hit returns the
     kernel the miss built, shared with every other caller, also one
-    passing an equal loop object: nothing may mutate it.
+    passing an equal loop object: nothing may mutate it.  A miss that
+    differs from an earlier compile only in its profile workload reuses
+    that compile's code graph and candidate partitionings
+    (:func:`repro.compiler.pipeline.parallelize`).
     """
     key = (loop_digest(loop), n_cores,
            content_key(config or CompilerConfig()), check)
@@ -50,8 +53,11 @@ def _compile(
     from ..obs.events import span
 
     plan = parallelize(loop, n_cores, config, obs=obs)
-    with span(obs, "lower"):
-        kernel = lower_plan(plan)
+    # the §III-I selection lowered the plan if it profiled it
+    kernel, plan.lowered = plan.lowered, None
+    if kernel is None:
+        with span(obs, "lower"):
+            kernel = lower_plan(plan)
     if check:
         from ..check import ProtocolError, check_kernel
 

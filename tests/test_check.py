@@ -259,6 +259,7 @@ class TestProtocolError:
     def test_compile_loop_raises_on_planted_bug(self, monkeypatch):
         # simulate a miscompile: lowering emits a broken kernel, the
         # mandatory check stage must refuse it before simulation
+        import repro.isa.lower as L
         import repro.runtime.exec as E
 
         loop = get_kernel("umt2k-1").loop()
@@ -270,6 +271,8 @@ class TestProtocolError:
         def _break(kernel):
             return mutate_kernel(kernel, "drop-enq") or kernel
 
+        # the selection's lowering and the compile's own
+        monkeypatch.setattr(L, "lower_plan", bad_lower)
         monkeypatch.setattr(E, "lower_plan", bad_lower)
         with pytest.raises(ProtocolError) as exc:
             compile_loop(loop, 4)

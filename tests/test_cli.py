@@ -14,6 +14,7 @@ def _break_parallel_compile(monkeypatch, broken):
     a kernel with a dropped enqueue, which the checker rejects
     (``protocol``).  The 1-core baseline compiles as usual."""
     from repro.check import mutate_kernel
+    from repro.isa import lower as L
     from repro.runtime import exec as X
 
     parallelize, lower_plan = X.parallelize, X.lower_plan
@@ -32,6 +33,9 @@ def _break_parallel_compile(monkeypatch, broken):
     if broken == "compile-error":
         monkeypatch.setattr(X, "parallelize", crashing)
     else:
+        # the §III-I selection lowers the candidates it profiles, the
+        # compile lowers a plan the selection did not profile
+        monkeypatch.setattr(L, "lower_plan", miscompiling)
         monkeypatch.setattr(X, "lower_plan", miscompiling)
 
 

@@ -46,6 +46,7 @@ class TestHarness:
         # a compiler crash or a checker rejection of the parallel kernel
         # is a failed cell, not an exception out of the harness
         from repro.check import mutate_kernel
+        from repro.isa import lower as L
         from repro.runtime import exec as X
 
         parallelize, lower_plan = X.parallelize, X.lower_plan
@@ -64,6 +65,8 @@ class TestHarness:
         if broken == "compile":
             monkeypatch.setattr(X, "parallelize", crashing)
         else:
+            # the selection's lowering and the compile's own
+            monkeypatch.setattr(L, "lower_plan", miscompiling)
             monkeypatch.setattr(X, "lower_plan", miscompiling)
         C.clear_cache()
         run = run_kernel(get_kernel("umt2k-1"),

@@ -25,7 +25,9 @@ to move the keys re-records the first digest and must leave this one.
 
 The same store then serves a warm E2–E10 pass in a cleared process,
 which must reproduce those reports from one store read per distinct
-cell and run no merge, compile, simulation or interpretation.
+cell and run no merge, compile, simulation or interpretation; the cold
+run must have normalized each distinct (loop, expression height) pair
+of that pass once.
 
 A third gate locks the simulator itself: one digest over a canonical
 dump of every ``SimResult`` (cycles, per-core counters and stall
@@ -64,6 +66,7 @@ from repro.experiments.chaos_serve import SCENARIOS
 from repro.faults import FaultInjector, FaultPlan
 from repro.fuzz.gen import RandomDraw, build_loop
 from repro.interp import run_loop
+from repro.ir.codec import loop_digest
 from repro.kernels import all_kernels, get_kernel, table1_kernels
 from repro.obs.events import SIM_KINDS, EventBus
 from repro.runtime import compile_loop, execute_kernel
@@ -93,6 +96,9 @@ DIGESTS = {
 
 #: the experiments of a warm pass over the store the run fills.
 WARM_SUITE = ("E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10")
+
+#: distinct (loop, max expression height) pairs ``WARM_SUITE`` compiles.
+COLD_LOOPS = 23
 
 #: run records the run leaves (the distinct cells of ``WARM_SUITE``),
 #: and the sha256 over each one's key then file bytes, in sorted path
@@ -138,17 +144,35 @@ def _sections(out: str) -> dict[str, str]:
 @pytest.fixture(scope="module")
 def experiment_all(tmp_path_factory):
     """Exit code, stdout and store root of one ``experiment all`` run
-    over a fresh result store."""
+    over a fresh result store, and the compiler's normalizations in it:
+    one ``(experiment id, loop digest, max height)`` per call."""
+    import repro.compiler.pipeline as pipeline
+    import repro.experiments as experiments
+
     root = tmp_path_factory.mktemp("golden-store")
     buf = io.StringIO()
+    normalized = []
+    current = [None]
+    run, normalize = experiments.run_experiment, pipeline.normalize
+
+    def running(eid, *args, **kwargs):
+        current[0] = eid
+        return run(eid, *args, **kwargs)
+
+    def counted(loop, max_height):
+        normalized.append((current[0], loop_digest(loop), max_height))
+        return normalize(loop, max_height=max_height)
+
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf):
         mp.setenv("REPRO_CACHE_DIR", str(root))
+        mp.setattr(experiments, "run_experiment", running)
+        mp.setattr(pipeline, "normalize", counted)
         rc = main(["experiment", "all", "--trip", str(TRIP)])
-    return rc, buf.getvalue(), root
+    return rc, buf.getvalue(), root, normalized
 
 
 def test_experiment_all_exits_zero_in_registry_order(experiment_all):
-    rc, out, _ = experiment_all
+    rc, out, *_ = experiment_all
     assert rc == 0
     assert list(_sections(out)) == list(REGISTRY)
     notes = re.findall(r"^note: (E\d+) .*; --trip is ignored$", out, re.M)
@@ -217,8 +241,14 @@ def test_warm_pass_reads_each_cell_once_and_computes_nothing(
     (the sweep's longest-job-first sort reads it into the run memo, and
     the cell's own lookup is a memo hit) and makes no merge, compile,
     simulation or interpreter call; E9 reads its merge counts from the
-    records.  The counts are exact, so nothing is timed."""
-    _, out, root = experiment_all
+    records.  The counts are exact, so nothing is timed.  The cold
+    pass that filled the store normalized each of its distinct loops,
+    at each expression height, once: every core count, config and seed
+    shared the code graph."""
+    _, out, root, normalized = experiment_all
+    cold = Counter((digest, height) for eid, digest, height in normalized
+                   if eid in WARM_SUITE)
+    assert (len(cold), set(cold.values())) == (COLD_LOOPS, {1})
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
     clear_cache()
     calls = Counter()

@@ -222,7 +222,8 @@ class TestMemo:
         C.clear_cache()
         assert memo.stats() == {
             stage: {"hits": 0, "misses": 0, "entries": 0}
-            for stage in ("compile", "oracle", "store_key", "runs", "seq")
+            for stage in ("compile", "codegraph", "partitions", "oracle",
+                          "store_key", "runs", "seq")
         }
 
     def test_bounded_lru(self):

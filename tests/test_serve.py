@@ -562,7 +562,7 @@ class TestServiceBoundary:
 
     def test_metrics_report_stage_memos(self, tmp_path):
         # one kernel at two core counts, same seed: the second cell
-        # reuses the first one's interpreter oracle
+        # reuses the first one's interpreter oracle ...
         async def main():
             svc = make_service(tmp_path)
             cli = ServeClient(svc)
@@ -571,8 +571,10 @@ class TestServiceBoundary:
                                          trip=8, seed=3)
                 assert resp["ok"] and resp["result"]["correct"]
             m = (await cli.request("metrics"))["result"]
-            assert set(m["memo"]) == {"compile", "oracle", "store_key",
-                                      "runs", "seq"}
+            assert set(m["memo"]) == {"compile", "codegraph", "partitions",
+                                      "oracle", "store_key", "runs", "seq"}
+            # ... and every compile after the first one's code graph
+            assert m["memo"]["codegraph"]["entries"] == 1
             assert m["memo"]["oracle"]["hits"] >= 1
             assert m["memo"]["oracle"]["entries"] == 1
             # every computed cell lives in the run memo, serve's L1
@@ -672,6 +674,19 @@ class TestServiceBoundary:
 
 
 # -- TCP daemon -----------------------------------------------------------
+
+def _fd_links(pid: int) -> list[str]:
+    """Where each of ``pid``'s file descriptors above 2 points; one
+    closed while listed is left out."""
+    links = []
+    for fd in Path(f"/proc/{pid}/fd").iterdir():
+        if int(fd.name) > 2:
+            try:
+                links.append(os.readlink(fd))
+            except FileNotFoundError:
+                pass
+    return links
+
 
 class TestTCPServer:
     def test_round_trip_and_bad_lines(self, tmp_path):
@@ -791,11 +806,18 @@ class TestTCPServer:
                         assert time.monotonic() < deadline, "sweep never ran"
                         time.sleep(0.01)
                 # the worker forked with the listener and both
-                # connections open in the daemon
+                # connections open in the daemon, and drops them in its
+                # initializer, which may still be running when the
+                # first cell shows as active
                 (worker,) = children(proc.pid)
-                fds = Path(f"/proc/{worker}/fd")
-                held = [os.readlink(fd) for fd in fds.iterdir()
-                        if int(fd.name) > 2]
+                deadline = time.monotonic() + 5.0
+                while True:
+                    held = _fd_links(worker)
+                    if time.monotonic() > deadline or not [
+                            link for link in held
+                            if link.startswith("socket:")]:
+                        break
+                    time.sleep(0.01)
                 assert not [link for link in held
                             if link.startswith("socket:")], held
                 proc.send_signal(signal.SIGTERM)
