@@ -3,7 +3,8 @@
 Substitution for the Mambo BG/Q simulator: deterministic in-order cores,
 per-core LRU caches, shared functional memory, and the paper's
 enqueue/dequeue instructions with parameterised queue depth and transfer
-latency.
+latency.  The core's slice loop does each instruction's memory, cache
+and queue work in place (:mod:`repro.sim.core`).
 """
 
 from .core import Core, CoreStats, SimError
@@ -18,14 +19,13 @@ from .machine import (
     QueueStat,
     SimResult,
 )
-from .memory import CoreCache, MemoryFault, SharedMemory
+from .memory import MemoryFault, SharedMemory
 from .queues import HwQueue
 from .race import Race, RaceDetector
 from .trace import TraceEvent, TraceRecorder
 
 __all__ = [
-    "BlockedTransfer", "BudgetExceeded", "Core", "CoreCache", "CoreStats",
-    "DeadlockError",
+    "BlockedTransfer", "BudgetExceeded", "Core", "CoreStats", "DeadlockError",
     "HwQueue", "Machine", "MachineFailure", "MachineParams", "MemoryFault",
     "PartialStats", "QueueStat", "Race", "RaceDetector", "SharedMemory",
     "SimError", "SimResult", "TraceEvent", "TraceRecorder",

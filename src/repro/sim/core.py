@@ -13,11 +13,21 @@ records — a small-int opcode, operands as register names, the operator's
 callable and latency, jump targets and per-core queue slots — and
 :meth:`Core.run_slice` dispatches on those records, so executing an
 instruction re-derives nothing from the :class:`~repro.isa.Instr`.
+
+The slice loop also does each instruction's memory, cache and queue
+work in place, on state it holds in locals: the bounds-checked load or
+store on the run's memory lists (:mod:`repro.sim.memory`), the LRU line
+update and its hit/miss latency, and each queue's blocker test, head
+and slot times, dequeue and enqueue (:mod:`repro.sim.queues`).  No
+instruction calls into another object, except the optional hooks (obs
+bus, race detector, a fault injector's :meth:`HwQueue.push`) and a
+store that NumPy has to convert.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
@@ -28,7 +38,7 @@ from ..ir.types import F64, I64
 from ..isa.instructions import Imm
 from ..isa.program import Program
 from ..obs.events import STALL_QUEUE_EMPTY, STALL_QUEUE_FULL, STALL_TRANSFER
-from .memory import CoreCache, SharedMemory
+from .memory import INT64_MAX, INT64_MIN, MemoryFault, SharedMemory
 from .queues import HwQueue
 
 
@@ -216,14 +226,14 @@ class Core:
         cid: int,
         program: Program,
         lat: LatencyTable,
-        cache: CoreCache,
         memory: SharedMemory,
         queues,  # Machine-owned dict resolver: QueueId -> HwQueue
+        cache_lines: int,
+        line_elems: int,
     ) -> None:
         self.cid = cid
         self.program = program
         self.lat = lat
-        self.cache = cache
         self.memory = memory
         self.queues = queues
         dec = decode(program, lat)
@@ -231,12 +241,20 @@ class Core:
         #: this core's HwQueue per decoded queue slot, resolved on first
         #: use: a run's queue statistics list only the queues it touched.
         self._qs: list[Optional[HwQueue]] = [None] * dec.n_queues
+        #: the private LRU cache (timing only): (array, line) -> True, in
+        #: recency order, at most ``cache_lines`` lines of ``line_elems``
+        #: elements.  A load misses or hits here; a store allocates.
+        self._lines: OrderedDict = OrderedDict()
+        self._capacity = cache_lines
+        self._shift = max(0, line_elems - 1).bit_length()
         self.regs: dict[str, float | int] = dict(dec.consts)
         self.frames: list[tuple[int, int]] = []
         self.fn = program.entry
         self.pc = 0
         self.time = 0.0
         self.halted = False
+        #: the queue event this core waits for; the machine tests it in
+        #: line before it runs the core again.
         self.blocked: Optional[_Blocked] = None
         self.stats = CoreStats()
         #: optional RaceDetector installed by the machine
@@ -259,20 +277,11 @@ class Core:
                 )
         return None
 
-    def unblocked(self) -> bool:
-        b = self.blocked
-        if b is None:
-            return True
-        if b.kind == "entry":
-            return b.queue.n_enq > b.index
-        # slot waits also clear when the queue *grew* under the blocked
-        # producer (live reconfiguration): re-check current capacity.
-        return b.queue.n_deq > b.index or b.queue.slot_blocker() is None
-
     # -- main slice ----------------------------------------------------
     def run_slice(self, budget: int) -> int:
         """Execute until halt, block, or ``budget`` instructions.
-        Returns the number of instructions executed."""
+        Returns the number of instructions executed.  The machine's
+        memory must be open (:meth:`SharedMemory.open`)."""
         self.blocked = None
         cid = self.cid
         obs = self.obs
@@ -280,12 +289,14 @@ class Core:
         regs = self.regs
         stats = self.stats
         lat = self.lat
+        load_hit, load_miss, store_cost = lat.load_hit, lat.load_miss, lat.store
+        enq_cost, deq_cost = lat.enqueue, lat.dequeue
+        branch, mov_cost = lat.branch, lat.mov
         bodies = self._bodies
         qs = self._qs
-        load = self.memory.load
-        store = self.memory.store
-        access = self.cache.access
-        touch = self.cache.touch
+        memory = self.memory
+        cells, kinds = memory.cells, memory.kinds
+        lines, capacity, shift = self._lines, self._capacity, self._shift
         fn = self.fn
         code = bodies[fn]
         pc = self.pc
@@ -303,8 +314,20 @@ class Core:
                 elif op == LOAD:
                     _, dst, a, array = rec
                     idx = int(regs[a])
-                    regs[dst] = load(array, idx)
-                    now += access(array, idx, lat)
+                    buf = cells[array]
+                    if not 0 <= idx < len(buf):
+                        raise MemoryFault(f"load {array}[{idx}] out of bounds "
+                                          f"(len {len(buf)})")
+                    regs[dst] = buf[idx]
+                    line = (array, idx >> shift)
+                    if line in lines:
+                        lines.move_to_end(line)
+                        now += load_hit
+                    else:
+                        lines[line] = True
+                        if len(lines) > capacity:
+                            lines.popitem(last=False)
+                        now += load_miss
                     n_mem += 1
                     if race is not None:
                         race.on_load(cid, array, idx)
@@ -314,19 +337,20 @@ class Core:
                     q = qs[s]
                     if q is None:
                         q = qs[s] = self.queues(qid)
-                    blocker = q.entry_blocker()
-                    if blocker is not None:
-                        self.blocked = _Blocked("entry", q, blocker, now)
+                    n = q.n_deq
+                    if n >= q.n_enq:
+                        # entry n has not been enqueued yet
+                        self.blocked = _Blocked("entry", q, n, now)
                         stats.instrs += executed
                         if obs is not None and executed:
                             obs.emit_retire(t0, cid, now - t0, executed)
                         return executed
                     start = now
-                    ready = q.head_ready_time()
+                    ready = q.ready_times[n]
                     wait = ready - start
                     if wait < 0.0:
                         wait = 0.0
-                    completion = start + wait + lat.dequeue
+                    completion = start + wait + deq_cost
                     if wait > 0.0:
                         stats.queue_stall += wait
                         q.stall_empty += wait
@@ -348,10 +372,12 @@ class Core:
                                                STALL_TRANSFER, wait - empty,
                                                queue=qid)
                     if race is not None:
-                        race.on_deq(cid, qid, q.n_deq)
-                    regs[dst] = q.pop(completion)
+                        race.on_deq(cid, qid, n)
+                    regs[dst] = got = q.values[n]
+                    q.deq_times.append(completion)
+                    q.n_deq = n + 1
                     if obs is not None:
-                        obs.emit_deq(completion, cid, qid, regs[dst], wait)
+                        obs.emit_deq(completion, cid, qid, got, wait)
                     now = completion
                     n_deq += 1
                     pc += 1
@@ -360,26 +386,34 @@ class Core:
                     q = qs[s]
                     if q is None:
                         q = qs[s] = self.queues(qid)
-                    blocker = q.slot_blocker()
-                    if blocker is not None:
-                        self.blocked = _Blocked("slot", q, blocker, now)
+                    m = q.n_enq
+                    freed = m - q.depth  # the dequeue that frees a slot
+                    if freed >= q.n_deq:
+                        self.blocked = _Blocked("slot", q, freed, now)
                         stats.instrs += executed
                         if obs is not None and executed:
                             obs.emit_retire(t0, cid, now - t0, executed)
                         return executed
                     start = now
-                    wait = q.slot_free_time() - start
+                    wait = (q.deq_times[freed] if freed >= 0 else 0.0) - start
                     if wait < 0.0:
                         wait = 0.0
-                    completion = start + wait + lat.enqueue
+                    completion = start + wait + enq_cost
                     if wait > 0.0:
                         stats.queue_stall += wait
                         stats.stall_full += wait
                         q.stall_full += wait
                     if race is not None:
-                        race.on_enq(cid, qid, q.n_enq)
+                        race.on_enq(cid, qid, m)
                     sent = regs[a]
-                    q.push(sent, completion + q.transfer_latency)
+                    if q.injector is None:
+                        q.values.append(sent)
+                        q.ready_times.append(completion + q.transfer_latency)
+                        q.n_enq = m = m + 1
+                        if m - q.n_deq > q.max_outstanding:
+                            q.max_outstanding = m - q.n_deq
+                    else:
+                        q.push(sent, completion + q.transfer_latency)
                     if obs is not None:
                         if wait > 0.0:
                             obs.emit_stall(start, cid, STALL_QUEUE_FULL,
@@ -393,27 +427,42 @@ class Core:
                     continue  # zero-cost pseudo-instruction
                 elif op == FJP:
                     pc = rec[2] if not regs[rec[1]] else pc + 1
-                    now += lat.branch
+                    now += branch
                 elif op == MOV:
                     regs[rec[1]] = regs[rec[2]]
-                    now += lat.mov
+                    now += mov_cost
                     pc += 1
                 elif op == STORE:
                     _, a, b, array = rec
                     idx = int(regs[a])
-                    store(array, idx, regs[b])
-                    touch(array, idx)
-                    now += lat.store
+                    v = regs[b]
+                    buf = cells[array]
+                    if not 0 <= idx < len(buf):
+                        raise MemoryFault(f"store {array}[{idx}] out of bounds "
+                                          f"(len {len(buf)})")
+                    kind = type(v)
+                    if kind is not kinds[array] or (
+                            kind is int and not INT64_MIN <= v <= INT64_MAX):
+                        v = memory.convert(array, v)
+                    buf[idx] = v
+                    line = (array, idx >> shift)  # write-allocate
+                    if line in lines:
+                        lines.move_to_end(line)
+                    else:
+                        lines[line] = True
+                        if len(lines) > capacity:
+                            lines.popitem(last=False)
+                    now += store_cost
                     n_mem += 1
                     if race is not None:
                         race.on_store(cid, array, idx)
                     pc += 1
                 elif op == TJP:
                     pc = rec[2] if regs[rec[1]] else pc + 1
-                    now += lat.branch
+                    now += branch
                 elif op == JP:
                     pc = rec[1]
-                    now += lat.branch
+                    now += branch
                 elif op == CALL:
                     _, dst, args, name = rec
                     regs[dst] = _ops.eval_call(name, [regs[x] for x in args])
@@ -440,13 +489,13 @@ class Core:
                     fn = target
                     code = bodies[fn]
                     pc = 0
-                    now += lat.branch
+                    now += branch
                 elif op == RET:
                     if not self.frames:
                         raise SimError(f"core {cid}: ret with empty stack")
                     fn, pc = self.frames.pop()
                     code = bodies[fn]
-                    now += lat.branch
+                    now += branch
                 elif op == HALT:
                     self.halted = True
                     stats.instrs += executed + 1

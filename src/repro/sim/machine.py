@@ -11,6 +11,11 @@ Deadlock (all unfinished cores waiting on queue events that will never
 be produced) is detected and reported with full queue diagnostics —
 this is the runtime manifestation of a compiler failure to statically
 pair senders and receivers (§III-I), or of an undersized queue.
+
+A run opens the shared memory as lists for its cores and writes it back
+into the arrays when it ends or raises; between slices the machine
+tests a blocked core's queue in line, and each queue's occupancy
+histogram is built only when a caller first reads it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from ..analysis.cost import LatencyTable, default_latencies
 from ..isa.instructions import QueueId
 from ..isa.program import Program
 from .core import Core, CoreStats, SimError
-from .memory import CoreCache, SharedMemory
-from .queues import HwQueue
+from .memory import SharedMemory
+from .queues import HwQueue, occupancy_histogram
 
 
 @dataclass
@@ -134,13 +139,24 @@ class QueueStat:
     max_outstanding: int
     #: queue capacity at run end (0 when unknown, e.g. partial stats).
     depth: int = 0
-    #: exact time-weighted occupancy histogram (occupancy level ->
-    #: simulated cycles spent at that level); empty for partial stats.
-    occupancy_hist: dict = field(default_factory=dict)
     #: simulated cycles stalled on this queue (producer side / consumer
     #: side); zero for partial stats.
     stall_full: float = 0.0
     stall_empty: float = 0.0
+    #: the queue's enqueue-visibility and dequeue-completion times;
+    #: empty for partial stats.
+    ready_times: list = field(default_factory=list, repr=False)
+    deq_times: list = field(default_factory=list, repr=False)
+    _hist: dict | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def occupancy_hist(self) -> dict:
+        """Exact time-weighted occupancy histogram (occupancy level ->
+        simulated cycles spent at that level), built on first read:
+        nothing on an experiment cell's path reads it."""
+        if self._hist is None:
+            self._hist = occupancy_histogram(self.ready_times, self.deq_times)
+        return self._hist
 
     @property
     def mean_occupancy(self) -> float:
@@ -235,9 +251,10 @@ class Machine:
                     if faults is not None
                     else self.params.latencies
                 ),
-                cache=CoreCache(self.params.cache_lines, self.params.line_elems),
                 memory=memory,
                 queues=queues,
+                cache_lines=self.params.cache_lines,
+                line_elems=self.params.line_elems,
             )
             for i, prog in enumerate(programs)
         ]
@@ -251,13 +268,61 @@ class Machine:
                 core.obs = self.obs
 
     def run(self, live_out: list[str] | None = None, primary: int = 0) -> SimResult:
+        self.memory.open()
+        try:
+            total = self._run_cores()
+            self._check_drained(total)
+        finally:
+            self.memory.close()
+        scalars = {}
+        for name in live_out or []:
+            if name in self.cores[primary].regs:
+                scalars[name] = self.cores[primary].regs[name]
+        return SimResult(
+            cycles=max(c.time for c in self.cores),
+            core_times=[c.time for c in self.cores],
+            core_stats=[c.stats for c in self.cores],
+            arrays=self.memory.arrays,
+            scalars=scalars,
+            queue_stats=[
+                QueueStat(q.qid, q.n_deq, q.max_outstanding,
+                          depth=q.depth,
+                          stall_full=q.stall_full,
+                          stall_empty=q.stall_empty,
+                          ready_times=q.ready_times,
+                          deq_times=q.deq_times)
+                for q in sorted(
+                    self.queues.values(),
+                    key=lambda q: (q.qid.src, q.qid.dst, q.qid.vclass.value),
+                )
+            ],
+            total_instrs=total,
+            races=list(self.race_detector.races)
+            if self.race_detector is not None
+            else [],
+        )
+
+    def _run_cores(self) -> int:
+        """Run every core to its halt, in rounds of one slice per
+        runnable core; returns the instructions executed."""
         total = 0
         budget = self.params.slice_budget
+        cores = self.cores
         while True:
             progressed = False
-            for core in self.cores:
-                if core.halted or not core.unblocked():
+            for core in cores:
+                if core.halted:
                     continue
+                b = core.blocked
+                if b is not None:
+                    q = b.queue
+                    if b.kind == "entry":
+                        if q.n_enq <= b.index:
+                            continue
+                    # a slot wait also clears when the queue *grew* under
+                    # the blocked producer (live reconfiguration)
+                    elif q.n_deq <= b.index and q.n_enq - q.depth >= q.n_deq:
+                        continue
                 total += core.run_slice(budget)
                 progressed = True
                 if total > self.params.max_instrs:
@@ -265,8 +330,8 @@ class Machine:
                         f"instruction budget exceeded ({total} instrs)",
                         partial=self._partial_stats(total),
                     )
-            if all(c.halted for c in self.cores):
-                break
+            if all(c.halted for c in cores):
+                return total
             if not progressed:
                 # Last chance: the runtime controller may rescue a
                 # capacity deadlock by *growing* a blocked queue (grows
@@ -283,34 +348,6 @@ class Machine:
                 )
             if self.controller is not None:
                 self.controller.on_round(self)
-
-        self._check_drained(total)
-        scalars = {}
-        for name in live_out or []:
-            if name in self.cores[primary].regs:
-                scalars[name] = self.cores[primary].regs[name]
-        return SimResult(
-            cycles=max(c.time for c in self.cores),
-            core_times=[c.time for c in self.cores],
-            core_stats=[c.stats for c in self.cores],
-            arrays=self.memory.arrays,
-            scalars=scalars,
-            queue_stats=[
-                QueueStat(q.qid, q.n_deq, q.max_outstanding,
-                          depth=q.depth,
-                          occupancy_hist=q.occupancy_histogram(),
-                          stall_full=q.stall_full,
-                          stall_empty=q.stall_empty)
-                for q in sorted(
-                    self.queues.values(),
-                    key=lambda q: (q.qid.src, q.qid.dst, q.qid.vclass.value),
-                )
-            ],
-            total_instrs=total,
-            races=list(self.race_detector.races)
-            if self.race_detector is not None
-            else [],
-        )
 
     def _partial_stats(self, total: int) -> PartialStats:
         return PartialStats(

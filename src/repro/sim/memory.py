@@ -1,12 +1,22 @@
-"""Shared functional memory + per-core cache timing model.
+"""Shared functional memory (the per-core cache lives in the core).
 
 Functionally, memory is the workload's NumPy arrays, shared by all
 cores (the paper's cores share memory through L2; the queues carry only
-register values, §II).
+register values, §II).  A machine run works on them as Python lists:
+:meth:`SharedMemory.open` turns each array into a list of Python floats
+(``float64``) or ints (``int64``) — what a load from the array reads —
+the cores bounds-check, load and store those lists in place, and
+:meth:`SharedMemory.close` writes them back into the arrays when the run
+ends or raises.  A stored value that is already its cell's Python type
+(a float into a ``float64`` cell, an ``int64``-range int into an
+``int64`` cell) is stored as it is; any other value is converted by
+NumPy itself (:meth:`SharedMemory.convert`), so a cell keeps exactly the
+value NumPy would keep, or the store raises NumPy's exception.
 
 For timing, each core has a private LRU cache of ``cache_lines`` lines
 of ``line_elems`` consecutive elements; a hit costs ``load_hit`` and a
-miss ``load_miss`` cycles.  This is the substitution for Mambo's cache
+miss ``load_miss`` cycles (:class:`repro.sim.core.Core` keeps the lines
+and updates them in place).  This is the substitution for Mambo's cache
 hierarchy: it preserves the property the evaluation depends on — loads
 have a bimodal cost with spatial/temporal locality — while staying
 deterministic and independent of cross-core interleaving (so sequential
@@ -15,12 +25,14 @@ and parallel runs of the same kernel see comparable memory behaviour).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.cost import LatencyTable
+#: an ``int64`` cell stores a Python int in this range unconverted.
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+_CELL_TYPES = {np.dtype(np.float64): float, np.dtype(np.int64): int}
 
 
 class MemoryFault(RuntimeError):
@@ -29,61 +41,43 @@ class MemoryFault(RuntimeError):
 
 @dataclass
 class SharedMemory:
-    """Functional storage: name -> NumPy buffer (mutated in place)."""
+    """Functional storage: name -> one-dimensional, writeable
+    ``float64`` or ``int64`` NumPy buffer (updated in place by each
+    run)."""
 
     arrays: dict[str, np.ndarray]
-    is_float: dict[str, bool] = field(default_factory=dict)
+    #: name -> the run's list of cell values, between open() and close().
+    cells: dict[str, list] | None = field(default=None, init=False,
+                                          repr=False)
+    #: name -> the Python type a cell holds (float or int).
+    kinds: dict[str, type] = field(default_factory=dict, init=False,
+                                   repr=False)
 
     def __post_init__(self) -> None:
         for name, buf in self.arrays.items():
-            self.is_float[name] = buf.dtype == np.float64
+            kind = _CELL_TYPES.get(buf.dtype)
+            if kind is None or buf.ndim != 1 or not buf.flags.writeable:
+                raise TypeError(
+                    f"memory array {name!r} is {buf.ndim}-d {buf.dtype}"
+                    f"{'' if buf.flags.writeable else ', read-only'}; the "
+                    "simulator holds writeable 1-d float64 and int64 arrays"
+                )
+            self.kinds[name] = kind
 
-    def load(self, name: str, idx: int):
-        buf = self.arrays[name]
-        if not 0 <= idx < len(buf):
-            raise MemoryFault(f"load {name}[{idx}] out of bounds (len {len(buf)})")
-        v = buf[idx]
-        return float(v) if self.is_float[name] else int(v)
+    def open(self) -> None:
+        """Each array as a list, for one run to load and store."""
+        self.cells = {name: buf.tolist() for name, buf in self.arrays.items()}
 
-    def store(self, name: str, idx: int, value) -> None:
-        buf = self.arrays[name]
-        if not 0 <= idx < len(buf):
-            raise MemoryFault(f"store {name}[{idx}] out of bounds (len {len(buf)})")
-        buf[idx] = value
+    def close(self) -> None:
+        """Write the run's lists back into the arrays."""
+        for name, buf in self.arrays.items():
+            buf[:] = self.cells[name]
+        self.cells = None
 
-
-class CoreCache:
-    """Per-core LRU line cache (timing only)."""
-
-    __slots__ = ("lines", "capacity", "shift", "hits", "misses")
-
-    def __init__(self, cache_lines: int, line_elems: int):
-        self.lines: OrderedDict = OrderedDict()
-        self.capacity = cache_lines
-        self.shift = max(0, line_elems - 1).bit_length()
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, name: str, idx: int, lat: LatencyTable) -> int:
-        key = (name, idx >> self.shift)
-        lines = self.lines
-        if key in lines:
-            lines.move_to_end(key)
-            self.hits += 1
-            return lat.load_hit
-        self.misses += 1
-        lines[key] = True
-        if len(lines) > self.capacity:
-            lines.popitem(last=False)
-        return lat.load_miss
-
-    def touch(self, name: str, idx: int) -> None:
-        """Allocate on store (write-allocate), no timing decision."""
-        key = (name, idx >> self.shift)
-        lines = self.lines
-        if key in lines:
-            lines.move_to_end(key)
-        else:
-            lines[key] = True
-            if len(lines) > self.capacity:
-                lines.popitem(last=False)
+    def convert(self, name: str, value):
+        """``value`` as a cell of array ``name`` keeps it: NumPy's
+        conversion to the array's dtype, read back as a Python float or
+        int, or NumPy's exception when it has none."""
+        cell = np.empty(1, self.arrays[name].dtype)
+        cell[0] = value
+        return cell.item()

@@ -15,6 +15,12 @@ The simulator processes cores as independent timelines (conservative
 dataflow replay), so the queue records the full enqueue/dequeue history
 with timestamps; "not yet processed" and "stalls in simulated time" are
 distinct notions (see :mod:`repro.sim.machine`).
+
+:class:`HwQueue` is that history and nothing more: the cores test its
+blockers, read its head and slot times, and dequeue and enqueue on it
+in place (:meth:`repro.sim.core.Core.run_slice`).  Only a queue with a
+fault injector admits its transfers through :meth:`HwQueue.push`, so
+the injector sees every one of them.
 """
 
 from __future__ import annotations
@@ -45,28 +51,11 @@ class HwQueue:
     #: every admitted transfer; None in normal operation.
     injector: object | None = None
 
-    # -- producer side ---------------------------------------------------
-    def slot_blocker(self) -> int | None:
-        """Index of the dequeue that must be *processed* before the next
-        enqueue can be admitted, or None if a slot is free."""
-        m = self.n_enq
-        if m - self.depth >= self.n_deq:
-            return m - self.depth
-        return None
-
-    def slot_free_time(self) -> float:
-        """Simulated time at which the next enqueue finds a free slot
-        (0 if the queue never filled)."""
-        m = self.n_enq
-        if m - self.depth >= 0:
-            return self.deq_times[m - self.depth]
-        return 0.0
-
     def push(self, value, ready_time: float) -> bool:
-        """Admit a transfer; returns False if it was dropped in flight
-        (fault injection only — the producer has already paid for the
+        """Admit a transfer through the fault injector; returns False if
+        it was dropped in flight (the producer has already paid for the
         enqueue and is unaware, exactly like lost hardware flits)."""
-        assert self.slot_blocker() is None, "push on full queue"
+        assert self.n_enq - self.depth < self.n_deq, "push on full queue"
         if self.injector is not None:
             value, ready_time, dropped = self.injector.on_enqueue(
                 self.qid, self.n_enq, value, ready_time
@@ -78,24 +67,6 @@ class HwQueue:
         self.n_enq += 1
         self.max_outstanding = max(self.max_outstanding, self.n_enq - self.n_deq)
         return True
-
-    # -- consumer side ---------------------------------------------------
-    def entry_blocker(self) -> int | None:
-        """Index of the enqueue that must be processed before the next
-        dequeue can proceed, or None if an entry is available."""
-        if self.n_deq >= self.n_enq:
-            return self.n_deq
-        return None
-
-    def head_ready_time(self) -> float:
-        return self.ready_times[self.n_deq]
-
-    def pop(self, deq_completion: float):
-        assert self.entry_blocker() is None, "pop on empty queue"
-        v = self.values[self.n_deq]
-        self.deq_times.append(deq_completion)
-        self.n_deq += 1
-        return v
 
     # -- runtime reconfiguration ------------------------------------------
     def grow(self, new_depth: int) -> bool:
@@ -114,28 +85,6 @@ class HwQueue:
         self.depth = new_depth
         return True
 
-    def occupancy_histogram(self) -> dict[int, float]:
-        """Exact time-weighted occupancy distribution.
-
-        Maps occupancy level -> simulated cycles the queue spent at
-        that level (empty intervals excluded), from the full
-        enqueue-visibility / dequeue-completion history the replay
-        already records.  This is the controller's starvation/pressure
-        signal and feeds the ``repro profile`` histograms.
-        """
-        events = [(t, 1) for t in self.ready_times]
-        events += [(t, -1) for t in self.deq_times]
-        events.sort()
-        hist: dict[int, float] = {}
-        occ = 0
-        last: float | None = None
-        for t, d in events:
-            if last is not None and t > last and occ > 0:
-                hist[occ] = hist.get(occ, 0.0) + (t - last)
-            occ += d
-            last = t
-        return hist
-
     # -- end-of-run checks ------------------------------------------------
     @property
     def outstanding(self) -> int:
@@ -146,3 +95,33 @@ class HwQueue:
             f"HwQueue({self.qid!r}, enq={self.n_enq}, deq={self.n_deq}, "
             f"depth={self.depth})"
         )
+
+
+def occupancy_histogram(ready_times, deq_times) -> dict[int, float]:
+    """Exact time-weighted occupancy distribution of one queue.
+
+    Maps occupancy level -> simulated cycles the queue spent at that
+    level (empty intervals excluded), from its enqueue-visibility and
+    dequeue-completion times; ``repro profile``'s queue-pressure
+    histograms are built from it.  Both lists are already in time order
+    unless a fault plan jittered a transfer (one producer, one consumer,
+    each on its own monotone clock), so the sorts are linear and the two
+    are merged in one pass; at equal times a dequeue goes first.
+    """
+    ups, downs = sorted(ready_times), sorted(deq_times)
+    n_up, n_down = len(ups), len(downs)
+    hist: dict[int, float] = {}
+    occ = i = j = 0
+    last: float | None = None
+    while i < n_up or j < n_down:
+        if j < n_down and (i == n_up or downs[j] <= ups[i]):
+            t, d = downs[j], -1
+            j += 1
+        else:
+            t, d = ups[i], 1
+            i += 1
+        if last is not None and t > last and occ > 0:
+            hist[occ] = hist.get(occ, 0.0) + (t - last)
+        occ += d
+        last = t
+    return hist

@@ -8,7 +8,6 @@ from repro.analysis.cost import default_latencies
 from repro.ir.types import VClass
 from repro.isa import Function, Imm, Instr, Program, QueueId
 from repro.sim import (
-    CoreCache,
     DeadlockError,
     Machine,
     MachineParams,
@@ -38,52 +37,130 @@ def run1(instrs, mem=None, params=None, preload=None):
 
 
 class TestSharedMemory:
+    """A run loads and stores its memory as Python lists, bounds-checked
+    in the core, and writes them back into the arrays."""
+
     def test_load_store_roundtrip(self):
         mem = _mem(a=np.zeros(4))
-        mem.store("a", 2, 7.5)
-        assert mem.load("a", 2) == 7.5
-        assert isinstance(mem.load("a", 2), float)
+        m, res = run1([
+            Instr(op="store", a=Imm(2), b=Imm(7.5), array="a"),
+            Instr(op="load", dst="v", a=Imm(2), array="a"),
+            Instr(op="halt"),
+        ], mem=mem)
+        assert m.cores[0].regs["v"] == 7.5
+        assert isinstance(m.cores[0].regs["v"], float)
+        assert res.arrays["a"] is mem.arrays["a"]
+        assert res.arrays["a"].tolist() == [0.0, 0.0, 7.5, 0.0]
 
     def test_int_arrays_yield_ints(self):
         mem = _mem(n=np.zeros(4, dtype=np.int64))
-        mem.store("n", 0, 9)
-        assert isinstance(mem.load("n", 0), int)
+        m, res = run1([
+            Instr(op="store", a=Imm(0), b=Imm(9), array="n"),
+            Instr(op="load", dst="v", a=Imm(0), array="n"),
+            Instr(op="load", dst="w", a=Imm(1), array="n"),
+            Instr(op="halt"),
+        ], mem=mem)
+        assert [type(m.cores[0].regs[r]) for r in "vw"] == [int, int]
+        assert res.arrays["n"].dtype == np.int64
+        assert res.arrays["n"][0] == 9
 
     def test_bounds_checked(self):
-        mem = _mem(a=np.zeros(4))
         with pytest.raises(MemoryFault):
-            mem.load("a", 4)
+            run1([Instr(op="load", dst="v", a=Imm(4), array="a"),
+                  Instr(op="halt")], mem=_mem(a=np.zeros(4)))
         with pytest.raises(MemoryFault):
-            mem.store("a", -1, 0.0)
+            run1([Instr(op="store", a=Imm(-1), b=Imm(0.0), array="a"),
+                  Instr(op="halt")], mem=_mem(a=np.zeros(4)))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("value", [
+        3.7, -3.7, 2**63, -2**63 - 1, 1e30, float("nan"), float("inf"), True,
+    ])
+    def test_store_keeps_what_numpy_keeps(self, dtype, value):
+        """A cell keeps the value NumPy keeps, or the store raises
+        NumPy's exception with NumPy's message (asked of the installed
+        NumPy, whose conversions differ between versions)."""
+        want = np.zeros(2, dtype)
+        try:
+            want[0] = value
+            expected = ("ok", want.tobytes(), type(want[0].item()))
+        except Exception as exc:
+            expected = (type(exc), str(exc))
+        mem = _mem(a=np.zeros(2, dtype))
+        try:
+            m, res = run1([
+                Instr(op="store", a=Imm(0), b="x", array="a"),
+                Instr(op="load", dst="v", a=Imm(0), array="a"),
+                Instr(op="halt"),
+            ], mem=mem, preload={"x": value})
+            got = ("ok", res.arrays["a"].tobytes(), type(m.cores[0].regs["v"]))
+        except Exception as exc:
+            got = (type(exc), str(exc))
+            assert mem.arrays["a"].tobytes() == bytes(16)  # nothing stored
+        assert got == expected
+
+    def test_other_arrays_are_rejected(self):
+        """A run writes every array back, so each must be a writeable
+        one-dimensional float64 or int64 array."""
+        with pytest.raises(TypeError, match="1-d float32"):
+            _mem(a=np.zeros(2, dtype=np.float32))
+        with pytest.raises(TypeError, match="2-d float64"):
+            _mem(a=np.zeros((2, 2)))
+        frozen = np.zeros(2)
+        frozen.flags.writeable = False
+        with pytest.raises(TypeError, match="read-only"):
+            _mem(a=frozen)
+
+
+def _load_costs(loads, cache_lines=16, line_elems=8):
+    """The cycles each ``(array, index)`` load costs, in order: a miss
+    costs ``load_miss``, a hit ``load_hit``."""
+    params = MachineParams(cache_lines=cache_lines, line_elems=line_elems)
+    times = []
+    for n in range(len(loads) + 1):
+        instrs = [Instr(op="load", dst="v", a=Imm(i), array=name)
+                  for name, i in loads[:n]]
+        _, res = run1(instrs + [Instr(op="halt")],
+                      mem=_mem(a=np.zeros(64), b=np.zeros(64)),
+                      params=params)
+        times.append(res.core_times[0])
+    return [b - a for a, b in zip(times, times[1:])]
 
 
 class TestCoreCache:
+    """The per-core LRU line cache the core updates in place."""
+
+    lat = default_latencies()
+
     def test_miss_then_hit(self):
-        lat = default_latencies()
-        c = CoreCache(cache_lines=16, line_elems=8)
-        assert c.access("a", 0, lat) == lat.load_miss
-        assert c.access("a", 0, lat) == lat.load_hit
+        assert _load_costs([("a", 0), ("a", 0)]) == [
+            self.lat.load_miss, self.lat.load_hit]
 
     def test_spatial_locality(self):
-        lat = default_latencies()
-        c = CoreCache(cache_lines=16, line_elems=8)
-        c.access("a", 0, lat)
-        assert c.access("a", 7, lat) == lat.load_hit  # same line
-        assert c.access("a", 8, lat) == lat.load_miss  # next line
+        # 0 and 7 share a line of 8; 8 starts the next one
+        assert _load_costs([("a", 0), ("a", 7), ("a", 8)]) == [
+            self.lat.load_miss, self.lat.load_hit, self.lat.load_miss]
 
     def test_lru_eviction(self):
-        lat = default_latencies()
-        c = CoreCache(cache_lines=2, line_elems=1)
-        c.access("a", 0, lat)
-        c.access("a", 1, lat)
-        c.access("a", 2, lat)  # evicts line 0
-        assert c.access("a", 0, lat) == lat.load_miss
+        costs = _load_costs([("a", 0), ("a", 1), ("a", 2), ("a", 0)],
+                            cache_lines=2, line_elems=1)
+        assert costs[-1] == self.lat.load_miss  # line 0 was evicted by 2
+        # a hit makes its line the most recent: 2 evicts 1, not 0
+        costs = _load_costs([("a", 0), ("a", 1), ("a", 0), ("a", 2), ("a", 0)],
+                            cache_lines=2, line_elems=1)
+        assert costs[2:] == [self.lat.load_hit, self.lat.load_miss,
+                             self.lat.load_hit]
 
     def test_distinct_arrays_distinct_lines(self):
-        lat = default_latencies()
-        c = CoreCache(cache_lines=16, line_elems=8)
-        c.access("a", 0, lat)
-        assert c.access("b", 0, lat) == lat.load_miss
+        assert _load_costs([("a", 0), ("b", 0)]) == [self.lat.load_miss] * 2
+
+    def test_store_allocates_the_line(self):
+        _, res = run1([
+            Instr(op="store", a=Imm(3), b=Imm(1.0), array="a"),
+            Instr(op="load", dst="v", a=Imm(0), array="a"),
+            Instr(op="halt"),
+        ], mem=_mem(a=np.zeros(8)))
+        assert res.core_times[0] == self.lat.store + self.lat.load_hit
 
 
 class TestSingleCore:
