@@ -242,6 +242,7 @@ def _cmd_experiment(args) -> int:
     from .experiments import REGISTRY, TRIP_FREE, run_experiment
     from .store.sweep import WORKERS_ENV, resolve_workers
 
+    caller = os.environ.get(WORKERS_ENV)
     if args.workers is not None:
         try:
             resolve_workers(args.workers)
@@ -249,19 +250,27 @@ def _cmd_experiment(args) -> int:
             print(f"--workers: {exc}")
             return 2
         os.environ[WORKERS_ENV] = args.workers
-    trip = args.trip if args.trip is not None else _DEFAULT_TRIP
-    ids = list(REGISTRY) if args.id == "all" else [args.id.upper()]
-    for eid in ids:
-        if eid not in REGISTRY:
-            print(f"unknown experiment {eid!r}; known: {list(REGISTRY)}")
-            return 2
-        mod, title = REGISTRY[eid]
-        print(f"===== {eid}: {title} =====")
-        if eid in TRIP_FREE and args.trip is not None:
-            print(f"note: {eid} is {TRIP_FREE[eid]}; --trip is ignored")
-        print(mod.format_result(run_experiment(eid, trip)))
-        print()
-    return 0
+    try:
+        trip = args.trip if args.trip is not None else _DEFAULT_TRIP
+        ids = list(REGISTRY) if args.id == "all" else [args.id.upper()]
+        for eid in ids:
+            if eid not in REGISTRY:
+                print(f"unknown experiment {eid!r}; known: {list(REGISTRY)}")
+                return 2
+            mod, title = REGISTRY[eid]
+            print(f"===== {eid}: {title} =====")
+            if eid in TRIP_FREE and args.trip is not None:
+                print(f"note: {eid} is {TRIP_FREE[eid]}; --trip is ignored")
+            print(mod.format_result(run_experiment(eid, trip)))
+            print()
+        return 0
+    finally:
+        # the grids read --workers from the environment; the caller's
+        # value comes back with the command
+        if caller is None:
+            os.environ.pop(WORKERS_ENV, None)
+        else:
+            os.environ[WORKERS_ENV] = caller
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -804,7 +813,7 @@ def _add_run_args(rp) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .store.sweep import usable_cpus
+    from .pool import usable_cpus
 
     p = argparse.ArgumentParser(
         prog="repro",

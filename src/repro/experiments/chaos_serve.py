@@ -244,7 +244,7 @@ async def _scn_worker_crash(root: Path, seed: int, n: int) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 async def _scn_executor_break(root: Path, seed: int) -> ScenarioResult:
-    from concurrent.futures import ProcessPoolExecutor
+    from ..pool import kill_workers
 
     result = ScenarioResult(name="executor-break")
     service = _mk_service(root, workers=2)
@@ -252,13 +252,13 @@ async def _scn_executor_break(root: Path, seed: int) -> ScenarioResult:
         bodies = _cells(DEFAULT_KERNELS, 3, seed + 10_000)
         # 1) warm the pool with a real compute
         pairs = await _fire(service, bodies[:1], result)
-        if not isinstance(service._executor, ProcessPoolExecutor):
-            result.skipped = "process pool unavailable in this environment"
-            return result
         # 2) SIGKILL every worker; the next compute hits the broken
         #    pool and must come back as a structured error while the
         #    service rebuilds lazily.
-        killed = service.supervisor.kill_workers(service._executor)
+        killed = kill_workers(service._executor)
+        if not killed:
+            result.skipped = "process pool unavailable in this environment"
+            return result
         result.injected["worker-kill"] = killed
         pairs += await _fire(service, bodies[1:2], result)
         broke = pairs[-1][1]

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import os
-import signal
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ..pool import kill_workers
 from .admission import Overloaded
 
 log = logging.getLogger(__name__)
@@ -287,15 +286,12 @@ class WorkerSupervisor:
         Returns the number of *newly* stuck tasks."""
         now = self._clock()
         newly_stuck = 0
-        any_stuck = False
         for w in self._watches.values():
             if w.stuck:
-                any_stuck = True
                 continue
             if now > w.deadline + self.policy.grace:
                 w.stuck = True
                 newly_stuck += 1
-                any_stuck = True
                 if self.registry is not None:
                     self.registry.counter("serve.supervisor.stuck").inc()
                 if self.bus is not None:
@@ -306,33 +302,13 @@ class WorkerSupervisor:
                 )
             elif self.bus is not None:
                 self.bus.emit_heartbeat(w.name, "alive", age=now - w.started)
-        if newly_stuck and executor is not None:
-            self.kill_workers(executor)
-        elif any_stuck is False:
-            pass
-        return newly_stuck
-
-    def kill_workers(self, executor: Any) -> int:
-        """Best-effort SIGKILL of a process pool's workers; thread
-        executors cannot be killed (their stuck watch stays counted).
-        Returns the number of processes signalled."""
-        procs = getattr(executor, "_processes", None)
-        if not procs:
-            return 0
-        killed = 0
-        for pid in list(procs):
-            try:
-                os.kill(pid, signal.SIGKILL)
-                killed += 1
-            except (OSError, TypeError):
-                continue
-        if killed:
+        if newly_stuck and (killed := kill_workers(executor)):
             if self.registry is not None:
                 self.registry.counter("serve.supervisor.killed").inc(killed)
             if self.bus is not None:
                 self.bus.emit_heartbeat("pool", "killed")
             log.warning("serve: killed %d stuck pool worker(s)", killed)
-        return killed
+        return newly_stuck
 
 
 # ---------------------------------------------------------------------------

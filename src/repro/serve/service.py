@@ -14,12 +14,12 @@ once when the first compute builds it.  It has exactly as many slots
 as admission lets cells in (:attr:`ServeConfig.compute_width`), so an
 admitted cell never waits inside the executor, where neither priority
 nor the watchdog's deadline could see it.  With ``workers > 0`` (the
-``repro serve`` default: one per usable CPU) it is a ``fork``-context
-``ProcessPoolExecutor`` of ``min(workers, max_concurrency)`` workers.
-Each opens the store by root path once (the atomic-rename write
-discipline makes sharing it safe), drops the sockets the fork copied,
-dies with the daemon, and sends back, beside each run, its memo and
-store counters and the cell's host-domain events.  The cells are
+``repro serve`` default: one per usable CPU) it is the worker pool of
+:mod:`repro.pool`, the one sweeps compute in, with
+``min(workers, max_concurrency)`` workers.  Each opens the store once,
+drops the sockets the fork copied, dies with the daemon, and sends
+back, beside each run, its memo and store counters and the cell's
+host-domain events.  The cells are
 CPU-bound Python, so only processes run two of them at once.  With
 ``workers=0`` it is one in-process thread sharing the service's store
 and event bus: the lane of tests, E12's in-process scenarios, loadgen's
@@ -49,11 +49,6 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import multiprocessing
-import os
-import signal
-import stat
-import sys
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -61,9 +56,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any
 
-from ..obs.events import WALL_KINDS, Event, EventBus
+from .. import pool
+from ..obs.events import WALL_KINDS, EventBus
 from ..obs.metrics import MetricsCollector, MetricsRegistry
 from .admission import AdmissionQueue, AdmitError, RateLimiter
 from .protocol import (
@@ -151,182 +147,6 @@ def run_payload(run: Any) -> dict:
     return payload
 
 
-def compute_run(kernel: str, cfg: dict, store: Any, obs: Any = None) -> Any:
-    """Run one cell in an executor (thread or worker process) and
-    return its :class:`~repro.experiments.common.KernelRun`.
-
-    Compile, checker and simulator failures come back *inside* the run
-    as provenance.  ``run_kernel`` is looked up on its module at call
-    time, so a wrapper installed there (a profiler, a test probe) sees
-    every cell.
-    """
-    from ..experiments import common
-    from ..kernels import get_kernel
-
-    return common.run_kernel(
-        get_kernel(kernel), common.ExpConfig(**cfg), store=store, obs=obs,
-    )
-
-
-#: ``prctl`` option: the signal a process gets when its parent dies.
-PR_SET_PDEATHSIG = 1
-
-#: a pool worker's store, opened once by :func:`_worker_init`.
-_worker_store: Any = None
-
-
-def _drop_inherited_sockets() -> None:
-    """Point every socket the fork copied past stdio (the daemon's
-    listener, its client connections, the event loop's self-pipe) at
-    ``/dev/null``.
-
-    A worker holding the listener would keep it completing handshakes
-    into a backlog nobody accepts after the daemon closed it, and one
-    holding a connection the daemon closed would keep its FIN from
-    being sent.  ``dup2`` rather than ``close`` keeps each fd number
-    taken, so a copied socket object that closes its fd later cannot
-    close a file the worker has opened since.
-    """
-    null = os.open(os.devnull, os.O_RDWR)
-    try:
-        for name in os.listdir("/proc/self/fd"):
-            fd = int(name)
-            try:
-                if fd > 2 and stat.S_ISSOCK(os.fstat(fd).st_mode):
-                    os.dup2(null, fd)
-            except OSError:
-                pass  # the listing's own fd, closed by now
-    finally:
-        os.close(null)
-
-
-def _worker_init(daemon_pid: int, store_root: str | None) -> None:
-    """Pool-worker initializer: die with the daemon, let go of its
-    sockets, leave signals to it, and open the store once.
-
-    Without the death signal a SIGKILLed daemon leaves its workers
-    blocked on a call-queue pipe whose write end they hold themselves.
-    The signal fires when the forking thread exits, and the pool forks
-    from the event-loop thread, which lives as long as the daemon.  A
-    daemon that died before the signal was armed is caught by the
-    parent-pid check.  The fork also copied the event loop's signal
-    wakeup fd: reset, so a signal sent to a worker cannot wake the
-    daemon's loop, and SIGINT (a terminal's ^C reaches the whole
-    process group) is left to the daemon's drain.
-    """
-    global _worker_store
-    if sys.platform.startswith("linux"):
-        import ctypes
-
-        try:
-            prctl = ctypes.CDLL(None).prctl
-            prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
-            prctl.restype = ctypes.c_int
-            prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
-        except (OSError, AttributeError):
-            pass
-        _drop_inherited_sockets()
-    if os.getppid() != daemon_pid:
-        os._exit(0)
-    signal.set_wakeup_fd(-1)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if store_root is not None:
-        from ..store.disk import ResultStore
-
-        _worker_store = ResultStore(store_root)
-
-
-class _HostEvents(EventBus):
-    """The bus a pool worker hands one cell: it keeps the host-domain
-    events (pass spans, guard decisions, the task event) as picklable
-    tuples and drops the simulator's per-cycle events unbuilt."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.events: list[tuple] = []
-        self.subscribe(self._keep)
-
-    def _keep(self, ev: Event) -> None:
-        if ev.kind in WALL_KINDS:
-            self.events.append((ev.kind, ev.ts, ev.name, ev.value, ev.dur))
-
-    def emit_enq(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    emit_deq = emit_stall = emit_retire = emit_halt = emit_enq
-
-
-class WorkerReply(NamedTuple):
-    """A pool worker's answer for one cell: the run, and what the daemon
-    cannot see from its own process."""
-
-    run: Any
-    pid: int
-    #: the worker's ``memo.stats()`` after the cell
-    memo: dict
-    #: the worker's store ``(hits, misses, writes)`` after the cell
-    store: tuple
-    #: the cell's host-domain events as ``(kind, ts, name, value, dur)``
-    events: list
-
-
-def _pool_compute(kernel: str, cfg: dict) -> WorkerReply:
-    """Picklable process-pool entry: the cell on the worker's store."""
-    from .. import memo
-
-    bus = _HostEvents()
-    run = compute_run(kernel, cfg, _worker_store, bus)
-    store = _worker_store
-    return WorkerReply(
-        run=run,
-        pid=os.getpid(),
-        memo=memo.stats(),
-        store=((store.hits, store.misses, store.writes) if store is not None
-               else (0, 0, 0)),
-        events=bus.events,
-    )
-
-
-class PoolCounters:
-    """The pool workers' memo and store counters, from each worker's
-    last reply: hits, misses and writes summed over every worker the
-    daemon has had, memo entries over the live pool's workers only."""
-
-    def __init__(self) -> None:
-        #: pid -> (memo stats, store counts) of the live pool's workers
-        self.live: dict[int, tuple[dict, tuple]] = {}
-        #: the last replies of the workers of replaced pools
-        self.retired: list[tuple[dict, tuple]] = []
-
-    def add(self, reply: WorkerReply) -> None:
-        self.live[reply.pid] = (reply.memo, reply.store)
-
-    def retire(self) -> None:
-        """The pool was dropped, and its workers' memos with it."""
-        self.retired.extend(self.live.values())
-        self.live.clear()
-
-    def snapshot(self) -> dict:
-        every = [*self.live.values(), *self.retired]
-
-        def total(reports: Any, stage: str, field: str) -> int:
-            return sum(memo[stage][field] for memo, _ in reports if stage in memo)
-
-        stages = sorted({stage for memo, _ in every for stage in memo})
-        return {
-            "pids": sorted(self.live),
-            "memo": {stage: {"hits": total(every, stage, "hits"),
-                             "misses": total(every, stage, "misses"),
-                             "entries": total(self.live.values(), stage, "entries")}
-                     for stage in stages},
-            "store": {name: sum(counts[i] for _, counts in every)
-                      for i, name in enumerate(("hits", "misses", "writes"))},
-        }
-
-
 class ServeService:
     """In-process service core; see the module docstring for the flow."""
 
@@ -349,7 +169,7 @@ class ServeService:
         self.bus.subscribe(self._on_event)
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._executor: Any = None
-        self.pool_counters = PoolCounters()
+        self.pool_counters = pool.PoolCounters()
         self._started = time.monotonic()
 
         # -- resilience (PR 7) -----------------------------------------
@@ -413,27 +233,19 @@ class ServeService:
         if ev.kind in WALL_KINDS:
             self._collector(ev)
 
-    def _make_executor(self) -> Any:
+    def _executor_now(self) -> Any:
+        """The executor, built on first use (so start-up forks nothing)."""
         width = self.config.compute_width
-        if self.config.workers > 0:
-            root = str(self.store.root) if self.store is not None else None
+        if self._executor is None and self.config.workers > 0:
             try:
-                return ProcessPoolExecutor(
-                    max_workers=width,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_worker_init,
-                    initargs=(os.getpid(), root),
-                )
-            except (OSError, ValueError, ImportError) as exc:
+                self._executor = pool.make_executor(width, self.store)
+            except pool.UNAVAILABLE as exc:
                 log.warning(
                     "serve: process pool unavailable (%s); using threads", exc
                 )
-        return ThreadPoolExecutor(max_workers=width, thread_name_prefix="repro-serve")
-
-    def _executor_now(self) -> Any:
-        """The executor, built on first use (so start-up forks nothing)."""
         if self._executor is None:
-            self._executor = self._make_executor()
+            self._executor = ThreadPoolExecutor(
+                max_workers=width, thread_name_prefix="repro-serve")
         return self._executor
 
     async def _in_executor(self, fn: Any) -> Any:
@@ -454,10 +266,9 @@ class ServeService:
                 self.pool_counters.retire()
                 self.supervisor.note_restart()
             raise RuntimeError("compute worker crashed (pool rebuilt)") from None
-        if isinstance(out, WorkerReply):
+        if isinstance(out, pool.WorkerReply):
             self.pool_counters.add(out)
-            for kind, ts, name, value, dur in out.events:
-                self.bus.emit(Event(kind, ts, name=name, value=value, dur=dur))
+            out.replay(self.bus)
             out = out.run
         return out
 
@@ -511,7 +322,8 @@ class ServeService:
     async def resume_incomplete(self) -> dict:
         """Replay every incomplete journal under the store root
         (crashed sweeps and crashed serve daemons alike): re-dispatch
-        only the cells whose record is absent from the store, append
+        only the cells it owes (a sweep's whole campaign, a daemon's
+        intents) whose record is absent from the store, append
         the completions to the *original* journal, and mark it done.
         Idempotent — resuming a completed journal performs zero
         computes."""
@@ -530,17 +342,21 @@ class ServeService:
                 log.warning("serve: skipping journal %s (schema mismatch)",
                             state.path)
                 continue
+            try:
+                owed = state.owed()
+            except ValueError as exc:
+                log.warning("serve: skipping journal %s (%s)", state.path, exc)
+                continue
             report["journals"] += 1
-            report["cells"] += len(state.intents)
-            missing = state.missing_cells(self.store)
-            report["durable"] += len(state.intents) - len(missing)
+            report["cells"] += len(owed)
+            missing = [key for key in owed if self.store.get_run(key) is None]
+            report["durable"] += len(owed) - len(missing)
             failed = 0
             journal = SweepJournal(state.path)
             try:
                 for key in missing:
-                    intent = state.intents[key]
-                    kernel = intent.get("kernel")
-                    cfg = intent.get("config") or {}
+                    kernel = owed[key].get("kernel")
+                    cfg = owed[key].get("config") or {}
                     if not kernel:
                         failed += 1
                         continue
@@ -571,8 +387,8 @@ class ServeService:
         """The cell's compute callable, for the lane of the executor
         actually built."""
         if isinstance(self._executor_now(), ProcessPoolExecutor):
-            return partial(_pool_compute, kernel, cfg)
-        return partial(compute_run, kernel, cfg, self.store, self.bus)
+            return partial(pool.compute_in_worker, kernel, cfg)
+        return partial(pool.compute_run, kernel, cfg, self.store, self.bus)
 
     async def _compute_cell(
         self, req: Request, kernel: str, cfg: dict, key: str

@@ -17,13 +17,14 @@ waste and turns the kernel × config matrix into a schedulable grid:
   temp-file + rename writes, corruption-tolerant reads (a bad record
   is a miss, never a crash), stats / clear / gc maintenance.
 * :mod:`repro.store.sweep` — ``run_grid``: fan a kernel × config grid
-  out over a ``multiprocessing`` pool with longest-job-first ordering
-  seeded from cached cycle counts, per-task timeout + retry, and
-  graceful in-process serial fallback.
+  out over the :mod:`repro.pool` workers with longest-job-first
+  ordering seeded from cached cycle counts, per-task timeout + retry,
+  and graceful in-process serial fallback.
 * :mod:`repro.store.journal` — write-ahead sweep journal: intent
   before compute, completion after the durable store write, so a
   ``kill -9``'d sweep or daemon resumes by re-dispatching only the
-  missing cells (``run_grid(journal=...)`` / ``resume_grid``).
+  missing cells of its campaign (``run_grid(journal=...)`` /
+  ``resume_grid``).
 """
 
 from .disk import ResultStore, StoreStats, StoreWriteError, default_store, store_root

@@ -164,32 +164,68 @@ class JournalState:
     schema_ok: bool = True
 
     @property
+    def campaign_cells(self) -> int:
+        """How many cells the ``open`` record names (kernels × configs);
+        0 for a journal without a campaign, such as serve's."""
+        return (len(self.campaign.get("kernels") or ())
+                * len(self.campaign.get("configs") or ()))
+
+    @property
     def complete(self) -> bool:
-        return self.closed or all(k in self.done for k in self.intents)
+        """Nothing is owed (:meth:`owed`): the journal was closed, or
+        every intent has a ``done`` line and as many keys have one as
+        the campaign has cells.  Counted, so no key is built; a sweep
+        killed before a cell's intent still owes that cell."""
+        return self.closed or (
+            all(k in self.done for k in self.intents)
+            and len(self.done) >= self.campaign_cells
+        )
+
+    def owed(self) -> dict[str, dict]:
+        """Every cell the journal must see durable, as ``key ->
+        {"kernel": ..., "config": {...}}``: each cell of its campaign
+        when the ``open`` record names kernels and configs, and each
+        intent (a sweep writes an intent only as its cell starts).
+        Raises ``ValueError`` when a campaign cell cannot be rebuilt:
+        a kernel no longer registered, a config field no longer known."""
+        cells: dict[str, dict] = {}
+        if self.campaign_cells:
+            from ..experiments.common import ExpConfig, store_key_for
+            from ..kernels import get_kernel
+
+            try:
+                for name in self.campaign["kernels"]:
+                    spec = get_kernel(name)
+                    for cfg in self.campaign["configs"]:
+                        key = store_key_for(spec, ExpConfig(**cfg))
+                        cells[key] = {"kernel": name, "config": cfg}
+            except (KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"journal {self.path}: cannot rebuild its campaign ({exc})"
+                ) from None
+        return {**cells, **self.intents}
 
     def pending_keys(self) -> list[str]:
         """Intents without a completion record, in intent order."""
         return [k for k in self.intents if k not in self.done]
 
     def missing_cells(self, store: Any) -> list[str]:
-        """Intents whose result is absent from the *store* — the actual
-        recovery work list.  The store outranks the journal's own
+        """Owed cells whose result is absent from the *store* — the
+        actual recovery work list.  The store outranks the journal's own
         ``done`` lines in both directions: a record that exists is
         complete even if the ``done`` line was lost in the crash, and a
         ``done`` whose record has vanished (disk fault, manual clear)
         is re-dispatched."""
-        out = []
-        for key in self.intents:
-            if store is None or store.get_run(key) is None:
-                out.append(key)
-        return out
+        return [key for key in self.owed()
+                if store is None or store.get_run(key) is None]
 
 
 def load_journal(path: str | os.PathLike) -> JournalState:
     """Replay one journal file into a :class:`JournalState`.
 
     Never raises on content: torn/garbage lines are counted, a missing
-    ``open`` record leaves ``campaign`` empty, a schema mismatch sets
+    ``open`` record, or a campaign whose kernels or configs are not
+    lists, leaves ``campaign`` empty, a schema mismatch sets
     ``schema_ok=False`` (callers should refuse to resume those).
     """
     state = JournalState(path=str(path))
@@ -212,7 +248,12 @@ def load_journal(path: str | os.PathLike) -> JournalState:
             continue
         kind = obj.get("kind")
         if kind == "open":
-            state.campaign = obj.get("campaign") or {}
+            campaign = obj.get("campaign")
+            if not (isinstance(campaign, dict) and all(
+                    isinstance(campaign.get(f, []), list)
+                    for f in ("kernels", "configs"))):
+                campaign = {}
+            state.campaign = campaign
             if obj.get("schema") != JOURNAL_SCHEMA:
                 state.schema_ok = False
         elif kind == "intent":
@@ -271,16 +312,20 @@ def remove_journal(path: str | os.PathLike) -> bool:
 def gc_journals(store_root: str | os.PathLike, store: Any = None) -> int:
     """Delete journals with nothing left to recover; returns the count.
 
-    A journal is reclaimable when it is explicitly closed, or when
-    every intent's record exists in the store (the crashed-but-actually
-    -finished case).  Incomplete journals are always kept.
+    A journal is reclaimable when nothing is owed: it is complete, or
+    every cell it owes has its record in the store (the crashed-but-
+    actually-finished case).  Incomplete journals are always kept, and
+    so is one whose campaign can no longer be rebuilt.
     """
     removed = 0
     for path in find_journals(store_root):
         state = load_journal(path)
-        done = state.complete or (
-            store is not None and not state.missing_cells(store)
-        )
+        try:
+            done = state.complete or (
+                store is not None and not state.missing_cells(store)
+            )
+        except ValueError:
+            done = False
         if done and remove_journal(path):
             removed += 1
     return removed

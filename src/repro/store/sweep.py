@@ -1,7 +1,8 @@
 """Parallel sweep engine: schedule the kernel × config matrix.
 
-``run_grid`` fans every (kernel, config) cell out over a
-``multiprocessing`` worker pool.  Scheduling is longest-job-first:
+``run_grid`` fans every (kernel, config) cell out over the worker pool
+of :mod:`repro.pool`, the one ``repro serve`` computes in.  Scheduling
+is longest-job-first:
 each task's expected cost is looked up from previously stored cycle
 counts, and unknown tasks are treated as the longest (they run first,
 which both minimizes makespan under uncertainty and populates the
@@ -26,11 +27,10 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence
 
 log = logging.getLogger(__name__)
@@ -87,18 +87,9 @@ class SweepTask:
         return (self.kernel, self.config)
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask where the
-    platform has one, else every CPU): the automatic worker count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
 def resolve_workers(workers: int | str | None) -> int:
     """Normalize a worker-count request; 0/1 means serial, -1 means
-    "auto" (:func:`usable_cpus`).
+    "auto" (:func:`repro.pool.usable_cpus`).
 
     Explicit arguments are strict: strings that are neither
     "auto"/"max" nor an integer, and negative counts other than -1,
@@ -113,7 +104,7 @@ def resolve_workers(workers: int | str | None) -> int:
         workers = os.environ.get(WORKERS_ENV, "").strip() or "0"
     if isinstance(workers, str):
         if workers.lower() in ("auto", "max"):
-            workers = usable_cpus()
+            workers = -1
         else:
             try:
                 workers = int(workers)
@@ -131,6 +122,8 @@ def resolve_workers(workers: int | str | None) -> int:
             )
         if workers != -1:
             log.warning("%s=%d is negative; treating as auto", WORKERS_ENV, workers)
+        from ..pool import usable_cpus
+
         workers = usable_cpus()
     return workers
 
@@ -162,21 +155,9 @@ def _estimate_cycles(store: Any, spec: Any, config: Any) -> float:
     return run.par_cycles
 
 
-def _worker_run(kernel: str, config: Any, store_root: str | None) -> Any:
-    """Pool worker: execute one cell against the shared store."""
-    from ..experiments.common import run_kernel
-    from ..kernels import get_kernel
-    from .disk import ResultStore
-
-    store = ResultStore(store_root) if store_root is not None else None
-    return run_kernel(get_kernel(kernel), config, store=store)
-
-
 def _campaign_doc(specs: Sequence[Any], configs: Sequence[Any]) -> dict:
     """JSON-safe description of a grid, sufficient to rebuild it on
     resume (kernels by registry name, configs by field dict)."""
-    from dataclasses import asdict
-
     return {
         "kernels": [spec.name for spec in specs],
         "configs": [asdict(cfg) for cfg in configs],
@@ -207,8 +188,6 @@ class _JournalScribe:
         return key
 
     def intent(self, task: SweepTask) -> None:
-        from dataclasses import asdict
-
         key = self.key_for(task)
         if key in self._intents:
             return  # retries re-dispatch; the intent stands
@@ -221,10 +200,6 @@ class _JournalScribe:
             return
         self._done.add(key)
         self.journal.record_done(key, status)
-
-    @property
-    def pending(self) -> int:
-        return len(self._intents) - len(self._done)
 
 
 def run_grid(
@@ -246,9 +221,10 @@ def run_grid(
     ``timeout`` bounds each task attempt in seconds; after ``retries``
     failed pool attempts a task is executed serially in-process.
     ``obs`` (a :class:`repro.obs.events.EventBus`) receives the task
-    lifecycle: serial cells emit through :func:`run_kernel`'s hook,
-    pool cells emit a parent-side completion event per handle (worker
-    processes cannot share the in-memory bus).
+    lifecycle: serial cells emit through :func:`run_kernel`'s hook, and
+    a pool cell's host-domain events come back with its run and are
+    emitted here (a cell that timed out or raised in the pool gets a
+    task event from this process).
 
     ``journal`` (a :class:`~repro.store.journal.SweepJournal`, an open
     path, or ``None``) arms the write-ahead journal: every cell's
@@ -256,7 +232,6 @@ def run_grid(
     after the store write, so a killed sweep resumes with
     :func:`resume_grid` re-dispatching only the missing cells.
     """
-    from ..experiments import common
     from .disk import default_store
     from .journal import SweepJournal
 
@@ -284,9 +259,10 @@ def run_grid(
         )
     finally:
         if owned_journal:
-            # complete only when nothing is owed: a crash or partial
-            # failure must leave the recovery breadcrumb behind.
-            journal.close(complete=scribe is not None and scribe.pending == 0)
+            # complete only when every campaign cell has a result: a
+            # crash or partial failure must leave the recovery
+            # breadcrumb behind.
+            journal.close(complete=all(t.cell in results for t in tasks))
     return results
 
 
@@ -361,12 +337,16 @@ def resume_grid(
     """Resume a crashed journaled sweep: replay the journal against the
     store and re-dispatch **only** the missing cells.
 
-    The store is ground truth in both directions — a cell whose record
-    exists is complete even if its ``done`` line was torn off by the
-    crash, and a ``done`` whose record has vanished is recomputed.
-    Re-running a *completed* journal therefore performs zero computes
-    (the idempotence invariant).  Returns the full grid results plus a
-    :class:`ResumeReport`; on success the journal is closed complete.
+    The cells are the ones the journal owes
+    (:meth:`~repro.store.journal.JournalState.owed`): every cell of its
+    campaign, including those the crash came before.  The store is
+    ground truth in both directions — a cell whose record exists is
+    complete even if its ``done`` line was torn off by the crash, and a
+    ``done`` whose record has vanished is recomputed.  Re-running a
+    *completed* journal therefore performs zero computes (the
+    idempotence invariant).  Returns the full grid results plus a
+    :class:`ResumeReport`; once every cell has a result the journal is
+    closed complete.
     """
     from ..experiments.common import ExpConfig
     from ..kernels import get_kernel
@@ -378,45 +358,40 @@ def resume_grid(
     state = load_journal(journal_path)
     if not state.schema_ok:
         raise ValueError(f"journal {journal_path} has an unsupported schema")
-    campaign = state.campaign
-    if not campaign.get("kernels") or not campaign.get("configs"):
+    if not state.campaign_cells:
         raise ValueError(
             f"journal {journal_path} carries no campaign (its 'open' record "
             "was lost); cannot rebuild the task list"
         )
-    specs = [get_kernel(name) for name in campaign["kernels"]]
-    configs = [ExpConfig(**cfg) for cfg in campaign["configs"]]
-    by_name = {spec.name: spec for spec in specs}
-    tasks = [SweepTask(spec.name, cfg) for spec in specs for cfg in configs]
+    owed = state.owed()
+    tasks = [SweepTask(cell["kernel"], ExpConfig(**cell["config"]))
+             for cell in owed.values()]
+    by_name = {task.kernel: get_kernel(task.kernel) for task in tasks}
 
     results: dict[tuple[str, Any], Any] = {}
     missing: list[SweepTask] = []
-    for task in tasks:
-        run = None
-        if store is not None:
-            run = store.get_run(_task_key(by_name[task.kernel], task.config))
+    for key, task in zip(owed, tasks):
+        run = store.get_run(key) if store is not None else None
         if run is not None:
             results[task.cell] = run
         else:
             missing.append(task)
 
     durable = len(results)  # before dispatch mutates the results dict
-    if missing:
-        journal = SweepJournal(journal_path)  # append to the same file
-        scribe = _JournalScribe(journal, by_name)
-        try:
+    journal = SweepJournal(journal_path)  # append to the same file
+    try:
+        if missing:
             _dispatch_tasks(
                 missing, by_name, results,
                 workers=workers, timeout=timeout, retries=retries,
-                store=store, obs=obs, scribe=scribe,
+                store=store, obs=obs, scribe=_JournalScribe(journal, by_name),
             )
-        finally:
-            journal.close(complete=scribe.pending == 0)
-    else:
-        # nothing owed: mark the journal complete so the next gc (and
-        # the next --resume scan) skip it.
-        journal = SweepJournal(journal_path)
-        journal.close(complete=not state.closed)
+    finally:
+        # complete once nothing is owed, so the next gc and the next
+        # --resume scan skip it; a journal closed before needs no
+        # second close line.
+        journal.close(complete=not state.closed
+                      and all(task.cell in results for task in tasks))
     report = ResumeReport(
         journal=str(journal_path), cells=len(tasks), intents=len(state.intents),
         completed=durable, recomputed=len(missing),
@@ -437,7 +412,7 @@ def _run_pool(
     obs: Any = None,
     scribe: Any = None,
 ) -> list[SweepTask]:
-    """Drain ``pending`` through a worker pool; returns tasks left for
+    """Drain ``pending`` through the worker pool; returns tasks left for
     the serial fallback (retry-exhausted and quarantined cells).
 
     Failure discipline: a *transient* failure (timeout, infrastructure
@@ -445,101 +420,116 @@ def _run_pool(
     backoff with jitter; a *deterministic* failure (bad config, sim
     invariant violation — see :data:`PERMANENT_ERRORS`) quarantines the
     cell immediately, as does exhausting the per-cell retry budget, so
-    one repeatedly-crashing cell can never starve the rest of the grid
+    one cell that keeps raising can never starve the rest of the grid
     of pool rounds.  Quarantined cells run serially in the parent where
     a genuine error surfaces with its real traceback.
+
+    A worker that dies mid-cell (a segfault, an OOM kill) breaks the
+    pool, which stops its other workers too: every cell of that round
+    without a result fails with ``BrokenProcessPool``, a transient
+    failure, so a cell that kills its worker every time takes the
+    round's other cells through the retries and into the serial
+    fallback with it.  One that dies before the round is all handed
+    out sends the rest of the dispatch to the serial fallback at once.
+
+    A pool ends by killing its workers, so none goes on running a cell
+    nobody collects: after a round that timed out or broke it (the next
+    round builds a fresh one), and when the dispatch ends.
     """
+    from concurrent.futures import BrokenExecutor, TimeoutError as FutureTimeout
+
+    from .. import pool
     from ..experiments import common
 
-    root = str(store.root) if store is not None else None
-    ctx = multiprocessing.get_context()
     rng = random.Random(0xC0FFEE ^ len(pending))
     quarantined: list[SweepTask] = []
     fail_counts: dict[tuple, int] = {}
-    for attempt in range(retries + 1):
-        if not pending:
-            break
-        try:
-            pool = ctx.Pool(processes=min(workers, len(pending)))
-        except (OSError, ValueError, ImportError) as exc:
-            log.warning("sweep: worker pool unavailable (%s); running serially", exc)
-            return pending + quarantined
-        failed: list[SweepTask] = []
-        timed_out = False
+    executor = None
+    try:
+        for attempt in range(retries + 1):
+            if not pending:
+                break
+            failed: list[SweepTask] = []
+            spoiled = False
 
-        def _fail(task: SweepTask, reason: str, retryable: bool) -> None:
-            fail_counts[task.cell] = fail_counts.get(task.cell, 0) + 1
-            if not retryable:
-                log.warning(
-                    "sweep: %s failed deterministically (%s); quarantined "
-                    "for serial fallback, no pool retries", task.kernel, reason,
-                )
-                quarantined.append(task)
-            elif fail_counts[task.cell] > retries:
-                log.warning(
-                    "sweep: %s failed %d time(s) (%s); quarantined for "
-                    "serial fallback", task.kernel, fail_counts[task.cell], reason,
-                )
-                quarantined.append(task)
-            else:
-                log.warning(
-                    "sweep: %s failed (%s); will retry (attempt %d/%d)",
-                    task.kernel, reason, attempt + 1, retries + 1,
-                )
-                failed.append(task)
+            def _fail(task: SweepTask, reason: str, retryable: bool,
+                      status: str) -> None:
+                if obs is not None:
+                    obs.emit_task(f"{task.kernel}:c{task.config.n_cores}",
+                                  t_round, time.perf_counter(), status)
+                fail_counts[task.cell] = fail_counts.get(task.cell, 0) + 1
+                if not retryable:
+                    log.warning(
+                        "sweep: %s failed deterministically (%s); quarantined "
+                        "for serial fallback, no pool retries", task.kernel, reason,
+                    )
+                    quarantined.append(task)
+                elif fail_counts[task.cell] > retries:
+                    log.warning(
+                        "sweep: %s failed %d time(s) (%s); quarantined for "
+                        "serial fallback", task.kernel, fail_counts[task.cell], reason,
+                    )
+                    quarantined.append(task)
+                else:
+                    log.warning(
+                        "sweep: %s failed (%s); will retry (attempt %d/%d)",
+                        task.kernel, reason, attempt + 1, retries + 1,
+                    )
+                    failed.append(task)
 
-        try:
             t_round = time.perf_counter()
             if scribe is not None:
                 # write-ahead discipline: every intent line hits disk
                 # before the first worker can touch its cell.
                 for t in pending:
                     scribe.intent(t)
-            handles = [
-                (t, pool.apply_async(_worker_run, (t.kernel, t.config, root)))
-                for t in pending
-            ]
-            for task, handle in handles:
-                name = f"{task.kernel}:c{task.config.n_cores}"
+            try:
+                if executor is None:
+                    executor = pool.make_executor(min(workers, len(pending)), store)
+                # the first submit forks the workers
+                futures = [
+                    (t, executor.submit(pool.compute_in_worker, t.kernel,
+                                        asdict(t.config), obs is not None))
+                    for t in pending
+                ]
+            except (*pool.UNAVAILABLE, BrokenExecutor) as exc:
+                log.warning("sweep: worker pool unavailable (%s); running serially", exc)
+                break
+            for task, future in futures:
                 try:
-                    run = handle.get(timeout)
-                except multiprocessing.TimeoutError:
-                    timed_out = True
+                    reply = future.result(timeout)
+                except FutureTimeout:
+                    spoiled = True
                     _fail(task, f"timed out after {timeout or 0.0:.1f}s",
-                          retryable=True)
-                    if obs is not None:
-                        obs.emit_task(name, t_round, time.perf_counter(),
-                                      "timeout")
+                          retryable=True, status="timeout")
                 except Exception as exc:
+                    spoiled = spoiled or isinstance(exc, BrokenExecutor)
                     _fail(task, f"{type(exc).__name__}: {exc}",
-                          retryable=_is_retryable(exc))
-                    if obs is not None:
-                        obs.emit_task(name, t_round, time.perf_counter(),
-                                      type(exc).__name__)
+                          retryable=_is_retryable(exc),
+                          status=type(exc).__name__)
                 else:
-                    results[task.cell] = run
+                    results[task.cell] = reply.run
                     # parent memo: later serial calls reuse the run
                     common.seed_cache(
-                        _task_key(by_name[task.kernel], task.config), run)
+                        _task_key(by_name[task.kernel], task.config), reply.run)
                     if scribe is not None:
                         # the worker's run_kernel persisted the record
                         # before returning: completion is now durable.
                         scribe.done(task)
                     if obs is not None:
-                        obs.emit_task(name, t_round, time.perf_counter(),
-                                      run.failure or "ok")
-        finally:
-            # A timed-out worker may still hold a pool slot; terminate
-            # so retries start on a clean pool.
-            if timed_out:
-                pool.terminate()
-            else:
-                pool.close()
-            pool.join()
-        pending = failed
-        if pending and attempt < retries:
-            delay = _backoff_delay(attempt, rng)
-            log.info("sweep: backing off %.2fs before retry round %d",
-                     delay, attempt + 2)
-            time.sleep(delay)
+                        reply.replay(obs)
+            if spoiled:
+                pool.kill_workers(executor)
+                executor.shutdown(wait=True, cancel_futures=True)
+                executor = None
+            pending = failed
+            if pending and attempt < retries:
+                delay = _backoff_delay(attempt, rng)
+                log.info("sweep: backing off %.2fs before retry round %d",
+                         delay, attempt + 2)
+                time.sleep(delay)
+    finally:
+        if executor is not None:
+            pool.kill_workers(executor)
+            executor.shutdown(wait=True, cancel_futures=True)
     return pending + quarantined

@@ -104,6 +104,20 @@ class TestCommands:
         text = build_parser().format_help()
         assert f"E1..E{last}|all" in text
 
+    @pytest.mark.parametrize("caller", [None, "0"])
+    def test_experiment_workers_restores_the_environment(self, caller,
+                                                         monkeypatch):
+        """--workers reaches the grids through $REPRO_WORKERS; the
+        caller's value (or its absence) comes back with the command."""
+        import os
+
+        if caller is None:
+            monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WORKERS", caller)
+        assert main(["experiment", "E1", "--workers", "2"]) == 0
+        assert os.environ.get("REPRO_WORKERS") == caller
+
     def test_experiment_e1_warns_on_trip(self, capsys):
         assert main(["experiment", "E1", "--trip", "10"]) == 0
         assert "--trip is ignored" in capsys.readouterr().out
@@ -477,7 +491,7 @@ class TestFailedCells:
 
 class TestServeCommands:
     def test_serve_parser_defaults(self):
-        from repro.store.sweep import usable_cpus
+        from repro.pool import usable_cpus
 
         args = build_parser().parse_args(["serve"])
         # one compute process per usable CPU

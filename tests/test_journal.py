@@ -225,3 +225,118 @@ class TestGcVsJournal:
         key = store_key_for(spec, CFG)
         make_journal(store.root, {key: ("sphot-1", asdict(CFG))})
         assert gc_journals(store.root, store=store) == 1
+
+
+KILLED_GRID = ("sphot-1", "lammps-1", "irs-1")
+
+
+def _kill_sweep(store_root, path, kill_at: str) -> None:
+    """Run a serial journaled sweep over :data:`KILLED_GRID` in a forked
+    child that dies with ``os._exit(9)`` at ``kill_at``: ``"cell"``
+    inside the second cell, ``"intent"`` as the second intent is due."""
+    import multiprocessing
+    import os
+
+    import repro.experiments.common as common
+
+    def child():
+        calls = []
+        if kill_at == "cell":
+            target, name = common, "run_kernel"
+        else:
+            target, name = SweepJournal, "record_intent"
+        inner = getattr(target, name)
+
+        def dying(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                os._exit(9)
+            return inner(*args, **kwargs)
+
+        setattr(target, name, dying)
+        run_grid([get_kernel(k) for k in KILLED_GRID], [CFG], workers=0,
+                 store=ResultStore(store_root), journal=path)
+        os._exit(0)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=120)
+    assert proc.exitcode == 9
+
+
+class TestKilledSerialSweep:
+    """A serial sweep writes each intent just before its cell, so a
+    killed one owes cells it never named: the journal is judged by its
+    campaign."""
+
+    @pytest.mark.parametrize("resume", ["resume_grid", "resume_incomplete"])
+    @pytest.mark.parametrize("kill_at", ["cell", "intent"])
+    def test_resume_completes_the_campaign(self, tmp_path, kill_at, resume):
+        import asyncio
+
+        from repro.serve.service import ServeConfig, ServeService
+
+        store = ResultStore(tmp_path / "store")
+        path = new_journal_path(store.root)
+        _kill_sweep(store.root, path, kill_at)
+        keys = [store_key_for(get_kernel(k), CFG) for k in KILLED_GRID]
+        assert [store.get_run(k) is not None for k in keys] == [
+            True, False, False]
+        # still owed: listed for --resume, kept by gc
+        assert [s.path for s in incomplete_journals(store.root)] == [str(path)]
+        assert gc_journals(store.root, store=store) == 0
+
+        if resume == "resume_grid":
+            _, report = resume_grid(path, store=store)
+            assert (report.cells, report.completed, report.recomputed) == (3, 1, 2)
+        else:
+            async def scenario():
+                svc = ServeService(ServeConfig(store_root=store.root))
+                report = await svc.resume_incomplete()
+                await svc.aclose()
+                return report
+
+            report = asyncio.run(scenario())
+            assert (report["cells"], report["durable"],
+                    report["recomputed"], report["failed"]) == (3, 1, 2, 0)
+        assert all(store.get_run(k) is not None for k in keys)
+        assert load_journal(path).complete
+
+
+class TestMalformedCampaign:
+    """A campaign whose kernels or configs are not lists reads as
+    empty, so the journal is judged by its intents, and nothing that
+    lists, collects or resumes journals raises on it."""
+
+    @pytest.mark.parametrize("campaign", [
+        {"kernels": 3, "configs": [asdict(CFG)]},
+        {"kernels": ["sphot-1"], "configs": 3},
+        {"kernels": "sphot-1", "configs": [asdict(CFG)]},
+    ])
+    def test_read_as_empty(self, tmp_path, campaign):
+        import asyncio
+
+        from repro.serve.service import ServeConfig, ServeService
+
+        store = ResultStore(tmp_path / "store")
+        key = store_key_for(get_kernel("sphot-1"), CFG)
+        path = make_journal(store.root, {key: ("sphot-1", asdict(CFG))},
+                            campaign=campaign)
+        assert load_journal(path).campaign == {}
+        assert [s.path for s in incomplete_journals(store.root)] == [str(path)]
+        assert gc_journals(store.root, store=store) == 0
+        with pytest.raises(ValueError, match="campaign"):
+            resume_grid(path, store=store)
+
+        async def scenario():
+            svc = ServeService(ServeConfig(store_root=store.root))
+            report = await svc.resume_incomplete()
+            await svc.aclose()
+            return report
+
+        report = asyncio.run(scenario())
+        assert (report["cells"], report["recomputed"], report["failed"]) == (1, 1, 0)
+        assert store.get_run(key) is not None
+        assert load_journal(path).complete
+        gc_journals(store.root, store=store)
+        assert find_journals(store.root) == []  # serve's own journal too

@@ -422,6 +422,24 @@ class TestGuardAndHarnessEvents:
         names = sorted(e.name for e in log.by_kind("task"))
         assert names == ["lammps-1:c2", "umt2k-1:c2"]
 
+    def test_run_grid_pool_replays_worker_events(self):
+        """A pool cell's host-domain events come back with its run: the
+        workers' own task events, and the compile's pass spans, which no
+        worker process can emit on this bus."""
+        from repro.experiments import common
+        from repro.store.sweep import run_grid
+
+        common.clear_cache()
+        specs = [get_kernel("umt2k-1"), get_kernel("lammps-1")]
+        cfg = common.ExpConfig(n_cores=2, trip=8)
+        bus = EventBus()
+        log = EventLog()
+        bus.subscribe(log)
+        run_grid(specs, [cfg], workers=2, store=None, obs=bus)
+        tasks = sorted((e.name, e.value) for e in log.by_kind("task"))
+        assert tasks == [("lammps-1:c2", "ok"), ("umt2k-1:c2", "ok")]
+        assert log.by_kind("pass")
+
 
 class TestDisabledOverhead:
     """The satellite guard: with observability off, simulation must not
@@ -460,6 +478,42 @@ class TestDisabledOverhead:
         assert res_off.total_instrs == res_none.total_instrs
         # ...and the instruction (Python-call) overhead is < 3%.
         assert calls_off <= calls_none * 1.03
+
+    @pytest.mark.parametrize("enabled", [None, False, True])
+    def test_pool_cell_gets_a_bus_only_to_replay_into(self, monkeypatch,
+                                                       enabled):
+        """A sweep's pool worker hands its cell a bus only when the sweep
+        has an enabled one to replay the cell's events into."""
+        import concurrent.futures
+
+        import repro.pool as pool
+        from repro.experiments import common
+        from repro.store.sweep import run_grid
+
+        class Inline:
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        run = common.run_kernel
+        seen = []
+
+        def spy(spec, config, **kwargs):
+            seen.append(type(kwargs.get("obs")).__name__)
+            return run(spec, config, **kwargs)
+
+        monkeypatch.setattr(pool, "make_executor", lambda *args: Inline())
+        monkeypatch.setattr(common, "run_kernel", spy)
+        common.clear_cache()
+        bus = None if enabled is None else EventBus(enabled=enabled)
+        run_grid([get_kernel("umt2k-1"), get_kernel("lammps-1")],
+                 [common.ExpConfig(n_cores=2, trip=8)], workers=2,
+                 store=None, obs=bus)
+        assert seen == ["_HostEvents" if enabled else "NoneType"] * 2
 
     def test_enabled_obs_does_not_change_simulation(self):
         bus = EventBus()

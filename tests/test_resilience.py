@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs.events import EventBus, EventLog
 from repro.obs.metrics import MetricsRegistry
+from repro.pool import kill_workers
 from repro.serve.admission import Draining, Overloaded
 from repro.serve.resilience import (
     CircuitBreaker,
@@ -187,12 +188,26 @@ class TestWorkerSupervisor:
         assert sup.backoff_remaining <= 4.0
 
     def test_kill_workers_ignores_thread_executors(self):
-        sup, _, _, _ = self._sup()
-
         class FakeThreadExecutor:
             pass
 
-        assert sup.kill_workers(FakeThreadExecutor()) == 0
+        assert kill_workers(FakeThreadExecutor()) == 0
+
+    def test_kill_workers_skips_reaped_workers(self, monkeypatch):
+        """A reaped worker's pid may be another process's by now."""
+        import types
+
+        import repro.pool as pool
+
+        killed = []
+        monkeypatch.setattr(pool.os, "kill", lambda pid, sig: killed.append(pid))
+
+        class FakePool:
+            _processes = {1: types.SimpleNamespace(exitcode=-15),
+                          2: types.SimpleNamespace(exitcode=None)}
+
+        assert kill_workers(FakePool()) == 1
+        assert killed == [2]
 
     def test_scan_kills_pool_workers_of_stuck_tasks(self):
         sup, clock, log, reg = self._sup(grace=1.0)
@@ -203,20 +218,20 @@ class TestWorkerSupervisor:
             # mimics ProcessPoolExecutor._processes: {pid: process}
             _processes = {999999999: object()}
 
-        import repro.serve.resilience as resilience
+        import repro.pool as pool
 
-        orig = resilience.os.kill
+        orig = pool.os.kill
 
         def fake_kill(pid, sig):
             killed.append((pid, sig))
 
-        resilience.os.kill = fake_kill
+        pool.os.kill = fake_kill
         try:
             sup.begin("run:y", timeout=1.0)
             clock.t = 3.0
             assert sup.scan(FakePool()) == 1
         finally:
-            resilience.os.kill = orig
+            pool.os.kill = orig
         assert killed and killed[0][0] == 999999999
         assert reg.value("serve.supervisor.killed") == 1
         assert any(

@@ -487,7 +487,7 @@ class TestServiceBoundary:
     def test_timeout_returns_structured_error_and_cache_still_fills(
         self, tmp_path, monkeypatch
     ):
-        import repro.serve.service as service_mod
+        import repro.pool as pool_mod
         from repro.experiments.common import ExpConfig, KernelRun
 
         def slow_compute(kernel, cfg, store, obs=None):
@@ -502,7 +502,7 @@ class TestServiceBoundary:
 
         async def main():
             svc = make_service(tmp_path)
-            monkeypatch.setattr(service_mod, "compute_run", slow_compute)
+            monkeypatch.setattr(pool_mod, "compute_run", slow_compute)
             cli = ServeClient(svc)
             r = await cli.request(
                 "run", kernel="sphot-1", cores=2, trip=8, timeout=0.05
@@ -521,14 +521,14 @@ class TestServiceBoundary:
         run(main())
 
     def test_compute_failure_is_classified(self, tmp_path, monkeypatch):
-        import repro.serve.service as service_mod
+        import repro.pool as pool_mod
 
         def broken(kernel, cfg, store, obs=None):
             raise ValueError("synthetic compile explosion")
 
         async def main():
             svc = make_service(tmp_path)
-            monkeypatch.setattr(service_mod, "compute_run", broken)
+            monkeypatch.setattr(pool_mod, "compute_run", broken)
             cli = ServeClient(svc)
             r = await cli.request("run", kernel="sphot-1", cores=2, trip=8)
             assert not r["ok"]
@@ -615,7 +615,7 @@ class TestServiceBoundary:
         assert m["memo"]["runs"]["entries"] == computed
 
     def test_pool_counters_forget_a_replaced_pools_memos(self):
-        from repro.serve.service import PoolCounters, WorkerReply
+        from repro.pool import PoolCounters, WorkerReply
 
         def reply(pid: int, hits: int, misses: int) -> WorkerReply:
             # each reply is the worker's running total
@@ -643,13 +643,13 @@ class TestServiceBoundary:
     def test_compute_follows_the_executor_built(self, tmp_path, monkeypatch):
         # with no process pool to be had, the first compute already runs
         # on the in-process lane: on the service's bus and store
-        import repro.serve.service as service_mod
+        import multiprocessing
         from concurrent.futures import ThreadPoolExecutor
 
         def no_fork(method=None):
             raise ValueError(f"cannot find context for {method!r}")
 
-        monkeypatch.setattr(service_mod.multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
 
         async def main():
             svc = make_service(tmp_path, workers=2)
@@ -949,7 +949,7 @@ class TestServeResilience:
         behind a slow one, not in the pool: its deadline starts when it
         computes, so the watchdog never finds it stuck and never kills
         the worker that runs the slow cell."""
-        import repro.serve.service as service_mod
+        import repro.pool as pool_mod
         from repro.experiments.common import ExpConfig, KernelRun
 
         def compute(kernel, cfg, store, obs=None):
@@ -959,7 +959,7 @@ class TestServeResilience:
                              correct=True, deadlocked=False, stats=None)
 
         # the pool forks on its first compute, so the worker runs this
-        monkeypatch.setattr(service_mod, "compute_run", compute)
+        monkeypatch.setattr(pool_mod, "compute_run", compute)
 
         async def main():
             svc = make_service(tmp_path, workers=1, task_grace=0.2,

@@ -584,15 +584,12 @@ class TestSweep:
         assert grid[("umt2k-1", cfg)].correct
 
     def test_pool_failure_falls_back_to_serial(self, tmp_path, monkeypatch):
-        import repro.store.sweep as sweep
+        import repro.pool as pool
 
-        class _NoPoolCtx:
-            def Pool(self, *a, **k):
-                raise OSError("no pool for you")
+        def no_pool(*a, **k):
+            raise OSError("no pool for you")
 
-        monkeypatch.setattr(
-            sweep.multiprocessing, "get_context", lambda *a, **k: _NoPoolCtx()
-        )
+        monkeypatch.setattr(pool, "make_executor", no_pool)
         specs = [get_kernel("umt2k-1"), get_kernel("lammps-1")]
         cfg = ExpConfig(n_cores=2, trip=TRIP)
         grid = run_grid(
