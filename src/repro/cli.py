@@ -52,7 +52,8 @@ Commands
   violation), optionally under an armed fault plan (``--chaos``);
   updates ``BENCH_serve.json``;
 * ``cache {stats,clear,gc}`` — inspect / maintain the result store
-  (stats includes the serve cache-tier counters);
+  (stats counts its records by kind and their size; serve's cache-tier
+  counters are on the daemon's ``metrics`` endpoint);
 * ``characterize`` — run the §IV classifier over the corpus
   (``--namespace frontend`` characterizes the ingested loops instead).
 """
@@ -289,23 +290,33 @@ def _cmd_sweep(args) -> int:
         if store is None:
             print("--resume needs a persistent store ($REPRO_CACHE_DIR)")
             return 2
-        path = args.resume
-        if path == "auto":
+        paths = [args.resume]
+        if args.resume == "auto":
             found = incomplete_journals(store.root)
             if not found:
                 print(f"no incomplete journal under {store.root}; nothing to resume")
                 return 0
-            path = str(found[-1].path)  # newest incomplete journal
-        try:
-            _results, report = resume_grid(
-                path, workers=args.workers, timeout=args.timeout,
-                retries=args.retries, store=store,
-            )
-        except (ValueError, OSError) as exc:
-            print(f"--resume: {exc}")
-            return 2
-        print(report.format())
-        return 0
+            paths = []
+            for state in found:  # oldest first
+                if state.campaign_cells:
+                    paths.append(state.path)
+                else:
+                    print(f"skip {state.path}: its 'open' record names no "
+                          "campaign (a serve journal resumes under "
+                          "`repro serve --resume`)")
+        rc = 0
+        for path in paths:
+            try:
+                _results, report = resume_grid(
+                    path, workers=args.workers, timeout=args.timeout,
+                    retries=args.retries, store=store,
+                )
+            except (ValueError, OSError) as exc:
+                print(f"--resume: {exc}")
+                rc = 2
+                continue
+            print(report.format())
+        return rc
 
     if args.kernels == "all":
         specs = table1_kernels()
@@ -682,14 +693,11 @@ def _cmd_loadgen(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from .obs.metrics import default_registry
-    from .serve.cache import tier_stats_line
     from .store.disk import ResultStore, store_root
 
     store = ResultStore(args.dir) if args.dir else ResultStore(store_root())
     if args.action == "stats":
         print(store.stats().format())
-        print(tier_stats_line(default_registry()))
     elif args.action == "clear":
         print(f"removed {store.clear()} record(s) from {store.root}")
     elif args.action == "gc":
@@ -923,9 +931,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "PATH; default <store>/journals/sweep-*.journal)")
     wp.add_argument("--resume", nargs="?", const="auto", default=None,
                     metavar="JOURNAL",
-                    help="resume a crashed journaled sweep (newest "
-                    "incomplete journal when no path is given); "
-                    "re-dispatches only cells missing from the store")
+                    help="resume a crashed journaled sweep (every "
+                    "incomplete sweep journal, oldest first, when no path "
+                    "is given); re-dispatches only cells missing from the "
+                    "store")
     wp.set_defaults(fn=_cmd_sweep)
 
     xp = sub.add_parser(

@@ -34,7 +34,7 @@ import numpy as np
 from ..faults import FaultPlan
 from ..interp import run_loop
 from ..kernels import get_kernel
-from ..runtime.guard import GuardPolicy, _imbalance, guarded_run
+from ..runtime.guard import GuardPolicy, guarded_run
 from ..sim import MachineParams
 
 #: tier-1 kernels spanning the applications' loop structure; every one
@@ -203,7 +203,7 @@ def run(
                 else float("inf"),
                 adaptive_cycles=ga.cycles if ga.cycles is not None
                 else float("inf"),
-                imbalance=_imbalance(gs.sim) if gs.sim is not None else 0.0,
+                imbalance=gs.sim.imbalance if gs.sim is not None else 0.0,
                 resolved_by=ga.resolved_by,
                 migrated=bool(getattr(ar, "migrated", False)),
                 depth_actions=len([

@@ -12,29 +12,27 @@ four layers, each consumable on its own:
   the guarded runtime (retry/fallback decisions) and the sweep engine
   (task lifecycle) all emit into it.
 * :mod:`repro.obs.metrics` — counters / gauges / histograms with a
-  JSON-able snapshot, plus collectors that derive per-queue occupancy
-  and per-core stall-reason breakdowns from the event stream or from a
-  finished :class:`~repro.sim.machine.SimResult`.
+  JSON-able snapshot, and the collector that counts the host-domain
+  events (pass spans, guard decisions, task lifecycle) into them.
 * :mod:`repro.obs.timeline` — export any event log as Chrome
   trace-event JSON (one track per core, per queue, and per compiler
-  pass) viewable at https://ui.perfetto.dev.
+  pass) viewable at https://ui.perfetto.dev, or draw its Fig 11 ASCII
+  timeline and per-core communication summary.
 * :mod:`repro.obs.report` — per-kernel stall attribution and queue
-  pressure reports, and the bench emitter that accumulates the
-  performance trajectory in ``BENCH_obs.json``.
+  pressure reports, read exactly from a finished
+  :class:`~repro.sim.machine.SimResult`, and the bench emitter that
+  accumulates the performance trajectory in ``BENCH_obs.json``.
+
+The simulator only emits: one :class:`~repro.obs.events.EventLog`
+subscribed to a run's bus is the sink every timeline reads, and every
+cycle attribution is read from the machine's own accounting.
 
 Surface commands: ``python -m repro trace <kernel>`` and
 ``python -m repro profile <kernel>``.
 """
 
 from .events import Event, EventBus, EventLog, span
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsCollector,
-    MetricsRegistry,
-    metrics_from_result,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsCollector, MetricsRegistry
 from .report import (
     CoreRow,
     KernelProfile,
@@ -63,7 +61,6 @@ __all__ = [
     "bench_row",
     "chrome_trace",
     "format_profile",
-    "metrics_from_result",
     "profile_result",
     "span",
     "update_bench",

@@ -148,10 +148,11 @@ class EventBus:
 
 
 class EventLog:
-    """Bounded in-memory sink: ``bus.subscribe(log)``.
+    """Bounded in-memory sink: ``bus.subscribe(log)``; the one sink the
+    Perfetto and ASCII timelines (:mod:`repro.obs.timeline`) read.
 
-    Unlike the old ASCII recorder, hitting the cap is never silent —
-    ``dropped`` counts every event discarded past ``max_events``.
+    Hitting the cap is never silent — ``dropped`` counts every event
+    discarded past ``max_events``.
     """
 
     __slots__ = ("events", "max_events", "dropped")

@@ -1,17 +1,11 @@
 """Metrics registry: counters, gauges, histograms, JSON snapshots.
 
-Two producers fill a :class:`MetricsRegistry`:
-
-* :class:`MetricsCollector` — an event-bus subscriber that accumulates
-  per-queue occupancy and per-core stall-reason breakdowns as events
-  stream in.  Because the conservative-dataflow simulator processes
-  cores out of simulated-time order, occupancy is reconstructed by
-  sorting each queue's enqueue/dequeue timestamps at
-  :meth:`~MetricsCollector.finalize` time, not by watching a live
-  counter.
-* :func:`metrics_from_result` — exact post-run accounting straight from
-  :class:`~repro.sim.core.CoreStats` / queue statistics; this is the
-  ground truth the event-derived numbers are tested against.
+:class:`MetricsCollector` is the event-bus subscriber that folds the
+host-domain events (compiler ``pass`` spans, ``guard`` decisions, task
+lifecycle, heartbeats) into a :class:`MetricsRegistry`; serve's
+``metrics`` endpoint reports that registry.  Where a run's cycles went
+is not folded from events: :func:`repro.obs.report.profile_result`
+reads it exactly from the machine's own accounting.
 """
 
 from __future__ import annotations
@@ -146,10 +140,9 @@ _default_registry: MetricsRegistry | None = None
 def default_registry() -> MetricsRegistry:
     """Process-wide shared registry.
 
-    Long-lived components that want their counters visible to CLI
-    reporting (the serve cache tiers, ``repro cache stats``) register
-    here; ephemeral consumers (one experiment run, one test) should
-    construct their own :class:`MetricsRegistry` instead.
+    The ``repro serve`` daemon counts into it; ephemeral consumers (one
+    experiment run, one test) should construct their own
+    :class:`MetricsRegistry` instead.
     """
     global _default_registry
     if _default_registry is None:
@@ -158,33 +151,16 @@ def default_registry() -> MetricsRegistry:
 
 
 class MetricsCollector:
-    """Event-bus subscriber that folds the stream into a registry.
-
-    Use: ``bus.subscribe(collector)``, run, then ``finalize()`` once to
-    compute the occupancy metrics that need the full (time-sorted)
-    history."""
+    """Event-bus subscriber that counts host-domain events into a
+    registry: ``bus.subscribe(collector)``."""
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry or MetricsRegistry()
-        #: per-queue (ts, delta) transitions, +1 enqueue / -1 dequeue.
-        self._transitions: dict[object, list[tuple[float, int]]] = {}
-        self._finalized = False
 
     def __call__(self, ev: Event) -> None:
         r = self.registry
         r.counter(f"obs.events.{ev.kind}").inc()
-        if ev.kind == "enq":
-            r.counter(f"queue.{ev.queue!r}.enq").inc()
-            self._transitions.setdefault(ev.queue, []).append((ev.ts, +1))
-        elif ev.kind == "deq":
-            r.counter(f"queue.{ev.queue!r}.deq").inc()
-            self._transitions.setdefault(ev.queue, []).append((ev.ts, -1))
-        elif ev.kind == "stall":
-            r.counter(f"core.{ev.core}.stall.{ev.name}").inc(ev.dur)
-            r.histogram("stall.cycles").observe(ev.dur)
-        elif ev.kind == "retire":
-            r.counter(f"core.{ev.core}.instrs").inc(ev.value or 0)
-        elif ev.kind == "pass":
+        if ev.kind == "pass":
             r.counter(f"compiler.pass.{ev.name}.seconds").inc(ev.dur)
             r.counter(f"compiler.pass.{ev.name}.calls").inc()
         elif ev.kind == "guard":
@@ -193,52 +169,3 @@ class MetricsCollector:
             r.counter(f"task.{ev.value}").inc()
         elif ev.kind == "heartbeat":
             r.counter(f"heartbeat.{ev.value}").inc()
-
-    def finalize(self) -> MetricsRegistry:
-        """Derive per-queue occupancy (max + time-weighted mean) from
-        the recorded transitions.  Idempotent."""
-        if self._finalized:
-            return self.registry
-        self._finalized = True
-        r = self.registry
-        for queue, trans in self._transitions.items():
-            trans.sort(key=lambda t: t[0])
-            occ = 0
-            peak = 0
-            area = 0.0
-            hist = r.histogram(f"queue.{queue!r}.occupancy")
-            prev_ts = trans[0][0] if trans else 0.0
-            for ts, delta in trans:
-                area += occ * (ts - prev_ts)
-                prev_ts = ts
-                occ += delta
-                peak = max(peak, occ)
-                hist.observe(occ)
-            duration = prev_ts - trans[0][0] if trans else 0.0
-            r.gauge(f"queue.{queue!r}.max_occupancy").set(peak)
-            r.gauge(f"queue.{queue!r}.mean_occupancy").set(
-                area / duration if duration > 0 else 0.0
-            )
-        return self.registry
-
-
-def metrics_from_result(result) -> MetricsRegistry:
-    """Exact post-run registry from a :class:`~repro.sim.machine.SimResult`:
-    per-core cycle attribution (busy vs the three stall reasons) and
-    per-queue transfer counts — no event stream required."""
-    from .events import STALL_QUEUE_EMPTY, STALL_QUEUE_FULL, STALL_TRANSFER
-
-    r = MetricsRegistry()
-    r.gauge("machine.cycles").set(result.cycles)
-    r.counter("machine.instrs").inc(result.total_instrs)
-    for cid, (t, st) in enumerate(zip(result.core_times, result.core_stats)):
-        r.gauge(f"core.{cid}.cycles").set(t)
-        r.counter(f"core.{cid}.instrs").inc(st.instrs)
-        r.counter(f"core.{cid}.busy").inc(t - st.queue_stall)
-        r.counter(f"core.{cid}.stall.{STALL_QUEUE_FULL}").inc(st.stall_full)
-        r.counter(f"core.{cid}.stall.{STALL_QUEUE_EMPTY}").inc(st.stall_empty)
-        r.counter(f"core.{cid}.stall.{STALL_TRANSFER}").inc(st.stall_transfer)
-    for qs in result.queue_stats:
-        r.counter(f"queue.{qs.qid!r}.transfers").inc(qs.n_transfers)
-        r.gauge(f"queue.{qs.qid!r}.max_occupancy").set(qs.max_outstanding)
-    return r

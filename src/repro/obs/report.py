@@ -44,6 +44,9 @@ class CoreRow:
     stall_full: float             # enqueue waited for a slot
     stall_empty: float            # dequeue waited for the producer
     stall_transfer: float         # dequeue waited for the in-flight hop
+    #: queue-stall share of ``time`` (``SimResult.core_idle_frac``): a
+    #: straggler shows a *low* idle fraction while the gang waits on it.
+    idle_frac: float
 
     def _pct(self, part: float) -> float:
         return 100.0 * part / self.time if self.time > 0 else 0.0
@@ -69,14 +72,6 @@ class CoreRow:
     @property
     def stall(self) -> float:
         return self.stall_full + self.stall_empty + self.stall_transfer
-
-    @property
-    def idle_frac(self) -> float:
-        """Fraction of this core's time spent stalled on queues — the
-        per-core signal the adaptive runtime's imbalance detector uses
-        (straggler cores show a *low* idle fraction while the rest of
-        the gang waits on them)."""
-        return self.stall / self.time if self.time > 0 else 0.0
 
     def breakdown(self) -> dict[str, float]:
         return {
@@ -171,10 +166,9 @@ class KernelProfile:
     @property
     def imbalance(self) -> float:
         """Idle-fraction spread across cores (the IMBALANCE trigger)."""
-        fracs = [r.idle_frac for r in self.rows]
-        if len(fracs) < 2:
-            return 0.0
-        return max(fracs) - min(fracs)
+        from ..sim.machine import idle_spread
+
+        return idle_spread([r.idle_frac for r in self.rows])
 
 
 def profile_result(
@@ -193,7 +187,8 @@ def profile_result(
     ``SimResult.total_queue_stall`` to the last cycle.
     """
     rows = []
-    for cid, (t, st) in enumerate(zip(result.core_times, result.core_stats)):
+    for cid, (t, st, idle) in enumerate(zip(
+            result.core_times, result.core_stats, result.core_idle_frac)):
         rows.append(CoreRow(
             cid=cid,
             time=t,
@@ -202,6 +197,7 @@ def profile_result(
             stall_full=st.stall_full,
             stall_empty=st.stall_empty,
             stall_transfer=st.stall_transfer,
+            idle_frac=idle,
         ))
     queues = [
         QueueRow(

@@ -1,4 +1,4 @@
-"""Chrome trace-event export: open any run in Perfetto.
+"""Timelines of an event log: Perfetto JSON and the Fig-11 ASCII view.
 
 :func:`chrome_trace` converts an observability event log into the
 Chrome trace-event JSON format (the ``traceEvents`` array flavour),
@@ -16,8 +16,12 @@ layout:
   wall-clock spans (rebased so the first host event starts at 0).
 * **pid 4 — "harness"**: guard decisions and sweep-task lifecycle.
 
-This subsumes the Fig 11 ASCII renderer — the same events still drive
-:class:`repro.sim.trace.TraceRecorder` for terminal output.
+For a terminal, :func:`ascii_timeline` draws the paper's Fig 11 from
+the same events (one row per queue, enqueues and dequeues placed by
+simulated time) and :func:`comm_summary` totals each core's transfers
+and transfer stalls.  Both read the enq/deq/halt subset of whatever log
+they are given; subscribe an :class:`~repro.obs.events.EventLog` to the
+run's ``obs=`` bus to get one.
 """
 
 from __future__ import annotations
@@ -152,6 +156,57 @@ def chrome_trace(events, *, sort: bool = True) -> dict:
     if sort:
         out.sort(key=lambda d: (d["pid"], d["tid"], d["ts"]))
     return {"traceEvents": out, "displayTimeUnit": "ns"}
+
+
+def _comm_events(events) -> list[Event]:
+    return [e for e in events if e.kind in ("enq", "deq", "halt")]
+
+
+def ascii_timeline(events, width: int = 72) -> str:
+    """ASCII timeline: one row per queue, '>' enqueues, '<' dequeues
+    placed proportionally to simulated time."""
+    comm = _comm_events(events)
+    if not comm:
+        return "(no events)"
+    end = max(max(e.ts for e in comm), 1.0)
+    rows: dict[object, list[str]] = {}
+    for e in sorted((e for e in comm if e.queue is not None),
+                    key=lambda e: _queue_key(e.queue)):
+        row = rows.setdefault(e.queue, ["."] * width)
+        pos = min(width - 1, int(e.ts / end * (width - 1)))
+        mark = ">" if e.kind == "enq" else "<"
+        row[pos] = mark if row[pos] == "." else "*"
+    lines = [f"timeline 0 .. {end:.0f} cycles"]
+    for q, row in rows.items():
+        label = f"{q.src}->{q.dst}.{q.vclass.value:3s}"
+        lines.append(f"  {label:12s} |{''.join(row)}|")
+    lines.append("  ('>' enqueue, '<' dequeue, '*' both)")
+    return "\n".join(lines)
+
+
+def comm_summary(events, dropped: int = 0) -> str:
+    """Per-core enqueue/dequeue counts and the cycles those transfers
+    stalled; ``dropped`` (an :class:`~repro.obs.events.EventLog`'s) is
+    reported, never hidden."""
+    per_core: dict[int, list] = {}
+    for e in _comm_events(events):
+        n = per_core.setdefault(e.core, [0, 0, 0.0])
+        if e.kind == "enq":
+            n[0] += 1
+        elif e.kind == "deq":
+            n[1] += 1
+        n[2] += e.stall
+    lines = ["trace summary:"]
+    for c in sorted(per_core):
+        n_enq, n_deq, stall = per_core[c]
+        lines.append(
+            f"  core {c}: {n_enq} enq, {n_deq} deq, {stall:.0f} stall cycles"
+        )
+    if dropped:
+        lines.append(
+            f"  WARNING: {dropped} event(s) dropped past the event log's cap"
+        )
+    return "\n".join(lines)
 
 
 def validate_chrome_trace(doc) -> list[str]:

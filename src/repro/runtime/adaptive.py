@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 from ..compiler.config import CompilerConfig
 from ..ir.stmts import Loop
-from ..sim.machine import MachineParams, SimResult
+from ..sim.machine import MachineParams, SimResult, idle_spread
 from ..workload import Workload
 from .exec import compile_loop, execute_kernel
 
@@ -99,7 +99,7 @@ class AdaptiveSignals:
     core_times: list[float]
     core_instrs: list[int]
     core_busy: list[float]           # time - queue_stall
-    core_idle_frac: list[float]      # queue_stall / time
+    core_idle_frac: list[float]      # SimResult.core_idle_frac
     core_cpi: list[float]            # busy cycles per instruction
     #: (src, dst, vclass) -> producer full-stall cycles (simulated time)
     queue_full_stall: dict[tuple, float]
@@ -111,10 +111,6 @@ class AdaptiveSignals:
         times = list(res.core_times)
         instrs = [s.instrs for s in res.core_stats]
         busy = [t - s.queue_stall for t, s in zip(times, res.core_stats)]
-        idle = [
-            (s.queue_stall / t) if t > 0 else 0.0
-            for t, s in zip(times, res.core_stats)
-        ]
         cpi = [b / n if n else 0.0 for b, n in zip(busy, instrs)]
         full_stall: dict[tuple, float] = {}
         extent: dict[tuple, tuple[int, int]] = {}
@@ -124,24 +120,15 @@ class AdaptiveSignals:
             extent[key] = (qs.max_outstanding, qs.depth)
         return cls(
             cycles=res.cycles, core_times=times, core_instrs=instrs,
-            core_busy=busy, core_idle_frac=idle, core_cpi=cpi,
+            core_busy=busy, core_idle_frac=res.core_idle_frac, core_cpi=cpi,
             queue_full_stall=full_stall, queue_extent=extent,
         )
 
     @property
     def imbalance(self) -> float:
-        """Spread of per-core idle fractions (max - min).
-
-        In the gang protocol every core's timeline ends near the
-        makespan (secondaries wait for STOP, the primary waits for done
-        tokens), so finish times carry no signal — but a straggler is
-        *busy* while everyone else *stalls*.  A convoy therefore shows
-        up as one core with a near-zero idle fraction and the rest with
-        large ones, and this spread is the escalation trigger.
-        """
-        if len(self.core_idle_frac) < 2:
-            return 0.0
-        return max(self.core_idle_frac) - min(self.core_idle_frac)
+        """Spread of per-core idle fractions
+        (:func:`~repro.sim.machine.idle_spread`)."""
+        return idle_spread(self.core_idle_frac)
 
 
 # ----------------------------------------------------------------------

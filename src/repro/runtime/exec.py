@@ -73,7 +73,6 @@ def execute_kernel(
     workload: Workload,
     params: MachineParams | None = None,
     detect_races: bool = False,
-    trace: bool = False,
     faults=None,
     obs=None,
     placement: dict[int, int] | None = None,
@@ -110,9 +109,7 @@ def execute_kernel(
     preload[0].update(kernel.dispatch_preload(placement))
     machine = Machine(
         kernel.programs, memory, params,
-        preload_regs=preload, detect_races=detect_races, trace=trace,
+        preload_regs=preload, detect_races=detect_races,
         faults=faults, obs=obs, controller=controller,
     )
-    result = machine.run(live_out=loop.live_out, primary=0)
-    result.trace = machine.trace_recorder
-    return result
+    return machine.run(live_out=loop.live_out, primary=0)

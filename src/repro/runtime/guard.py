@@ -376,7 +376,7 @@ def guarded_run(
                     failures[-1].resolution = resolved
                 # IMBALANCE rung: correct but convoyed — adapt before
                 # serving, keep the static answer if adaptation loses.
-                imb = _imbalance(res)
+                imb = res.imbalance
                 if (policy.adapt and not adapt_tried
                         and imb >= policy.imbalance_threshold):
                     adapt_tried = True
@@ -457,14 +457,3 @@ def _read_only(ref):
     for buf in ref.arrays.values():
         buf.flags.writeable = False
     return ref
-
-
-def _imbalance(res: SimResult) -> float:
-    """Per-core idle-fraction spread (see AdaptiveSignals.imbalance)."""
-    idle = [
-        (s.queue_stall / t) if t > 0 else 0.0
-        for t, s in zip(res.core_times, res.core_stats)
-    ]
-    if len(idle) < 2:
-        return 0.0
-    return max(idle) - min(idle)

@@ -11,7 +11,6 @@ and the guard taxonomy as the failure boundary.  See DESIGN.md §8.
 """
 
 from .admission import AdmissionQueue, QueueFull, RateLimited, RateLimiter, TokenBucket
-from .cache import tier_stats_line
 from .client import ServeClient, TCPClient
 from .protocol import BadRequest, Request, parse_request
 from .service import ServeConfig, ServeService, run_payload
@@ -32,5 +31,4 @@ __all__ = [
     "TokenBucket",
     "parse_request",
     "run_payload",
-    "tier_stats_line",
 ]

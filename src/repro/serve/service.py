@@ -40,9 +40,8 @@ guard decisions and task lifecycle events — emitted on the bus by the
 in-process lane, shipped back by pool workers — are folded into the
 same :class:`~repro.obs.metrics.MetricsRegistry` that holds the
 cache-tier and admission counters.  Only wall-clock (host-domain)
-events are folded — per-cycle simulator events would grow collector
-state without bound in a long-running daemon, and pool workers drop
-them before they are built.
+events are folded; pool workers drop the per-cycle simulator events
+before they are built.
 """
 
 from __future__ import annotations
@@ -228,8 +227,8 @@ class ServeService:
         return default_store()
 
     def _on_event(self, ev: Any) -> None:
-        # Host-domain events only: per-cycle sim events would accumulate
-        # unbounded occupancy state in a long-running daemon.
+        # Host-domain events only: the in-process lane's simulator emits
+        # its per-cycle events on this bus too, and metrics fold none.
         if ev.kind in WALL_KINDS:
             self._collector(ev)
 

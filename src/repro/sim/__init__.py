@@ -22,11 +22,10 @@ from .machine import (
 from .memory import MemoryFault, SharedMemory
 from .queues import HwQueue
 from .race import Race, RaceDetector
-from .trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "BlockedTransfer", "BudgetExceeded", "Core", "CoreStats", "DeadlockError",
     "HwQueue", "Machine", "MachineFailure", "MachineParams", "MemoryFault",
     "PartialStats", "QueueStat", "Race", "RaceDetector", "SharedMemory",
-    "SimError", "SimResult", "TraceEvent", "TraceRecorder",
+    "SimError", "SimResult",
 ]

@@ -180,12 +180,41 @@ class SimResult:
     total_instrs: int
     #: races found by the (optional) happens-before detector
     races: list = field(default_factory=list)
-    #: TraceRecorder when tracing was enabled (set by the runtime)
-    trace: object | None = None
 
     @property
     def total_queue_stall(self) -> float:
         return sum(s.queue_stall for s in self.core_stats)
+
+    @property
+    def core_idle_frac(self) -> list[float]:
+        """Each core's queue-stall cycles over its own finish time: the
+        share of its time it sat idle on queues (0 for a core that took
+        no time)."""
+        return [
+            (s.queue_stall / t) if t > 0 else 0.0
+            for t, s in zip(self.core_times, self.core_stats)
+        ]
+
+    @property
+    def imbalance(self) -> float:
+        """The gang's idle-fraction spread (:func:`idle_spread`)."""
+        return idle_spread(self.core_idle_frac)
+
+
+def idle_spread(idle_frac) -> float:
+    """Spread (max - min) of per-core idle fractions; 0 below two cores.
+
+    In the gang protocol every core's timeline ends near the makespan
+    (secondaries wait for STOP, the primary waits for done tokens), so
+    finish times carry no signal, but a straggler is *busy* while
+    everyone else *stalls*.  A convoy therefore shows up as one core
+    with a near-zero idle fraction and the rest with large ones, and
+    this spread is the guard's IMBALANCE trigger and the adaptive
+    runtime's migration trigger.
+    """
+    if len(idle_frac) < 2:
+        return 0.0
+    return max(idle_frac) - min(idle_frac)
 
 
 class Machine:
@@ -196,7 +225,6 @@ class Machine:
         params: MachineParams | None = None,
         preload_regs: dict[int, dict[str, float | int]] | None = None,
         detect_races: bool = False,
-        trace: bool = False,
         faults=None,
         obs=None,
         controller=None,
@@ -208,7 +236,8 @@ class Machine:
         #: object with ``on_round(machine)`` called once per scheduling
         #: round and ``on_stuck(machine) -> bool`` consulted before a
         #: deadlock is declared — returning True (it changed something,
-        #: e.g. grew a queue) counts as progress and the run continues.
+        #: e.g. grew a queue) buys one more round, and a round after a
+        #: rescue that again runs no core declares the deadlock.
         self.controller = controller
         self._depth_overrides = {
             key: depth for key, depth in self.params.queue_depths
@@ -225,17 +254,6 @@ class Machine:
         #: emit into; a disabled bus is treated exactly like None so the
         #: hot loop never pays for observers that cannot hear.
         self.obs = obs if (obs is not None and obs.enabled) else None
-        self.trace_recorder = None
-        if trace:
-            # The ASCII TraceRecorder is a plain bus consumer now: wire
-            # it to the caller's bus, or a private one if none was given.
-            from ..obs.events import EventBus
-            from .trace import TraceRecorder
-
-            if self.obs is None:
-                self.obs = EventBus()
-            self.trace_recorder = TraceRecorder()
-            self.obs.subscribe(self.trace_recorder.on_event)
         # The cores resolve queues through the machine's parts, not a
         # bound method: a Machine <-> Core cycle is freed only by the
         # cyclic GC, and would keep each finished run's queue histories
@@ -308,6 +326,7 @@ class Machine:
         total = 0
         budget = self.params.slice_budget
         cores = self.cores
+        rescued = False
         while True:
             progressed = False
             for core in cores:
@@ -336,16 +355,19 @@ class Machine:
                 # Last chance: the runtime controller may rescue a
                 # capacity deadlock by *growing* a blocked queue (grows
                 # are monotone-safe — capacity wait-for edges can only
-                # relax).  A controller that changed nothing leaves the
-                # deadlock to stand.
-                if (self.controller is not None
+                # relax).  A controller that changed nothing, or whose
+                # rescue freed no core for a round, leaves the deadlock
+                # to stand.
+                if (not rescued and self.controller is not None
                         and self.controller.on_stuck(self)):
+                    rescued = True
                     continue
                 raise DeadlockError(
                     self._deadlock_report(),
                     partial=self._partial_stats(total),
                     blocked=self._blocked_transfers(),
                 )
+            rescued = False
             if self.controller is not None:
                 self.controller.on_round(self)
 

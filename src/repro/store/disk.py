@@ -103,8 +103,6 @@ class StoreStats:
             f"src records  : {self.src_records}",
             f"stale/corrupt: {self.stale_records}",
             f"total size   : {self.total_bytes / 1024:.1f} KiB",
-            f"this session : {self.hits} hits / {self.misses} misses / "
-            f"{self.writes} writes",
         ]
         return "\n".join(lines)
 

@@ -455,6 +455,7 @@ class RefMachine(Machine):
     def run(self, live_out=None, primary: int = 0) -> SimResult:
         total = 0
         budget = self.params.slice_budget
+        rescued = False
         while True:
             progressed = False
             for core in self.cores:
@@ -470,14 +471,16 @@ class RefMachine(Machine):
             if all(c.halted for c in self.cores):
                 break
             if not progressed:
-                if (self.controller is not None
+                if (not rescued and self.controller is not None
                         and self.controller.on_stuck(self)):
+                    rescued = True
                     continue
                 raise DeadlockError(
                     self._deadlock_report(),
                     partial=self._partial_stats(total),
                     blocked=self._blocked_transfers(),
                 )
+            rescued = False
             if self.controller is not None:
                 self.controller.on_round(self)
 

@@ -536,10 +536,21 @@ class TestServeCommands:
         assert report["unhandled"] == 0
         assert report["computed"] == report["unique_cells_drawn"]
 
-    def test_cache_stats_includes_tier_counters(self, capsys, tmp_path):
-        assert main(["cache", "stats", "--dir", str(tmp_path / "c")]) == 0
+    def test_cache_stats_counts_a_sweeps_records(self, capsys, monkeypatch,
+                                                 tmp_path):
+        from repro.experiments.common import clear_cache
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        clear_cache()
+        assert main(["sweep", "--kernels", "sphot-1", "--cores", "2",
+                     "--trip", "8"]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "cache tiers" in out and "l1_hit" in out
+        assert "run records  : 1\n" in out and "seq records  : 1\n" in out
+        # no counter this process cannot know: the CLI's own empty
+        # registry, or a store object that has done no work yet
+        assert "cache tiers" not in out and "this session" not in out
 
 
 class TestCrashSafetyCommands:
@@ -597,6 +608,53 @@ class TestCrashSafetyCommands:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
         assert main(["sweep", "--resume"]) == 0
         assert "nothing to resume" in capsys.readouterr().out
+
+    def test_sweep_resume_takes_every_sweep_journal(self, capsys,
+                                                     monkeypatch, tmp_path):
+        """Two killed sweeps' journals and a newer serve journal: a bare
+        ``--resume`` resumes both sweeps, oldest first, and leaves the
+        daemon's journal to ``repro serve --resume``."""
+        import os
+        from dataclasses import asdict
+
+        from repro.experiments.common import ExpConfig, clear_cache
+        from repro.store.journal import (
+            SweepJournal, incomplete_journals, new_journal_path,
+        )
+
+        root = tmp_path / "store"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        clear_cache()
+        paths = []
+        for prefix, campaign in (
+            ("sweep", {"kernels": ["sphot-1"],
+                       "configs": [asdict(ExpConfig(n_cores=2, trip=8))]}),
+            ("sweep", {"kernels": ["sphot-2"],
+                       "configs": [asdict(ExpConfig(n_cores=2, trip=8))]}),
+            ("serve", {"mode": "serve"}),
+        ):
+            path = new_journal_path(root, prefix=prefix)
+            j = SweepJournal(path, fsync=False)
+            j.open_campaign(campaign)
+            if prefix == "serve":  # a daemon killed with a cell in flight
+                j.record_intent("0" * 64, "sphot-1",
+                                asdict(ExpConfig(n_cores=4, trip=8)))
+            j.close(complete=False)  # killed; a sweep before any cell
+            os.utime(path, (len(paths) + 1e9, len(paths) + 1e9))
+            paths.append(path)
+        rc = main(["sweep", "--resume"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        lines = out.splitlines()
+        resumed = [ln for ln in lines if ln.startswith("resume ")]
+        assert resumed == [
+            f"resume {paths[0]}: 1 cell(s), 0 journaled intent(s), "
+            "0 already durable, 1 re-dispatched",
+            f"resume {paths[1]}: 1 cell(s), 0 journaled intent(s), "
+            "0 already durable, 1 re-dispatched",
+        ]
+        assert any(ln.startswith(f"skip {paths[2]}") for ln in lines)
+        assert [s.path for s in incomplete_journals(root)] == [str(paths[2])]
 
     def test_sweep_journal_then_resume_round_trip(self, capsys, monkeypatch,
                                                   tmp_path):

@@ -20,7 +20,7 @@ from repro.obs.events import (
     EventLog,
     span,
 )
-from repro.obs.metrics import MetricsCollector, MetricsRegistry, metrics_from_result
+from repro.obs.metrics import MetricsCollector, MetricsRegistry
 from repro.obs.report import bench_row, format_profile, profile_result, update_bench
 from repro.obs.timeline import (
     PID_COMPILER,
@@ -147,41 +147,22 @@ class TestMetrics:
         assert snap["c"]["count"] == 1 and "le_5" in snap["c"]["buckets"]
         json.loads(r.to_json())  # round-trips
 
-    def test_collector_agrees_with_result(self):
+    def test_collector_folds_host_events(self):
         spec = get_kernel("umt2k-6")
         bus = EventBus()
         coll = MetricsCollector()
         bus.subscribe(coll)
-        kern = compile_loop(spec.loop(), 4, obs=bus)
-        res = execute_kernel(kern, spec.workload(trip=16), obs=bus)
-        live = coll.finalize()
-        exact = metrics_from_result(res)
-        for cid, st in enumerate(res.core_stats):
-            assert live.value(f"core.{cid}.instrs") == st.instrs
-            for reason, want in (
-                (STALL_QUEUE_FULL, st.stall_full),
-                (STALL_QUEUE_EMPTY, st.stall_empty),
-                (STALL_TRANSFER, st.stall_transfer),
-            ):
-                key = f"core.{cid}.stall.{reason}"
-                assert live.value(key) == pytest.approx(want)
-                assert exact.value(key) == pytest.approx(want)
-        for qs in res.queue_stats:
-            key = f"queue.{qs.qid!r}"
-            assert live.value(f"{key}.enq") == qs.n_transfers
-            # the machine's max_outstanding is a processing-order peak
-            # (n_enq - n_deq at push time); the collector's time-sorted
-            # occupancy is the simulated-time view, bounded above by it.
-            assert 1 <= live.value(f"{key}.max_occupancy") <= qs.max_outstanding
-
-    def test_finalize_idempotent(self):
-        coll = MetricsCollector()
-        coll(Event("enq", 1.0, core=0, queue="q"))
-        coll(Event("deq", 4.0, core=1, queue="q"))
-        r1 = coll.finalize()
-        r2 = coll.finalize()
-        assert r1 is r2
-        assert r1.value("queue.'q'.max_occupancy") == 1
+        compile_loop(spec.loop(), 4, obs=bus)
+        bus.emit_guard("deadlock", 1)
+        bus.emit_task("umt2k-6", 0.0, 0.5, "ok")
+        bus.emit_heartbeat("umt2k-6", "alive")
+        r = coll.registry
+        assert r.value("compiler.pass.merge.calls") == 1
+        assert r.value("compiler.pass.merge.seconds") > 0
+        assert r.value("guard.deadlock") == 1
+        assert r.value("task.ok") == 1 and r.value("heartbeat.alive") == 1
+        assert r.value("obs.events.pass") == sum(
+            r.value(n) for n in r.names() if n.endswith(".calls"))
 
 
 class TestTimeline:

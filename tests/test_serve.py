@@ -25,7 +25,6 @@ from repro.serve.admission import (
     RateLimiter,
     TokenBucket,
 )
-from repro.serve.cache import tier_stats_line
 from repro.serve.client import ServeClient, TCPClient
 from repro.serve.loadgen import LoadgenConfig, population, run_loadgen, zipf_cdf
 from repro.serve.protocol import BadRequest, parse_request
@@ -665,12 +664,6 @@ class TestServiceBoundary:
             await svc.aclose()
 
         run(main())
-
-    def test_tier_stats_line(self):
-        reg = MetricsRegistry()
-        reg.counter("cache.l1_hit").inc(7)
-        line = tier_stats_line(reg)
-        assert "l1_hit 7" in line and "coalesced 0" in line
 
 
 # -- TCP daemon -----------------------------------------------------------

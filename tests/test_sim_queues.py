@@ -6,6 +6,8 @@ are checked through two-core machine runs; the occupancy histogram
 through :class:`~repro.sim.QueueStat`, which builds it on first read.
 """
 
+import signal
+
 import pytest
 
 from repro.analysis.cost import default_latencies
@@ -160,6 +162,34 @@ class TestReconfiguration:
         assert grown == [True]
         assert [m.cores[1].regs[r] for r in "abc"] == [1, 2, 3]
         assert m.queues[Q].depth == 4
+
+    def test_rescue_that_frees_no_core_is_a_deadlock(self):
+        """A controller that claims a rescue but changes nothing gets one
+        more round, not an endless loop of them."""
+        calls = []
+
+        class Liar:
+            def on_round(self, machine):
+                pass
+
+            def on_stuck(self, machine):
+                calls.append(1)
+                return True
+
+        def hang(signum, frame):
+            raise TimeoutError(f"no deadlock after {len(calls)} rescues")
+
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with pytest.raises(DeadlockError) as ei:
+                _run([], [_deq("a")], controller=Liar())
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert len(calls) == 1
+        (b,) = ei.value.blocked
+        assert (b.core, b.kind, b.index) == (1, "entry", 0)
 
     def test_grow_never_shrinks(self):
         q = _q(depth=4)
