@@ -13,11 +13,9 @@ Commands
 * ``ingest <file.py>`` — lower counted Python loops into the IR via
   :mod:`repro.frontend`, register them under ``frontend/`` and prove
   each against the differential python/interpreter/simulator oracle;
-* ``trace <kernel>`` — export a guarded run as Chrome trace-event
-  JSON (open in https://ui.perfetto.dev);
 * ``profile <kernel>`` — per-core stall attribution + queue pressure
-  of a guarded run, and append the headline numbers to
-  ``BENCH_obs.json``;
+  of a guarded run; ``--out F`` also exports the run as Chrome
+  trace-event JSON (open in https://ui.perfetto.dev);
 * ``experiment <id>`` — run one paper artifact (E1..E13) or ``all``;
 * ``chaos`` — seeded fault-injection campaign over tier-1 kernels
   through the guarded runtime (resilience table, exit 1 on any
@@ -26,7 +24,6 @@ Commands
   plans run static vs. adaptive (work-stealing placement, self-tuned
   queue depths, checker-verified reconfiguration); exit 1 unless
   adaptation wins on imbalanced cells with zero silent corruption;
-  updates ``BENCH_adaptive.json``;
 * ``chaos-serve`` — crash-safety campaign against the serving stack
   (E12): worker kills, daemon SIGKILL mid-sweep + journal resume,
   torn/garbage NDJSON, disk-full store writes; exit 1 on any
@@ -50,7 +47,6 @@ Commands
   (cold + warm phases) against a daemon or an in-process service;
   enforces the coalescing/durability invariants (exit 1 on
   violation), optionally under an armed fault plan (``--chaos``);
-  updates ``BENCH_serve.json``;
 * ``cache {stats,clear,gc}`` — inspect / maintain the result store
   (stats counts its records by kind and their size; serve's cache-tier
   counters are on the daemon's ``metrics`` endpoint);
@@ -122,9 +118,9 @@ def _cmd_show(args) -> int:
 def _guarded_cell(args, log=None):
     """Compile, check, simulate and verify ``args.kernel`` through
     :func:`~repro.runtime.guard.guarded_run` with one attempt — the
-    path every experiment cell takes — for ``kernels run``, ``trace``
-    and ``profile``.  ``log`` (an :class:`~repro.obs.events.EventLog`)
-    records the cell's events.  Returns ``(spec, guarded, seq_cycles)``,
+    path every experiment cell takes — for ``kernels run`` and
+    ``profile``.  ``log`` (an :class:`~repro.obs.events.EventLog`), when
+    given, records the cell's events.  Returns ``(spec, guarded, seq_cycles)``,
     or an exit code: 2 for an unknown kernel, 1 for a degraded cell
     (compile error, checker rejection, simulator failure, wrong
     answer), whose diagnosis is printed."""
@@ -190,34 +186,12 @@ def _cmd_run(args) -> int:
     return 1 if args.races and res.races else 0
 
 
-def _cmd_trace(args) -> int:
-    from .obs.events import EventLog
-    from .obs.timeline import write_chrome_trace
-
-    log = EventLog()
-    cell = _guarded_cell(args, log)
-    if isinstance(cell, int):
-        return cell
-    spec, g, seq_cycles = cell
-    doc = write_chrome_trace(args.out, log.events)
-    dropped = f"  ({log.dropped} dropped)" if log.dropped else ""
-    print(f"kernel       : {spec.name}  ({args.cores} cores, trip {args.trip})")
-    print(f"cycles       : {g.sim.cycles:12.0f}  (sequential {seq_cycles:.0f})")
-    print(f"events       : {len(log.events)}{dropped}")
-    print(f"trace events : {len(doc['traceEvents'])}")
-    print(f"wrote        : {args.out}")
-    print("view         : load the file at https://ui.perfetto.dev")
-    return 0
-
-
 def _cmd_profile(args) -> int:
     from .obs.events import EventLog
-    from .obs.report import (
-        BENCH_PATH, bench_row, format_profile, profile_result, update_bench,
-    )
+    from .obs.report import format_profile, profile_result
     from .obs.timeline import write_chrome_trace
 
-    log = EventLog()
+    log = EventLog() if args.out else None
     cell = _guarded_cell(args, log)
     if isinstance(cell, int):
         return cell
@@ -227,15 +201,10 @@ def _cmd_profile(args) -> int:
         stats=g.stats, seq_cycles=seq_cycles,
     )
     print(format_profile(prof))
-    if args.out:
+    if log is not None:
         write_chrome_trace(args.out, log.events)
-        print(f"trace        : {args.out} (https://ui.perfetto.dev)")
-    if not args.no_bench:
-        bench = args.bench or BENCH_PATH
-        update_bench(bench, bench_row(
-            prof, latency=args.latency,
-        ))
-        print(f"bench        : updated {bench}")
+        print(f"trace        : {args.out}  ({len(log.events)} events, "
+              f"{log.dropped} dropped; https://ui.perfetto.dev)")
     return 0
 
 
@@ -416,7 +385,6 @@ def _cmd_chaos_adapt(args) -> int:
 
     from .experiments import imbalance
     from .kernels import get_kernel
-    from .obs.report import BENCH_ADAPTIVE_PATH, adaptive_bench_row, update_bench
 
     kernels = imbalance.DEFAULT_KERNELS
     if args.kernels:
@@ -442,7 +410,7 @@ def _cmd_chaos_adapt(args) -> int:
     print(imbalance.format_result(res))
     if args.json:
         doc = {
-            "cells": [adaptive_bench_row(c, trip=args.trip, cores=args.cores)
+            "cells": [c.row(trip=args.trip, cores=args.cores)
                       for c in res.cells],
             "counts": res.counts,
             "total_checks": res.total_checks,
@@ -451,13 +419,6 @@ def _cmd_chaos_adapt(args) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             _json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"json         : wrote {args.json}")
-    if not args.no_bench:
-        bench = args.bench or BENCH_ADAPTIVE_PATH
-        for c in res.cells:
-            update_bench(bench, adaptive_bench_row(
-                c, trip=args.trip, cores=args.cores,
-            ))
-        print(f"bench        : updated {bench}")
     return 0 if res.ok else 1
 
 
@@ -602,9 +563,7 @@ def _cmd_loadgen(args) -> int:
     import json as _json
 
     from .kernels import get_kernel
-    from .serve.loadgen import (
-        BENCH_PATH, LoadgenConfig, format_report, run_loadgen, write_bench,
-    )
+    from .serve.loadgen import LoadgenConfig, format_report, run_loadgen
 
     kernels: tuple[str, ...] = ()
     if args.kernels and args.kernels != "all":
@@ -642,10 +601,6 @@ def _cmd_loadgen(args) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             _json.dump(report, fh, indent=2, sort_keys=True)
         print(f"metrics      : wrote {args.json}")
-    if not args.no_bench:
-        bench = args.bench or BENCH_PATH
-        write_bench(bench, report)
-        print(f"bench        : updated {bench}")
 
     warm = report["phases"]["warm"]["hit_rate"]
     failures = []
@@ -866,20 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "ingested corpus")
     ip.set_defaults(fn=_cmd_ingest)
 
-    tp = sub.add_parser(
-        "trace",
-        help="export one run as Chrome trace-event JSON (Perfetto)",
-    )
-    tp.add_argument("kernel")
-    tp.add_argument("--cores", type=int, default=4)
-    tp.add_argument("--trip", type=int, default=64)
-    tp.add_argument("--latency", type=int, default=5)
-    tp.add_argument("--depth", type=int, default=20)
-    tp.add_argument("--speculate", action="store_true")
-    tp.add_argument("--out", default="trace.json",
-                    help="output path (default trace.json)")
-    tp.set_defaults(fn=_cmd_trace)
-
     pp = sub.add_parser(
         "profile",
         help="per-core stall attribution + queue pressure report",
@@ -891,11 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--depth", type=int, default=20)
     pp.add_argument("--speculate", action="store_true")
     pp.add_argument("--out", default=None,
-                    help="also write the Chrome trace JSON here")
-    pp.add_argument("--bench", default=None,
-                    help="bench file to update (default BENCH_obs.json)")
-    pp.add_argument("--no-bench", action="store_true",
-                    help="skip updating the bench file")
+                    help="also write the run's Chrome trace-event JSON "
+                    "here (open it at https://ui.perfetto.dev)")
     pp.set_defaults(fn=_cmd_profile)
 
     ep = sub.add_parser("experiment", help="run a paper artifact (E1..E13|all)")
@@ -969,10 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
     xa.add_argument("--cores", type=int, default=4)
     xa.add_argument("--json", default=None,
                     help="also dump the full cell matrix JSON here")
-    xa.add_argument("--bench", default=None,
-                    help="bench file to update (default BENCH_adaptive.json)")
-    xa.add_argument("--no-bench", action="store_true",
-                    help="skip updating the bench file")
     xa.set_defaults(fn=_cmd_chaos_adapt)
 
     xs = sub.add_parser(
@@ -1094,10 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--trip", type=int, default=16)
     gp.add_argument("--json", default=None,
                     help="also dump the full report JSON here")
-    gp.add_argument("--bench", default=None,
-                    help="bench file to update (default BENCH_serve.json)")
-    gp.add_argument("--no-bench", action="store_true",
-                    help="skip updating the bench file")
     gp.add_argument("--min-warm-hit", type=float, default=None,
                     help="exit 1 if the warm-phase hit rate is below this")
     gp.add_argument("--chaos", default=None, choices=_SERVE_FAULT_KINDS,

@@ -59,22 +59,13 @@ def run_experiment(eid: str, trip: int = DEFAULT_TRIP):
     """Run one registered experiment; returns its result object.
 
     The one place that knows which ids take ``trip``: the CLI's
-    ``experiment`` command and :func:`run_all` both dispatch here.
+    ``experiment`` command (``all`` included) dispatches here.
     """
     mod = REGISTRY[eid][0]
     return mod.run() if eid in TRIP_FREE else mod.run(trip=trip)
 
 
-def run_all(trip: int = DEFAULT_TRIP) -> dict[str, str]:
-    """Run every experiment and return formatted reports keyed by id."""
-    return {
-        eid: mod.format_result(run_experiment(eid, trip))
-        for eid, (mod, _title) in REGISTRY.items()
-    }
-
-
 __all__ = [
     "ExpConfig", "KernelRun", "REGISTRY", "TRIP_FREE", "amean", "geomean",
-    "run_all", "run_experiment", "run_kernel", "run_table1",
-    "run_table1_grid",
+    "run_experiment", "run_kernel", "run_table1", "run_table1_grid",
 ]

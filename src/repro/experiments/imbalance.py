@@ -84,6 +84,25 @@ class ImbalanceCell:
             return 0.0
         return self.static_cycles / self.adaptive_cycles - 1.0
 
+    def row(self, *, trip: int, cores: int) -> dict:
+        """The cell's row of ``repro chaos-adapt --json``."""
+        return {
+            "kernel": self.kernel,
+            "scenario": self.scenario,
+            "cores": cores,
+            "trip": trip,
+            "static_cycles": self.static_cycles,
+            "adaptive_cycles": self.adaptive_cycles,
+            "gain": round(self.gain, 4),
+            "imbalance": round(self.imbalance, 4),
+            "resolved_by": self.resolved_by,
+            "migrated": self.migrated,
+            "depth_actions": self.depth_actions,
+            "checks": self.checks,
+            "checks_ok": self.checks_ok,
+            "outcome": self.outcome,
+        }
+
 
 @dataclass
 class ImbalanceResult:

@@ -20,29 +20,19 @@ four layers, each consumable on its own:
   timeline and per-core communication summary.
 * :mod:`repro.obs.report` — per-kernel stall attribution and queue
   pressure reports, read exactly from a finished
-  :class:`~repro.sim.machine.SimResult`, and the bench emitter that
-  accumulates the performance trajectory in ``BENCH_obs.json``.
+  :class:`~repro.sim.machine.SimResult`.
 
 The simulator only emits: one :class:`~repro.obs.events.EventLog`
 subscribed to a run's bus is the sink every timeline reads, and every
 cycle attribution is read from the machine's own accounting.
 
-Surface commands: ``python -m repro trace <kernel>`` and
-``python -m repro profile <kernel>``.
+Surface command: ``python -m repro profile <kernel>`` prints the
+report; with ``--out F`` it also writes the cell's Chrome trace to F.
 """
 
 from .events import Event, EventBus, EventLog, span
 from .metrics import Counter, Gauge, Histogram, MetricsCollector, MetricsRegistry
-from .report import (
-    CoreRow,
-    KernelProfile,
-    QueueRow,
-    adaptive_bench_row,
-    bench_row,
-    format_profile,
-    profile_result,
-    update_bench,
-)
+from .report import CoreRow, KernelProfile, QueueRow, format_profile, profile_result
 from .timeline import chrome_trace, validate_chrome_trace, write_chrome_trace
 
 __all__ = [
@@ -57,13 +47,10 @@ __all__ = [
     "MetricsCollector",
     "MetricsRegistry",
     "QueueRow",
-    "adaptive_bench_row",
-    "bench_row",
     "chrome_trace",
     "format_profile",
     "profile_result",
     "span",
-    "update_bench",
     "validate_chrome_trace",
     "write_chrome_trace",
 ]

@@ -147,6 +147,20 @@ class EventBus:
                         value=status, dur=age))
 
 
+class HostBus(EventBus):
+    """A bus that carries host-domain events only: its simulator-domain
+    emitters do nothing, so a run on it builds none of its per-cycle
+    events.  For a consumer that folds host events alone (serve's
+    ``metrics``, a pool worker's reply)."""
+
+    __slots__ = ()
+
+    def emit_enq(self, *args, **kwargs) -> None:
+        pass
+
+    emit_deq = emit_stall = emit_retire = emit_halt = emit_enq
+
+
 class EventLog:
     """Bounded in-memory sink: ``bus.subscribe(log)``; the one sink the
     Perfetto and ASCII timelines (:mod:`repro.obs.timeline`) read.

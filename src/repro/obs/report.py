@@ -1,4 +1,4 @@
-"""Stall attribution, queue pressure, and the bench emitter.
+"""Stall attribution and queue pressure.
 
 Where did the cycles go?  For each core the simulator tracks an exact
 decomposition of its finish time::
@@ -10,27 +10,14 @@ queue ops themselves; the three stall buckets are the §V reasons a
 fine-grained thread waits).  :func:`profile_result` turns a finished
 :class:`~repro.sim.machine.SimResult` into a :class:`KernelProfile`
 whose per-core percentages sum to 100 by construction, plus per-queue
-pressure rows.  :func:`update_bench` appends the headline numbers to
-``BENCH_obs.json`` so the repository finally accumulates a performance
-trajectory.
+pressure rows.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 from .events import STALL_QUEUE_EMPTY, STALL_QUEUE_FULL, STALL_TRANSFER
-
-#: bench file schema version.
-BENCH_SCHEMA = 1
-#: default bench trajectory file (repo root / current directory).
-BENCH_PATH = "BENCH_obs.json"
-#: adaptive-runtime bench trajectory (static vs adaptive cycles on
-#: skewed workloads; written by ``repro chaos-adapt --bench``).
-BENCH_ADAPTIVE_PATH = "BENCH_adaptive.json"
 
 
 @dataclass(frozen=True)
@@ -274,103 +261,3 @@ def format_profile(p: KernelProfile) -> str:
     if p.com_ops is not None:
         lines.append(f"com ops/iter : {p.com_ops}")
     return "\n".join(lines)
-
-
-# -- bench emitter -------------------------------------------------------
-
-def bench_row(p: KernelProfile, **extra) -> dict:
-    """The headline numbers persisted per kernel run."""
-    row = {
-        "kernel": p.kernel,
-        "cores": p.n_cores,
-        "trip": p.trip,
-        "cycles": p.cycles,
-        "instrs": p.total_instrs,
-        "stall_pct": round(p.stall_pct, 3),
-        "comm_ops": p.com_ops,
-        "queues": len(p.queues),
-        "stall_breakdown": {
-            STALL_QUEUE_FULL: round(sum(r.stall_full for r in p.rows), 3),
-            STALL_QUEUE_EMPTY: round(sum(r.stall_empty for r in p.rows), 3),
-            STALL_TRANSFER: round(sum(r.stall_transfer for r in p.rows), 3),
-        },
-    }
-    if p.seq_cycles is not None:
-        row["seq_cycles"] = p.seq_cycles
-        row["speedup"] = round(p.speedup, 4)
-    row.update(extra)
-    return row
-
-
-def adaptive_bench_row(cell, *, trip: int, cores: int = 4) -> dict:
-    """Headline numbers for one E13 cell (static vs adaptive cycles).
-
-    ``cell`` is an :class:`repro.experiments.imbalance.ImbalanceCell`;
-    duck-typed so the emitter has no import-time dependency on the
-    experiments package.
-    """
-    return {
-        "kernel": cell.kernel,
-        "scenario": cell.scenario,
-        "cores": cores,
-        "trip": trip,
-        "static_cycles": cell.static_cycles,
-        "adaptive_cycles": cell.adaptive_cycles,
-        "gain": round(cell.gain, 4),
-        "imbalance": round(cell.imbalance, 4),
-        "resolved_by": cell.resolved_by,
-        "migrated": cell.migrated,
-        "depth_actions": cell.depth_actions,
-        "checks": cell.checks,
-        "checks_ok": cell.checks_ok,
-        "outcome": cell.outcome,
-    }
-
-
-def _row_key(row: dict) -> tuple:
-    return (str(row.get("kernel")), row.get("cores") or 0,
-            row.get("trip") or 0, str(row.get("scenario") or ""))
-
-
-def write_json_atomic(path: str | os.PathLike, doc: dict) -> None:
-    """Write ``doc`` as indented JSON via temp file + rename, so a
-    reader never sees a half-written file."""
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".bench.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def update_bench(path: str | os.PathLike, row: dict, key=_row_key) -> dict:
-    """Merge ``row`` into the bench trajectory file at ``path``.
-
-    ``key`` maps a row to a sortable value that names its
-    configuration — by default (kernel, cores, trip, scenario).  A row
-    replaces an existing entry with the same key and the rows are kept
-    sorted by key, so the file tracks the *current* numbers per
-    configuration rather than growing without bound.  A missing or
-    corrupt file starts fresh (the emitter must never be the thing that
-    breaks a perf run); writes are atomic.
-    """
-    doc = {"schema": BENCH_SCHEMA, "rows": []}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if isinstance(loaded, dict) and isinstance(loaded.get("rows"), list):
-            doc["rows"] = [r for r in loaded["rows"] if isinstance(r, dict)]
-    except (OSError, ValueError):
-        pass
-    doc["rows"] = [r for r in doc["rows"] if key(r) != key(row)]
-    doc["rows"].append(row)
-    doc["rows"].sort(key=key)
-    write_json_atomic(path, doc)
-    return doc

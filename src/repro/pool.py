@@ -9,7 +9,7 @@ import stat
 import sys
 from typing import Any, NamedTuple
 
-from .obs.events import WALL_KINDS, Event, EventBus
+from .obs.events import Event, HostBus
 
 #: what building or starting a pool raises where processes cannot be had
 UNAVAILABLE = (OSError, ValueError, ImportError, NotImplementedError)
@@ -136,10 +136,10 @@ def _worker_init(parent_pid: int, store_root: str | None) -> None:
         _worker_store = ResultStore(store_root)
 
 
-class _HostEvents(EventBus):
+class _HostEvents(HostBus):
     """The bus a pool worker hands one cell: it keeps the host-domain
     events (pass spans, guard decisions, the task event) as picklable
-    tuples and drops the simulator's per-cycle events unbuilt."""
+    tuples."""
 
     __slots__ = ("events",)
 
@@ -149,13 +149,7 @@ class _HostEvents(EventBus):
         self.subscribe(self._keep)
 
     def _keep(self, ev: Event) -> None:
-        if ev.kind in WALL_KINDS:
-            self.events.append((ev.kind, ev.ts, ev.name, ev.value, ev.dur))
-
-    def emit_enq(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    emit_deq = emit_stall = emit_retire = emit_halt = emit_enq
+        self.events.append((ev.kind, ev.ts, ev.name, ev.value, ev.dur))
 
 
 class WorkerReply(NamedTuple):

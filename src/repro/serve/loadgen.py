@@ -13,30 +13,22 @@ client's draw sequence, and the phase structure.  The report carries
 per-phase throughput and exact p50/p95/p99 latency, per-tier hit
 counts from the responses' ``cached`` field, the server's own metrics
 snapshot, and the coalescing proof (distinct cells drawn vs run
-records actually written).  ``write_bench`` persists the headline
-numbers to ``BENCH_serve.json`` so the serving-performance trajectory
-accumulates in-repo, like ``BENCH_obs.json`` does for the simulator.
+records actually written).
 """
 
 from __future__ import annotations
 
 import asyncio
 import bisect
-import json
-import os
 import random
 import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from ..obs.report import BENCH_SCHEMA, update_bench
 from .client import ServeClient, TCPClient
 from .service import ServeConfig, ServeService
 from .stats import percentiles
-
-#: default bench trajectory file (repo root / current directory).
-BENCH_PATH = "BENCH_serve.json"
 
 
 @dataclass(frozen=True)
@@ -257,7 +249,6 @@ async def _run_campaign(
     if workers is not None and writes is not None:
         writes += workers["store"]["writes"]  # pool workers write the records
     report = {
-        "schema": BENCH_SCHEMA,
         "config": {
             "requests": cfg.requests, "clients": cfg.clients,
             "zipf_s": cfg.zipf_s, "seed": cfg.seed, "trip": cfg.trip,
@@ -332,19 +323,3 @@ def format_report(report: dict) -> str:
     lines.append(f"unhandled    : {report['unhandled']}")
     return "\n".join(lines)
 
-
-def _bench_key(row: dict) -> str:
-    c = row.get("config", {})
-    return json.dumps((c.get("requests"), c.get("clients"), c.get("zipf_s"),
-                       c.get("seed"), c.get("trip"), c.get("transport"),
-                       c.get("chaos")), default=str)
-
-
-def write_bench(path: str | os.PathLike, report: dict) -> dict:
-    """Merge the campaign report into the serve bench trajectory file.
-
-    Rows are keyed by campaign shape (requests, clients, zipf, seed,
-    trip, transport, chaos): re-running the same campaign replaces its
-    row, so the file tracks current numbers per configuration.
-    """
-    return update_bench(path, report, key=_bench_key)

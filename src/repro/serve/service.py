@@ -40,8 +40,9 @@ guard decisions and task lifecycle events — emitted on the bus by the
 in-process lane, shipped back by pool workers — are folded into the
 same :class:`~repro.obs.metrics.MetricsRegistry` that holds the
 cache-tier and admission counters.  Only wall-clock (host-domain)
-events are folded; pool workers drop the per-cycle simulator events
-before they are built.
+events are folded, so the service's bus, like a pool worker's, is a
+:class:`~repro.obs.events.HostBus`: the simulator's per-cycle events
+are never built.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from pathlib import Path
 from typing import Any
 
 from .. import pool
-from ..obs.events import WALL_KINDS, EventBus
+from ..obs.events import HostBus
 from ..obs.metrics import MetricsCollector, MetricsRegistry
 from .admission import AdmissionQueue, AdmitError, RateLimiter
 from .protocol import (
@@ -163,9 +164,8 @@ class ServeService:
             max_queue=self.config.max_queue,
         )
         self.limiter = RateLimiter(self.config.rate, self.config.burst)
-        self.bus = EventBus()
-        self._collector = MetricsCollector(self.registry)
-        self.bus.subscribe(self._on_event)
+        self.bus = HostBus()
+        self.bus.subscribe(MetricsCollector(self.registry))
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._executor: Any = None
         self.pool_counters = pool.PoolCounters()
@@ -225,12 +225,6 @@ class ServeService:
         from ..store.disk import default_store
 
         return default_store()
-
-    def _on_event(self, ev: Any) -> None:
-        # Host-domain events only: the in-process lane's simulator emits
-        # its per-cycle events on this bus too, and metrics fold none.
-        if ev.kind in WALL_KINDS:
-            self._collector(ev)
 
     def _executor_now(self) -> Any:
         """The executor, built on first use (so start-up forks nothing)."""

@@ -179,7 +179,7 @@ class TestCommands:
         args = build_parser().parse_args(["chaos-adapt"])
         assert args.trip == 48 and args.seed == 13 and args.cores == 4
         assert args.kernels is None and args.scenarios is None
-        assert args.bench is None and not args.no_bench
+        assert args.json is None
 
     def test_chaos_adapt_default_kernels_in_sync(self):
         from repro.cli import _ADAPT_DEFAULT_KERNELS
@@ -187,15 +187,15 @@ class TestCommands:
 
         assert _ADAPT_DEFAULT_KERNELS == DEFAULT_KERNELS
 
-    def test_chaos_adapt_smoke(self, capsys, tmp_path):
+    def test_chaos_adapt_smoke(self, capsys, tmp_path, monkeypatch):
         import json
 
+        monkeypatch.chdir(tmp_path)
         cells = tmp_path / "cells.json"
-        bench = tmp_path / "bench.json"
         rc = main([
             "chaos-adapt", "--kernels", "umt2k-1",
             "--scenarios", "balanced,slow1x3", "--trip", "16",
-            "--json", str(cells), "--bench", str(bench),
+            "--json", str(cells),
         ])
         out = capsys.readouterr().out
         assert rc == 0, out
@@ -204,8 +204,8 @@ class TestCommands:
         doc = json.loads(cells.read_text())
         assert doc["ok"] and doc["total_checks"] > 0
         assert all(c["checks_ok"] for c in doc["cells"])
-        rows = json.loads(bench.read_text())["rows"]
-        assert {r["scenario"] for r in rows} == {"balanced", "slow1x3"}
+        assert {c["scenario"] for c in doc["cells"]} == {"balanced", "slow1x3"}
+        assert list(tmp_path.iterdir()) == [cells]  # --json's file only
 
     def test_chaos_adapt_unknown_kernel(self, capsys):
         assert main(["chaos-adapt", "--kernels", "nosuch-kernel"]) == 2
@@ -410,11 +410,12 @@ class TestFrontendCommands:
 
 class TestObservabilityCommands:
     def test_trace_writes_valid_chrome_json(self, capsys, tmp_path):
+        """``profile --out`` is the trace exporter."""
         from repro.obs.timeline import validate_chrome_trace
 
         out_path = tmp_path / "trace.json"
         rc = main([
-            "trace", "umt2k-6", "--trip", "16", "--out", str(out_path),
+            "profile", "umt2k-6", "--trip", "16", "--out", str(out_path),
         ])
         out = capsys.readouterr().out
         assert rc == 0
@@ -425,15 +426,14 @@ class TestObservabilityCommands:
         assert validate_chrome_trace(doc) == []
         assert len(doc["traceEvents"]) > 0
 
-    def test_trace_unknown_kernel(self, capsys):
-        assert main(["trace", "nosuch-kernel"]) == 2
+    def test_trace_unknown_kernel(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.json"
+        assert main(["profile", "nosuch-kernel", "--out", str(out_path)]) == 2
         assert "unknown kernel" in capsys.readouterr().out
+        assert not out_path.exists()
 
-    def test_profile_prints_stall_table_and_bench(self, capsys, tmp_path):
-        bench = tmp_path / "BENCH_obs.json"
-        rc = main([
-            "profile", "umt2k-6", "--trip", "16", "--bench", str(bench),
-        ])
+    def test_profile_prints_stall_table(self, capsys):
+        rc = main(["profile", "umt2k-6", "--trip", "16"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "stall attribution" in out
@@ -442,17 +442,12 @@ class TestObservabilityCommands:
         rows = [l for l in out.splitlines()
                 if l.strip() and l.strip()[0].isdigit()]
         assert len(rows) >= 4
-        import json
 
-        doc = json.loads(bench.read_text())
-        assert doc["schema"] == 1 and len(doc["rows"]) == 1
-        assert doc["rows"][0]["kernel"] == "umt2k-6"
-
-    def test_profile_no_bench(self, capsys, tmp_path, monkeypatch):
+    def test_plain_profile_writes_no_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        rc = main(["profile", "umt2k-1", "--trip", "8", "--no-bench"])
+        rc = main(["profile", "umt2k-1", "--trip", "8"])
         assert rc == 0
-        assert not (tmp_path / "BENCH_obs.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_profile_unknown_kernel(self, capsys):
         assert main(["profile", "nosuch-kernel"]) == 2
@@ -461,32 +456,34 @@ class TestObservabilityCommands:
     def test_profile_with_trace_out(self, capsys, tmp_path):
         out_path = tmp_path / "t.json"
         rc = main([
-            "profile", "umt2k-1", "--trip", "8", "--no-bench",
-            "--out", str(out_path),
+            "profile", "umt2k-1", "--trip", "8", "--out", str(out_path),
         ])
         assert rc == 0 and out_path.exists()
+        # the log's drop count is printed beside the path, even when 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith(f"trace        : {out_path}  (")
+        assert " events, 0 dropped;" in line
 
 
 class TestFailedCells:
-    """``kernels run``, ``trace`` and ``profile`` run their cell through
-    the guard: a failed cell is a diagnosis and exit 1, not a traceback."""
+    """``kernels run`` and ``profile`` run their cell through the guard:
+    a failed cell is a diagnosis and exit 1, not a traceback."""
 
     @pytest.mark.parametrize("broken", ["compile-error", "protocol"])
-    @pytest.mark.parametrize("command", ["kernels run", "trace", "profile"])
+    @pytest.mark.parametrize("command", ["kernels run", "profile"])
     def test_failed_cell_exits_1_with_its_kind(
             self, command, broken, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         _break_parallel_compile(monkeypatch, broken)
         out_path = tmp_path / "t.json"
-        extra = {"kernels run": [], "trace": ["--out", str(out_path)],
-                 "profile": ["--no-bench"]}[command]
+        extra = {"kernels run": [], "profile": ["--out", str(out_path)]}[command]
         rc = main([*command.split(), "umt2k-1", "--cores", "4",
                    "--trip", "16", *extra])
         out = capsys.readouterr().out
         assert rc == 1
         assert f"attempt 0: {broken} " in out
         assert "bit-exact" not in out
-        assert list(tmp_path.iterdir()) == []  # no trace, no bench file
+        assert list(tmp_path.iterdir()) == []  # no trace, no other file
 
 
 class TestServeCommands:
@@ -513,28 +510,27 @@ class TestServeCommands:
         assert main(["loadgen", "--cores", "two"]) == 2
         assert "--cores" in capsys.readouterr().out
 
-    def test_loadgen_small_campaign(self, capsys, tmp_path):
+    def test_loadgen_small_campaign(self, capsys, tmp_path, monkeypatch):
         from repro.experiments.common import clear_cache
 
         clear_cache()
-        bench = tmp_path / "bench.json"
+        monkeypatch.chdir(tmp_path)
         metrics = tmp_path / "metrics.json"
         rc = main([
             "loadgen", "--requests", "30", "--clients", "4", "--trip", "8",
             "--kernels", "sphot-1,lammps-1", "--cores", "2", "--seed", "7",
-            "--bench", str(bench), "--json", str(metrics),
-            "--min-warm-hit", "0.5",
+            "--json", str(metrics), "--min-warm-hit", "0.5",
         ])
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "warm" in out and "coalescing" in out
         import json
 
-        doc = json.loads(bench.read_text())
-        assert doc["rows"] and doc["rows"][0]["phases"]["warm"]["hit_rate"] > 0.5
         report = json.loads(metrics.read_text())
+        assert report["phases"]["warm"]["hit_rate"] > 0.5
         assert report["unhandled"] == 0
         assert report["computed"] == report["unique_cells_drawn"]
+        assert list(tmp_path.iterdir()) == [metrics]  # --json's file only
 
     def test_cache_stats_counts_a_sweeps_records(self, capsys, monkeypatch,
                                                  tmp_path):
@@ -597,7 +593,7 @@ class TestCrashSafetyCommands:
         rc = main([
             "loadgen", "--requests", "20", "--clients", "4", "--trip", "8",
             "--kernels", "sphot-1", "--cores", "2", "--seed", "5",
-            "--chaos", "store-enospc", "--no-bench",
+            "--chaos", "store-enospc",
         ])
         out = capsys.readouterr().out
         assert rc == 0, out

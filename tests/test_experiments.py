@@ -1,7 +1,8 @@
 """Tests for the experiment harness and each experiment's shape checks.
 
-These use a reduced trip count so the whole module stays fast; the
-benchmarks run the full-size versions.
+These use a reduced trip count so the whole module stays fast;
+``tests/test_paper_shape.py`` checks the paper's shapes at the
+evaluation trip (64).
 """
 
 import pytest
@@ -223,6 +224,18 @@ class TestImbalanceE13:
             if c.scenario == "balanced":
                 assert c.outcome == "balanced"
                 assert c.resolved_by == "first-try"
+
+    def test_cell_row_shape(self):
+        """A cell's row of ``repro chaos-adapt --json``."""
+        from repro.experiments import imbalance
+
+        res = imbalance.run(trip=8, kernels=("umt2k-1",),
+                            scenarios=(("balanced", (), 1.0),))
+        row = res.cells[0].row(trip=8, cores=4)
+        assert row["kernel"] == "umt2k-1" and row["scenario"] == "balanced"
+        assert {"static_cycles", "adaptive_cycles", "gain", "imbalance",
+                "resolved_by", "checks", "checks_ok",
+                "outcome"} <= set(row)
 
 
 class TestAdaptive:

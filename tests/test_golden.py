@@ -71,6 +71,7 @@ from repro.kernels import all_kernels, get_kernel, table1_kernels
 from repro.obs.events import SIM_KINDS, EventBus
 from repro.runtime import compile_loop, execute_kernel
 from repro.runtime.adaptive import adaptive_run
+from repro.sim import MachineParams
 from repro.store import ResultStore
 from repro.workload import random_workload
 
@@ -117,6 +118,12 @@ RUN_PAYLOADS_DIGEST = (
 SIM_TRIP = 64
 SIM_DIGEST = (
     "0c5b3adff6aa20ac93785f2850a1d43d8360c9329c3516b2cc4c60c174cdf378"
+)
+#: cache lines per core of the small-cache golden, and the sha256 of
+#: its runs' dump.
+SIM_SMALL_CACHE_LINES = 8
+SIM_SMALL_CACHE_DIGEST = (
+    "f04528e788f87f76149f13ac3fdb59e0161636cf6d647240382d9a49b6af8a4d"
 )
 
 #: trips of the interpreter golden (every kernel, then Table I), how
@@ -354,6 +361,23 @@ def test_simulator_results_match_golden():
     assert len(runs) == 18 * 5 + 5
     blob = json.dumps(runs, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == SIM_DIGEST
+
+
+def test_small_cache_results_match_golden():
+    """No run of ``SIM_DIGEST`` evicts a line from the default 1,024-line
+    cache, so LRU and FIFO replacement give it the same timings.  Table
+    I at 1 and 4 cores on an 8-line cache evicts, and this digest pins
+    the replacement policy."""
+    params = MachineParams(cache_lines=SIM_SMALL_CACHE_LINES)
+    runs = {}
+    for spec in table1_kernels():
+        loop, wl = spec.loop(), spec.workload(trip=SIM_TRIP)
+        for cores in (1, 4):
+            runs[f"{spec.name}@{cores}"] = _sim_dump(
+                execute_kernel(compile_loop(loop, cores), wl, params))
+    assert len(runs) == 18 * 2
+    blob = json.dumps(runs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SIM_SMALL_CACHE_DIGEST
 
 
 # -- the interpreter golden -----------------------------------------------

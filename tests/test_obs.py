@@ -1,6 +1,6 @@
 """Tests for the repro.obs observability subsystem: event bus,
-metrics registry, Chrome-trace timeline, stall attribution, bench
-emitter, and the disabled-overhead guard."""
+metrics registry, Chrome-trace timeline, stall attribution, and the
+disabled-overhead guard."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from repro.obs.events import (
     span,
 )
 from repro.obs.metrics import MetricsCollector, MetricsRegistry
-from repro.obs.report import bench_row, format_profile, profile_result, update_bench
+from repro.obs.report import format_profile, profile_result
 from repro.obs.timeline import (
     PID_COMPILER,
     PID_CORES,
@@ -241,46 +241,6 @@ class TestReport:
         assert "stall attribution" in text and "queue pressure" in text
         assert "speedup: 2.00x" in text
 
-    def test_bench_create_merge_replace(self, tmp_path):
-        path = tmp_path / "BENCH_obs.json"
-        spec = get_kernel("umt2k-1")
-        kern = compile_loop(spec.loop(), 2)
-        res = execute_kernel(kern, spec.workload(trip=8))
-        prof = profile_result(res, kernel="umt2k-1", trip=8,
-                              stats=kern.plan.stats)
-        update_bench(path, bench_row(prof))
-        update_bench(path, bench_row(prof, note="second"))  # same key: replace
-        other = profile_result(res, kernel="other", trip=8,
-                               stats=kern.plan.stats)
-        doc = update_bench(path, bench_row(other))
-        assert len(doc["rows"]) == 2
-        on_disk = json.loads(path.read_text())
-        assert on_disk == doc
-        row = next(r for r in on_disk["rows"] if r["kernel"] == "umt2k-1")
-        assert row["note"] == "second"
-        assert set(row["stall_breakdown"]) == {
-            STALL_QUEUE_FULL, STALL_QUEUE_EMPTY, STALL_TRANSFER,
-        }
-
-    def test_bench_survives_corrupt_file(self, tmp_path):
-        path = tmp_path / "BENCH_obs.json"
-        path.write_text("{not json")
-        doc = update_bench(path, {"kernel": "k", "cores": 1, "trip": 1})
-        assert len(doc["rows"]) == 1
-        assert json.loads(path.read_text())["schema"] == 1
-
-    def test_bench_keyed_by_loadgen_campaign_shape(self, tmp_path):
-        from repro.serve.loadgen import write_bench
-
-        path = tmp_path / "BENCH_serve.json"
-        shape = {"requests": 40, "clients": 6, "zipf_s": 1.1, "seed": 0,
-                 "trip": 16, "transport": "inproc", "chaos": None}
-        write_bench(path, {"config": shape, "note": "first"})
-        write_bench(path, {"config": shape, "note": "second"})  # replace
-        doc = write_bench(path, {"config": dict(shape, seed=1)})
-        assert [r.get("note") for r in doc["rows"]] == ["second", None]
-        assert json.loads(path.read_text()) == doc
-
 
 class TestAdaptiveProfileSignals:
     """The adaptive runtime's signals surfaced through `repro profile`:
@@ -320,29 +280,6 @@ class TestAdaptiveProfileSignals:
             assert len(spark) == 8
         text = format_profile(prof)
         assert "imbalance" in text and "idle" in text
-
-    def test_bench_key_includes_scenario(self, tmp_path):
-        from repro.obs.report import _row_key
-
-        a = {"kernel": "k", "cores": 4, "trip": 8, "scenario": "balanced"}
-        b = dict(a, scenario="slow1x3")
-        assert _row_key(a) != _row_key(b)
-        path = tmp_path / "BENCH_adaptive.json"
-        update_bench(path, a)
-        doc = update_bench(path, b)
-        assert len(doc["rows"]) == 2
-
-    def test_adaptive_bench_row_shape(self):
-        from repro.experiments import imbalance
-        from repro.obs.report import adaptive_bench_row
-
-        res = imbalance.run(trip=8, kernels=("umt2k-1",),
-                            scenarios=(("balanced", (), 1.0),))
-        row = adaptive_bench_row(res.cells[0], trip=8, cores=4)
-        assert row["kernel"] == "umt2k-1" and row["scenario"] == "balanced"
-        assert {"static_cycles", "adaptive_cycles", "gain", "imbalance",
-                "resolved_by", "checks", "checks_ok",
-                "outcome"} <= set(row)
 
 
 class TestGuardAndHarnessEvents:

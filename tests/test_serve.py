@@ -559,6 +559,33 @@ class TestServiceBoundary:
 
         run(main())
 
+    def test_in_process_bus_carries_host_events_only(self, tmp_path):
+        # the in-process lane computes on the service's own bus, and the
+        # metrics fold host events only: the simulator must build none
+        # of its per-cycle events for it
+        from collections import Counter
+
+        from repro.obs.events import WALL_KINDS
+
+        async def main():
+            svc = make_service(tmp_path)
+            kinds = []
+            svc.bus.subscribe(lambda ev: kinds.append(ev.kind))
+            cli = ServeClient(svc)
+            clear_cache()
+            resp = await cli.request("run", kernel="lammps-1", cores=4, trip=16)
+            m = (await cli.request("metrics"))["result"]
+            await svc.aclose()
+            return resp, kinds, m["counters"]
+
+        resp, kinds, counters = run(main())
+        assert resp["ok"] and counters["serve.computed"]["value"] == 1
+        assert kinds and set(kinds) <= WALL_KINDS
+        folded = {name.removeprefix("obs.events."): c["value"]
+                  for name, c in counters.items()
+                  if name.startswith("obs.events.")}
+        assert folded == Counter(kinds)
+
     def test_metrics_report_stage_memos(self, tmp_path):
         # one kernel at two core counts, same seed: the second cell
         # reuses the first one's interpreter oracle ...
