@@ -251,40 +251,18 @@ def _cmd_sweep(args) -> int:
     from .experiments.common import ExpConfig
     from .kernels import get_kernel, table1_kernels
     from .store.disk import default_store
-    from .store.journal import incomplete_journals, new_journal_path
-    from .store.sweep import resume_grid, run_grid
+    from .store.journal import new_journal_path
+    from .store.sweep import resume_journals, run_grid
 
     if args.resume is not None:
         store = default_store()
         if store is None:
             print("--resume needs a persistent store ($REPRO_CACHE_DIR)")
             return 2
-        paths = [args.resume]
-        if args.resume == "auto":
-            found = incomplete_journals(store.root)
-            if not found:
-                print(f"no incomplete journal under {store.root}; nothing to resume")
-                return 0
-            paths = []
-            for state in found:  # oldest first
-                if state.campaign_cells:
-                    paths.append(state.path)
-                else:
-                    print(f"skip {state.path}: its 'open' record names no "
-                          "campaign (a serve journal resumes under "
-                          "`repro serve --resume`)")
-        rc = 0
-        for path in paths:
-            try:
-                _results, report = resume_grid(
-                    path, workers=args.workers, timeout=args.timeout,
-                    retries=args.retries, store=store,
-                )
-            except (ValueError, OSError) as exc:
-                print(f"--resume: {exc}")
-                rc = 2
-                continue
-            print(report.format())
+        rc, _ = resume_journals(
+            store, None if args.resume == "auto" else [args.resume],
+            workers=args.workers, timeout=args.timeout, retries=args.retries,
+        )
         return rc
 
     if args.kernels == "all":
@@ -869,8 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "PATH; default <store>/journals/sweep-*.journal)")
     wp.add_argument("--resume", nargs="?", const="auto", default=None,
                     metavar="JOURNAL",
-                    help="resume a crashed journaled sweep (every "
-                    "incomplete sweep journal, oldest first, when no path "
+                    help="resume a crashed journal (every incomplete one, "
+                    "a sweep's or a daemon's, oldest first, when no path "
                     "is given); re-dispatches only cells missing from the "
                     "store")
     wp.set_defaults(fn=_cmd_sweep)
@@ -990,8 +968,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--no-journal", action="store_true",
                     help="disable the write-ahead compute journal")
     vp.add_argument("--resume", action="store_true",
-                    help="replay incomplete journals under the store root "
-                    "before accepting traffic (recompute missing cells)")
+                    help="resume incomplete journals under the store root "
+                    "before accepting traffic, as `sweep --resume` does")
     vp.add_argument("--drain-deadline", type=float, default=10.0,
                     help="seconds granted to in-flight requests on "
                     "SIGTERM/SIGINT before exiting (default 10)")

@@ -130,9 +130,15 @@ def seed_cache(key: str, run: KernelRun) -> None:
 def recall(key: str, store) -> tuple[str | None, KernelRun | None]:
     """The finished run under store key ``key`` and the tier it came
     from: ``("l1", run)`` from the process memo, ``("l2", run)`` from
-    ``store`` (promoted into the memo), or ``(None, None)``."""
+    ``store`` (promoted into the memo), or ``(None, None)``.
+
+    A run it returns is durable in ``store``: an L1 hit whose record is
+    absent there (after a gc or clear, or over another store root) is
+    rewritten; existence is the test, so the record is not read."""
     run = memo.RUNS.lookup(key)
     if run is not None:
+        if store is not None and not store.has(key):
+            store.put_run(key, run)
         return "l1", run
     if store is not None:
         run = store.get_run(key)
@@ -233,17 +239,8 @@ def run_kernel(
     t0 = _time.perf_counter()
     task = f"{spec.name}:c{config.n_cores}"
     digest = store_key_for(spec, config)
-    tier, hit = recall(digest, store)
+    _, hit = recall(digest, store)
     if hit is not None:
-        if tier == "l1" and store is not None and not store.has(digest):
-            # The memo says "computed"; the caller needs "durable in
-            # *this* store".  After a gc/clear, or when resuming a
-            # different store root in a warm process, the record may
-            # be absent — rewrite it so run_kernel's contract (return
-            # implies a durable record) holds for crash recovery.
-            # Existence is the test: the memo already holds the run,
-            # so the record is not read again.
-            store.put_run(digest, hit)
         _task_event(obs, task, t0, "cached")
         return hit
 

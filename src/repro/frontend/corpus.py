@@ -48,6 +48,8 @@ def autoload(force: bool = False) -> list[KernelSpec]:
     _AUTOLOADED = True
     root = default_ingest_dir()
     if not root.is_dir():
+        log.warning("no ingest corpus at %s, so no frontend kernel is "
+                    "loaded; set REPRO_INGEST_DIR to its directory", root)
         return []
     specs: list[KernelSpec] = []
     for path in sorted(root.glob("*.py")):

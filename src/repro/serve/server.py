@@ -147,19 +147,16 @@ async def serve_forever(
     ``draining`` errors, flush in-flight requests under
     ``config.drain_deadline``, checkpoint the write-ahead journal,
     close the connections left idle, and return normally (exit 0).
-    With ``config.resume`` set, incomplete journals under the store
-    root are replayed *before* the socket binds, so a restarted daemon
-    owes nothing from its previous life.
+    With ``config.resume`` set, :func:`repro.store.sweep.resume_journals`
+    resumes every incomplete journal under the store root *before* the
+    socket binds, so a restarted daemon owes nothing from its previous
+    life.
     """
     service = ServeService(config, registry=registry)
-    if config.resume:
-        rep = await service.resume_incomplete()
-        log.info(
-            "serve: resume replayed %d journal(s): %d cell(s), "
-            "%d already durable, %d recomputed, %d failed",
-            rep["journals"], rep["cells"], rep["durable"],
-            rep["recomputed"], rep["failed"],
-        )
+    if config.resume and service.store is not None:
+        from ..store.sweep import resume_journals
+
+        resume_journals(service.store, workers=config.compute_width)
     service.start_watchdog()
     conns: dict = {}
     server = await start_server(service, host, port, conns)

@@ -189,7 +189,7 @@ class ServeService:
         self.drain = DrainController()
         self._watchdog: asyncio.Task | None = None
         self.faults = self._arm_faults()
-        self.journal, self._journal_open = self._open_journal()
+        self.journal = self._open_journal()
 
     def _arm_faults(self) -> Any:
         if self.config.fault_plan is None:
@@ -201,17 +201,17 @@ class ServeService:
             self.store = injector.wrap_store(self.store)
         return injector
 
-    def _open_journal(self) -> tuple[Any, set]:
+    def _open_journal(self) -> Any:
         """Write-ahead journal for ``run`` computes: intent before
         dispatch, done after the durable store write.  ``None`` when
         there is no store to be durable against."""
         if self.store is None or not self.config.journal:
-            return None, set()
+            return None
         from ..store.journal import SweepJournal, new_journal_path
 
         journal = SweepJournal(new_journal_path(self.store.root, prefix="serve"))
         journal.open_campaign({"mode": "serve"})
-        return journal, set()
+        return journal
 
     # -- plumbing ------------------------------------------------------
 
@@ -288,7 +288,7 @@ class ServeService:
         )
         report.abandoned = self.drain.inflight
         report.flushed -= report.abandoned
-        report.journal_pending = len(self._journal_open)
+        report.journal_pending = len(self.journal.pending) if self.journal else 0
         report.duration_s = time.monotonic() - t0
         await self.aclose()
         return report
@@ -306,69 +306,11 @@ class ServeService:
             # purpose — that is the crash/abandon breadcrumb --resume
             # replays; a fully-acked journal closes complete and is
             # reclaimed by the next store gc.
-            self.journal.checkpoint(pending=len(self._journal_open))
-            self.journal.close(complete=not self._journal_open)
+            self.journal.checkpoint(pending=len(self.journal.pending))
+            self.journal.close(complete=not self.journal.pending)
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-
-    async def resume_incomplete(self) -> dict:
-        """Replay every incomplete journal under the store root
-        (crashed sweeps and crashed serve daemons alike): re-dispatch
-        only the cells it owes (a sweep's whole campaign, a daemon's
-        intents) whose record is absent from the store, append
-        the completions to the *original* journal, and mark it done.
-        Idempotent — resuming a completed journal performs zero
-        computes."""
-        report = {"journals": 0, "cells": 0, "durable": 0, "recomputed": 0,
-                  "failed": 0}
-        if self.store is None:
-            return report
-        from ..experiments import common
-        from ..store.journal import SweepJournal, incomplete_journals
-
-        own = self.journal.path.resolve() if self.journal is not None else None
-        for state in incomplete_journals(self.store.root):
-            if own is not None and Path(state.path).resolve() == own:
-                continue
-            if not state.schema_ok:
-                log.warning("serve: skipping journal %s (schema mismatch)",
-                            state.path)
-                continue
-            try:
-                owed = state.owed()
-            except ValueError as exc:
-                log.warning("serve: skipping journal %s (%s)", state.path, exc)
-                continue
-            report["journals"] += 1
-            report["cells"] += len(owed)
-            missing = [key for key in owed if self.store.get_run(key) is None]
-            report["durable"] += len(owed) - len(missing)
-            failed = 0
-            journal = SweepJournal(state.path)
-            try:
-                for key in missing:
-                    kernel = owed[key].get("kernel")
-                    cfg = owed[key].get("config") or {}
-                    if not kernel:
-                        failed += 1
-                        continue
-                    try:
-                        run = await self._in_executor(
-                            self._compute_fn(kernel, cfg)
-                        )
-                        common.seed_cache(key, run)
-                    except Exception as exc:
-                        failed += 1
-                        log.warning("serve: resume of %s… failed (%s: %s)",
-                                    key[:12], type(exc).__name__, exc)
-                        continue
-                    journal.record_done(key)
-                    report["recomputed"] += 1
-            finally:
-                journal.close(complete=failed == 0)
-            report["failed"] += failed
-        return report
 
     @property
     def uptime(self) -> float:
@@ -403,7 +345,6 @@ class ServeService:
             journaled = self.journal is not None
             if journaled:
                 self.journal.record_intent(key, kernel, cfg)
-                self._journal_open.add(key)
             token = self.supervisor.begin(f"run:{kernel}", timeout)
             try:
                 fn = self._compute_fn(kernel, cfg)
@@ -429,13 +370,11 @@ class ServeService:
                     exc, asyncio.CancelledError
                 ):
                     self.journal.record_done(key, status="failed")
-                    self._journal_open.discard(key)
                 raise
             self.supervisor.end(token, "done")
             self.breaker.record_success(key)
             if journaled and not self.journal.closed:
                 self.journal.record_done(key)
-            self._journal_open.discard(key)
             return run
 
         return await self.admission.run(req.priority, work)
@@ -505,7 +444,8 @@ class ServeService:
         self.registry.gauge("serve.inflight_keys").set(len(self.singleflight))
         self.registry.gauge("serve.restarts").set(self.supervisor.restarts)
         self.registry.gauge("serve.open_breakers").set(self.breaker.open_keys)
-        self.registry.gauge("serve.journal_pending").set(len(self._journal_open))
+        self.registry.gauge("serve.journal_pending").set(
+            len(self.journal.pending) if self.journal else 0)
         self.registry.gauge("serve.draining").set(
             1.0 if self.drain.draining else 0.0
         )
@@ -548,7 +488,7 @@ class ServeService:
             "queue_depth": self.admission.depth,
             "restarts": self.supervisor.restarts,
             "open_breakers": self.breaker.open_keys,
-            "journal_pending": len(self._journal_open),
+            "journal_pending": len(self.journal.pending) if self.journal else 0,
         }
 
     # -- entry point ---------------------------------------------------

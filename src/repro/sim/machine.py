@@ -28,6 +28,7 @@ import numpy as np
 from ..analysis.cost import LatencyTable, default_latencies
 from ..isa.instructions import QueueId
 from ..isa.program import Program
+from ..obs.events import HostBus
 from .core import Core, CoreStats, SimError
 from .memory import SharedMemory
 from .queues import HwQueue, occupancy_histogram
@@ -251,9 +252,11 @@ class Machine:
 
             self.race_detector = RaceDetector(n_cores=len(programs))
         #: the observability bus (repro.obs.events.EventBus) the cores
-        #: emit into; a disabled bus is treated exactly like None so the
+        #: emit into; a disabled bus, or a HostBus (whose simulator
+        #: emitters do nothing), is treated exactly like None so the
         #: hot loop never pays for observers that cannot hear.
-        self.obs = obs if (obs is not None and obs.enabled) else None
+        self.obs = (obs if obs is not None and obs.enabled
+                    and not isinstance(obs, HostBus) else None)
         # The cores resolve queues through the machine's parts, not a
         # bound method: a Machine <-> Core cycle is freed only by the
         # cyclic GC, and would keep each finished run's queue histories

@@ -23,8 +23,10 @@ waste and turns the kernel × config matrix into a schedulable grid:
 * :mod:`repro.store.journal` — write-ahead sweep journal: intent
   before compute, completion after the durable store write, so a
   ``kill -9``'d sweep or daemon resumes by re-dispatching only the
-  missing cells of its campaign (``run_grid(journal=...)`` /
-  ``resume_grid``).
+  missing cells it owes (``run_grid(journal=...)``; ``resume_grid``,
+  run over every incomplete journal by ``resume_journals``).  A
+  writer holds its journal's lock until it closes or dies, so no
+  resume or gc takes a live writer's journal.
 """
 
 from .disk import ResultStore, StoreStats, StoreWriteError, default_store, store_root

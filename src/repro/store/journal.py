@@ -5,8 +5,9 @@ cell is dispatched and *completion* after its result has been durably
 persisted to the content-addressed store.  A process that dies mid
 sweep — ``kill -9``, OOM, power loss — leaves a journal whose
 incomplete entries name exactly the cells still owed; ``repro sweep
---resume`` (and ``repro serve --resume``) replay the journal against
-the store and re-dispatch only the missing cells.
+--resume`` and ``repro serve --resume`` replay it against the store
+with :func:`repro.store.sweep.resume_grid`, re-dispatching only the
+missing cells.
 
 Format: one JSON object per line (NDJSON), append-only::
 
@@ -34,6 +35,11 @@ Crash tolerance on the read side: the final line of a crashed writer
 may be torn; :func:`load_journal` tolerates (and counts) trailing
 garbage instead of failing the whole replay.
 
+A live writer's journal is left alone: a :class:`SweepJournal` holds
+an exclusive ``flock`` on its file from open to close, which dies with
+the process (``SIGKILL`` included), so no resumer takes a held journal
+and ``gc`` keeps it.
+
 Journals live in ``<store root>/journals/`` by default so that
 ``ResultStore.gc`` can find incomplete journals and refuse to collect
 any record they still reference (see ``ResultStore.gc``'s
@@ -42,6 +48,7 @@ any record they still reference (see ``ResultStore.gc``'s
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -71,8 +78,24 @@ def new_journal_path(store_root: str | os.PathLike, prefix: str = "sweep") -> Pa
     return d / f"{prefix}-{os.getpid()}-{uuid.uuid4().hex[:12]}{JOURNAL_SUFFIX}"
 
 
+class JournalHeld(Exception):
+    """The journal's writer lock is held: a live process writes it."""
+
+
+def _take_writer_lock(fh: Any) -> bool:
+    """Take the writer lock on the open journal ``fh`` without waiting;
+    False when a live writer holds it.  It lasts until ``fh`` closes."""
+    try:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    return True
+
+
 class SweepJournal:
-    """Append-only write-ahead journal for one campaign.
+    """Append-only write-ahead journal for one writer (a sweep, a
+    resume or a daemon); opening it takes the writer lock, or raises
+    :class:`JournalHeld`.
 
     ``fsync=True`` (the default) pays one fsync per line for real
     durability; tests and throwaway campaigns can disable it.  The
@@ -85,7 +108,11 @@ class SweepJournal:
         self.fsync = fsync
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
-        self.lines = 0
+        if not _take_writer_lock(self._fh):
+            self._fh.close()
+            raise JournalHeld(f"{self.path}: held by a live writer")
+        #: this writer's intents with no ``done`` line yet.
+        self.pending: set[str] = set()
 
     # -- raw append ----------------------------------------------------
 
@@ -94,7 +121,6 @@ class SweepJournal:
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
-        self.lines += 1
 
     # -- records -------------------------------------------------------
 
@@ -110,15 +136,21 @@ class SweepJournal:
         })
 
     def record_intent(self, key: str, kernel: str, config: dict | None = None) -> None:
-        """MUST be on disk before the cell's compute is dispatched."""
+        """MUST be on disk before the cell's compute is dispatched.  A
+        key already pending writes nothing: a retry dispatches under
+        its standing intent."""
+        if key in self.pending:
+            return
         self._append({
             "kind": "intent", "key": key, "kernel": kernel,
             "config": config or {},
         })
+        self.pending.add(key)
 
     def record_done(self, key: str, status: str = "ok") -> None:
         """Only after the store write for ``key`` has returned."""
         self._append({"kind": "done", "key": key, "status": status})
+        self.pending.discard(key)
 
     @property
     def closed(self) -> bool:
@@ -136,14 +168,6 @@ class SweepJournal:
         if complete:
             self._append({"kind": "close"})
         self._fh.close()
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # an exception mid-campaign leaves the journal *incomplete* on
-        # purpose: that is the crash-recovery breadcrumb.
-        self.close(complete=exc_type is None)
 
 
 @dataclass
@@ -186,28 +210,27 @@ class JournalState:
         {"kernel": ..., "config": {...}}``: each cell of its campaign
         when the ``open`` record names kernels and configs, and each
         intent (a sweep writes an intent only as its cell starts).
-        Raises ``ValueError`` when a campaign cell cannot be rebuilt:
-        a kernel no longer registered, a config field no longer known."""
-        cells: dict[str, dict] = {}
-        if self.campaign_cells:
-            from ..experiments.common import ExpConfig, store_key_for
-            from ..kernels import get_kernel
+        Raises ``ValueError`` when a cell cannot be rebuilt: a kernel
+        no longer registered, a config field no longer known."""
+        from ..experiments.common import ExpConfig, store_key_for
+        from ..kernels import get_kernel
 
-            try:
+        cells: dict[str, dict] = {}
+        try:
+            if self.campaign_cells:
                 for name in self.campaign["kernels"]:
                     spec = get_kernel(name)
                     for cfg in self.campaign["configs"]:
                         key = store_key_for(spec, ExpConfig(**cfg))
                         cells[key] = {"kernel": name, "config": cfg}
-            except (KeyError, TypeError) as exc:
-                raise ValueError(
-                    f"journal {self.path}: cannot rebuild its campaign ({exc})"
-                ) from None
+            for cell in self.intents.values():
+                get_kernel(cell["kernel"])
+                ExpConfig(**cell["config"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"journal {self.path}: cannot rebuild what it owes ({exc})"
+            ) from None
         return {**cells, **self.intents}
-
-    def pending_keys(self) -> list[str]:
-        """Intents without a completion record, in intent order."""
-        return [k for k in self.intents if k not in self.done]
 
     def missing_cells(self, store: Any) -> list[str]:
         """Owed cells whose result is absent from the *store* — the
@@ -315,17 +338,22 @@ def gc_journals(store_root: str | os.PathLike, store: Any = None) -> int:
     A journal is reclaimable when nothing is owed: it is complete, or
     every cell it owes has its record in the store (the crashed-but-
     actually-finished case).  Incomplete journals are always kept, and
-    so is one whose campaign can no longer be rebuilt.
+    so is one whose cells can no longer be rebuilt, and one a live
+    writer holds (an idle daemon's reads complete).  The lock is held
+    until the unlink, so no resumer takes the journal meanwhile.
     """
     removed = 0
     for path in find_journals(store_root):
-        state = load_journal(path)
-        try:
-            done = state.complete or (
-                store is not None and not state.missing_cells(store)
-            )
-        except ValueError:
-            done = False
-        if done and remove_journal(path):
-            removed += 1
+        with open(path, "rb") as fh:
+            if not _take_writer_lock(fh):
+                continue
+            state = load_journal(path)
+            try:
+                done = state.complete or (
+                    store is not None and not state.missing_cells(store)
+                )
+            except ValueError:
+                done = False
+            if done and remove_journal(path):
+                removed += 1
     return removed

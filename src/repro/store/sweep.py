@@ -31,7 +31,7 @@ import os
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -164,44 +164,6 @@ def _campaign_doc(specs: Sequence[Any], configs: Sequence[Any]) -> dict:
     }
 
 
-class _JournalScribe:
-    """Parent-side journal bookkeeping for one grid run.
-
-    Records each cell's *intent* exactly once, immediately before its
-    first dispatch, and its *completion* once a result exists (the
-    store write happens inside ``run_kernel``, in the worker or
-    in-process, before the result is returned — so a ``done`` line
-    always post-dates the durable record)."""
-
-    def __init__(self, journal: Any, by_name: Mapping[str, Any]) -> None:
-        self.journal = journal
-        self.by_name = by_name
-        self._keys: dict[tuple, str] = {}
-        self._intents: set[str] = set()
-        self._done: set[str] = set()
-
-    def key_for(self, task: SweepTask) -> str:
-        key = self._keys.get(task.cell)
-        if key is None:
-            key = _task_key(self.by_name[task.kernel], task.config)
-            self._keys[task.cell] = key
-        return key
-
-    def intent(self, task: SweepTask) -> None:
-        key = self.key_for(task)
-        if key in self._intents:
-            return  # retries re-dispatch; the intent stands
-        self._intents.add(key)
-        self.journal.record_intent(key, task.kernel, asdict(task.config))
-
-    def done(self, task: SweepTask, status: str = "ok") -> None:
-        key = self.key_for(task)
-        if key in self._done:
-            return
-        self._done.add(key)
-        self.journal.record_done(key, status)
-
-
 def run_grid(
     specs: Sequence[Any],
     configs: Sequence[Any],
@@ -226,8 +188,7 @@ def run_grid(
     emitted here (a cell that timed out or raised in the pool gets a
     task event from this process).
 
-    ``journal`` (a :class:`~repro.store.journal.SweepJournal`, an open
-    path, or ``None``) arms the write-ahead journal: every cell's
+    ``journal`` (a path, or ``None``) arms the write-ahead journal: every cell's
     intent is on disk before its compute dispatches and its completion
     after the store write, so a killed sweep resumes with
     :func:`resume_grid` re-dispatching only the missing cells.
@@ -244,21 +205,19 @@ def run_grid(
         key=lambda t: -_estimate_cycles(store, by_name[t.kernel], t.config)
     )
 
-    owned_journal = journal is not None and not isinstance(journal, SweepJournal)
-    if owned_journal:
+    if journal is not None:
         journal = SweepJournal(journal)
         journal.open_campaign(_campaign_doc(specs, configs))
-    scribe = _JournalScribe(journal, by_name) if journal is not None else None
 
     results: dict[tuple[str, Any], Any] = {}
     try:
         _dispatch_tasks(
             tasks, by_name, results,
             workers=workers, timeout=timeout, retries=retries,
-            store=store, obs=obs, scribe=scribe,
+            store=store, obs=obs, journal=journal,
         )
     finally:
-        if owned_journal:
+        if journal is not None:
             # complete only when every campaign cell has a result: a
             # crash or partial failure must leave the recovery
             # breadcrumb behind.
@@ -276,10 +235,13 @@ def _dispatch_tasks(
     retries: int,
     store: Any,
     obs: Any,
-    scribe: Any = None,
+    journal: Any = None,
 ) -> None:
     """Pool-then-serial dispatch shared by ``run_grid`` and
-    ``resume_grid`` (which re-dispatches an arbitrary task subset)."""
+    ``resume_grid`` (which re-dispatches an arbitrary task subset).
+
+    With a ``journal``, each cell's intent is on disk before its first
+    dispatch, and its ``done`` line post-dates its durable record."""
     from ..experiments import common
 
     n_workers = resolve_workers(workers)
@@ -291,17 +253,19 @@ def _dispatch_tasks(
             pending, by_name, results,
             workers=min(n_workers, len(tasks)),
             timeout=timeout, retries=retries, store=store, obs=obs,
-            scribe=scribe,
+            journal=journal,
         )
 
     for task in pending:  # serial path and pool-failure fallback
-        if scribe is not None:
-            scribe.intent(task)
+        spec = by_name[task.kernel]
+        if journal is not None:
+            key = _task_key(spec, task.config)
+            journal.record_intent(key, task.kernel, asdict(task.config))
         results[task.cell] = common.run_kernel(
-            by_name[task.kernel], task.config, store=store, obs=obs,
+            spec, task.config, store=store, obs=obs,
         )
-        if scribe is not None:
-            scribe.done(task)
+        if journal is not None:
+            journal.record_done(key)
 
 
 @dataclass
@@ -309,7 +273,7 @@ class ResumeReport:
     """What :func:`resume_grid` found and did."""
 
     journal: str
-    cells: int                     # total campaign cells
+    cells: int                     # cells the journal owes
     intents: int                   # cells whose intent survived the crash
     completed: int                 # cells already durable in the store
     recomputed: int                # cells actually re-dispatched
@@ -334,19 +298,22 @@ def resume_grid(
     store: Any = _UNSET,
     obs: Any = None,
 ) -> tuple[Mapping[tuple[str, Any], Any], ResumeReport]:
-    """Resume a crashed journaled sweep: replay the journal against the
-    store and re-dispatch **only** the missing cells.
+    """Resume a crashed journal, a sweep's or a daemon's: replay it
+    against the store and re-dispatch **only** the missing cells.
 
     The cells are the ones the journal owes
     (:meth:`~repro.store.journal.JournalState.owed`): every cell of its
-    campaign, including those the crash came before.  The store is
-    ground truth in both directions — a cell whose record exists is
-    complete even if its ``done`` line was torn off by the crash, and a
-    ``done`` whose record has vanished is recomputed.  Re-running a
-    *completed* journal therefore performs zero computes (the
-    idempotence invariant).  Returns the full grid results plus a
-    :class:`ResumeReport`; once every cell has a result the journal is
-    closed complete.
+    campaign, including those the crash came before, and every intent;
+    one that cannot be rebuilt raises ``ValueError`` before any
+    compute.  The journal is opened, taking its writer lock, before it
+    is read: a live writer's raises
+    :class:`~repro.store.journal.JournalHeld`.  The store is ground
+    truth in both directions — a cell whose record exists is complete
+    even if its ``done`` line was torn off by the crash, and a ``done``
+    whose record has vanished is recomputed.  Re-running a *completed*
+    journal therefore performs zero computes (the idempotence
+    invariant).  Returns the results plus a :class:`ResumeReport`;
+    once every cell has a result the journal is closed complete.
     """
     from ..experiments.common import ExpConfig
     from ..kernels import get_kernel
@@ -355,49 +322,83 @@ def resume_grid(
 
     if store is _UNSET:
         store = default_store()
-    state = load_journal(journal_path)
-    if not state.schema_ok:
-        raise ValueError(f"journal {journal_path} has an unsupported schema")
-    if not state.campaign_cells:
-        raise ValueError(
-            f"journal {journal_path} carries no campaign (its 'open' record "
-            "was lost); cannot rebuild the task list"
-        )
-    owed = state.owed()
-    tasks = [SweepTask(cell["kernel"], ExpConfig(**cell["config"]))
-             for cell in owed.values()]
-    by_name = {task.kernel: get_kernel(task.kernel) for task in tasks}
-
-    results: dict[tuple[str, Any], Any] = {}
-    missing: list[SweepTask] = []
-    for key, task in zip(owed, tasks):
-        run = store.get_run(key) if store is not None else None
-        if run is not None:
-            results[task.cell] = run
-        else:
-            missing.append(task)
-
-    durable = len(results)  # before dispatch mutates the results dict
+    if not os.path.isfile(journal_path):
+        raise FileNotFoundError(f"no such journal: {journal_path}")
     journal = SweepJournal(journal_path)  # append to the same file
+    complete = False
     try:
+        state = load_journal(journal_path)
+        if not state.schema_ok:
+            raise ValueError(f"journal {journal_path} has an unsupported schema")
+        owed = state.owed()
+        tasks = [SweepTask(cell["kernel"], ExpConfig(**cell["config"]))
+                 for cell in owed.values()]
+        by_name = {task.kernel: get_kernel(task.kernel) for task in tasks}
+
+        results: dict[tuple[str, Any], Any] = {}
+        missing: list[SweepTask] = []
+        for key, task in zip(owed, tasks):
+            run = store.get_run(key) if store is not None else None
+            if run is not None:
+                results[task.cell] = run
+            else:
+                missing.append(task)
+
+        durable = len(results)  # before dispatch mutates the results dict
         if missing:
             _dispatch_tasks(
                 missing, by_name, results,
                 workers=workers, timeout=timeout, retries=retries,
-                store=store, obs=obs, scribe=_JournalScribe(journal, by_name),
+                store=store, obs=obs, journal=journal,
             )
-    finally:
         # complete once nothing is owed, so the next gc and the next
         # --resume scan skip it; a journal closed before needs no
         # second close line.
-        journal.close(complete=not state.closed
-                      and all(task.cell in results for task in tasks))
+        complete = not state.closed and all(task.cell in results for task in tasks)
+    finally:
+        journal.close(complete=complete)
     report = ResumeReport(
         journal=str(journal_path), cells=len(tasks), intents=len(state.intents),
         completed=durable, recomputed=len(missing),
         torn_lines=state.torn_lines,
     )
     return results, report
+
+
+def resume_journals(
+    store: Any,
+    paths: Sequence[Any] | None = None,
+    *,
+    say: Callable[[str], None] = print,
+    **dispatch: Any,
+) -> tuple[int, list[ResumeReport]]:
+    """``repro sweep --resume`` and ``repro serve --resume``:
+    :func:`resume_grid` each of ``paths`` (every incomplete journal
+    under ``store``'s root, oldest first, by default) with ``dispatch``
+    (``workers``, ``timeout``, ``retries``), and ``say`` one line per
+    journal: its report, ``skip <path>: held by a live writer``, or why
+    it failed.  Returns the exit code (2 when a journal failed, else
+    0) and the reports."""
+    from .journal import JournalHeld, incomplete_journals
+
+    if paths is None:
+        paths = [state.path for state in incomplete_journals(store.root)]
+        if not paths:
+            say(f"no incomplete journal under {store.root}; nothing to resume")
+    rc, reports = 0, []
+    for path in paths:
+        try:
+            _, report = resume_grid(path, store=store, **dispatch)
+        except JournalHeld:
+            say(f"skip {path}: held by a live writer")
+            continue
+        except (ValueError, OSError) as exc:
+            say(f"--resume: {exc}")
+            rc = 2
+            continue
+        say(report.format())
+        reports.append(report)
+    return rc, reports
 
 
 def _run_pool(
@@ -410,7 +411,7 @@ def _run_pool(
     retries: int,
     store: Any,
     obs: Any = None,
-    scribe: Any = None,
+    journal: Any = None,
 ) -> list[SweepTask]:
     """Drain ``pending`` through the worker pool; returns tasks left for
     the serial fallback (retry-exhausted and quarantined cells).
@@ -478,11 +479,12 @@ def _run_pool(
                     failed.append(task)
 
             t_round = time.perf_counter()
-            if scribe is not None:
+            if journal is not None:
                 # write-ahead discipline: every intent line hits disk
                 # before the first worker can touch its cell.
                 for t in pending:
-                    scribe.intent(t)
+                    journal.record_intent(_task_key(by_name[t.kernel], t.config),
+                                          t.kernel, asdict(t.config))
             try:
                 if executor is None:
                     executor = pool.make_executor(min(workers, len(pending)), store)
@@ -509,13 +511,13 @@ def _run_pool(
                           status=type(exc).__name__)
                 else:
                     results[task.cell] = reply.run
+                    key = _task_key(by_name[task.kernel], task.config)
                     # parent memo: later serial calls reuse the run
-                    common.seed_cache(
-                        _task_key(by_name[task.kernel], task.config), reply.run)
-                    if scribe is not None:
+                    common.seed_cache(key, reply.run)
+                    if journal is not None:
                         # the worker's run_kernel persisted the record
                         # before returning: completion is now durable.
-                        scribe.done(task)
+                        journal.record_done(key)
                     if obs is not None:
                         reply.replay(obs)
             if spoiled:

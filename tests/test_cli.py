@@ -607,9 +607,69 @@ class TestCrashSafetyCommands:
 
     def test_sweep_resume_takes_every_sweep_journal(self, capsys,
                                                      monkeypatch, tmp_path):
-        """Two killed sweeps' journals and a newer serve journal: a bare
-        ``--resume`` resumes both sweeps, oldest first, and leaves the
-        daemon's journal to ``repro serve --resume``."""
+        """Two killed sweeps' journals, a newer killed daemon's and a
+        live writer's: a bare ``--resume`` resumes the three dead ones,
+        oldest first, and skips the live one without touching it."""
+        import os
+        from dataclasses import asdict
+
+        from repro.experiments.common import ExpConfig, clear_cache, store_key_for
+        from repro.kernels import get_kernel
+        from repro.store.journal import (
+            SweepJournal, incomplete_journals, new_journal_path,
+        )
+
+        root = tmp_path / "store"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        clear_cache()
+        cfg2, cfg4 = ExpConfig(n_cores=2, trip=8), ExpConfig(n_cores=4, trip=8)
+        paths = []
+        for prefix, campaign in (
+            ("sweep", {"kernels": ["sphot-1"], "configs": [asdict(cfg2)]}),
+            ("sweep", {"kernels": ["sphot-2"], "configs": [asdict(cfg2)]}),
+            ("serve", {"mode": "serve"}),
+            ("sweep", {"kernels": ["irs-1"], "configs": [asdict(cfg2)]}),
+        ):
+            path = new_journal_path(root, prefix=prefix)
+            j = SweepJournal(path, fsync=False)
+            j.open_campaign(campaign)
+            if prefix == "serve":  # a daemon killed with a cell in flight
+                j.record_intent(store_key_for(get_kernel("sphot-1"), cfg4),
+                                "sphot-1", asdict(cfg4))
+            if len(paths) < 3:
+                j.close(complete=False)  # killed; a sweep before any cell
+            else:
+                live = j  # still running its first cell
+            os.utime(path, (len(paths) + 1e9, len(paths) + 1e9))
+            paths.append(path)
+        held = paths[3].read_bytes()
+        try:
+            rc = main(["sweep", "--resume"])
+            out = capsys.readouterr().out
+            assert paths[3].read_bytes() == held
+        finally:
+            live.close(complete=False)
+        assert rc == 0, out
+        assert out.splitlines() == [
+            f"resume {paths[0]}: 1 cell(s), 0 journaled intent(s), "
+            "0 already durable, 1 re-dispatched",
+            f"resume {paths[1]}: 1 cell(s), 0 journaled intent(s), "
+            "0 already durable, 1 re-dispatched",
+            f"resume {paths[2]}: 1 cell(s), 1 journaled intent(s), "
+            "0 already durable, 1 re-dispatched",
+            f"skip {paths[3]}: held by a live writer",
+        ]
+        assert [s.path for s in incomplete_journals(root)] == [str(paths[3])]
+
+    @pytest.mark.parametrize("intent", [
+        {"kernel": "no-such-kernel"},
+        {"config": {"no_such_field": 1}},
+    ], ids=["kernel", "config-field"])
+    def test_sweep_resume_reports_a_journal_it_cannot_rebuild(
+            self, capsys, monkeypatch, tmp_path, intent):
+        """An intent naming an unknown kernel or config field fails its
+        journal (exit 2, no traceback) before any compute; the other
+        journals are still resumed."""
         import os
         from dataclasses import asdict
 
@@ -621,36 +681,39 @@ class TestCrashSafetyCommands:
         root = tmp_path / "store"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
         clear_cache()
+        cfg = asdict(ExpConfig(n_cores=2, trip=8))
         paths = []
-        for prefix, campaign in (
-            ("sweep", {"kernels": ["sphot-1"],
-                       "configs": [asdict(ExpConfig(n_cores=2, trip=8))]}),
-            ("sweep", {"kernels": ["sphot-2"],
-                       "configs": [asdict(ExpConfig(n_cores=2, trip=8))]}),
-            ("serve", {"mode": "serve"}),
-        ):
-            path = new_journal_path(root, prefix=prefix)
+        for kernel in ("sphot-1", "sphot-2"):
+            path = new_journal_path(root)
             j = SweepJournal(path, fsync=False)
-            j.open_campaign(campaign)
-            if prefix == "serve":  # a daemon killed with a cell in flight
-                j.record_intent("0" * 64, "sphot-1",
-                                asdict(ExpConfig(n_cores=4, trip=8)))
-            j.close(complete=False)  # killed; a sweep before any cell
+            j.open_campaign({"kernels": [kernel], "configs": [cfg]})
+            if not paths:
+                j.record_intent("0" * 64, intent.get("kernel", kernel),
+                                {**cfg, **intent.get("config", {})})
+            j.close(complete=False)
             os.utime(path, (len(paths) + 1e9, len(paths) + 1e9))
             paths.append(path)
+        bad = paths[0].read_bytes()
         rc = main(["sweep", "--resume"])
         out = capsys.readouterr().out
-        assert rc == 0, out
-        lines = out.splitlines()
-        resumed = [ln for ln in lines if ln.startswith("resume ")]
+        assert rc == 2, out
+        failed, *resumed = out.splitlines()
+        assert failed.startswith(
+            f"--resume: journal {paths[0]}: cannot rebuild what it owes")
         assert resumed == [
-            f"resume {paths[0]}: 1 cell(s), 0 journaled intent(s), "
-            "0 already durable, 1 re-dispatched",
             f"resume {paths[1]}: 1 cell(s), 0 journaled intent(s), "
             "0 already durable, 1 re-dispatched",
         ]
-        assert any(ln.startswith(f"skip {paths[2]}") for ln in lines)
-        assert [s.path for s in incomplete_journals(root)] == [str(paths[2])]
+        assert paths[0].read_bytes() == bad
+        assert [s.path for s in incomplete_journals(root)] == [str(paths[0])]
+
+    def test_sweep_resume_of_a_missing_path_creates_no_file(
+            self, capsys, monkeypatch, tmp_path):
+        missing = tmp_path / "store" / "journals" / "nope.journal"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        assert main(["sweep", "--resume", str(missing)]) == 2
+        assert "--resume:" in capsys.readouterr().out
+        assert not missing.exists()
 
     def test_sweep_journal_then_resume_round_trip(self, capsys, monkeypatch,
                                                   tmp_path):

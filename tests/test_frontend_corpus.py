@@ -125,3 +125,18 @@ class TestSweepIntegration:
         grid = run_grid([spec], [cfg])
         run = grid[(spec.name, cfg)]
         assert run.correct and run.speedup > 0
+
+
+def test_autoload_warns_when_the_corpus_is_missing(tmp_path, monkeypatch, caplog):
+    """A missing corpus directory is named, not skipped in silence."""
+    from repro.frontend import corpus
+
+    missing = tmp_path / "no-ingest"
+    monkeypatch.setenv("REPRO_INGEST_DIR", str(missing))
+    # a later lookup still loads the real corpus
+    monkeypatch.setattr(corpus, "_AUTOLOADED", corpus._AUTOLOADED)
+    with caplog.at_level("WARNING", logger="repro.frontend"):
+        assert corpus.autoload(force=True) == []
+    (record,) = caplog.records
+    assert str(missing) in record.getMessage()
+    assert "REPRO_INGEST_DIR" in record.getMessage()

@@ -11,6 +11,7 @@ from repro.experiments.common import ExpConfig, clear_cache, store_key_for
 from repro.kernels import get_kernel
 from repro.store.disk import ResultStore
 from repro.store.journal import (
+    JournalHeld,
     SweepJournal,
     find_journals,
     gc_journals,
@@ -19,7 +20,9 @@ from repro.store.journal import (
     new_journal_path,
     protected_keys,
 )
-from repro.store.sweep import resume_grid, run_grid
+from repro.store.sweep import resume_grid, resume_journals, run_grid
+
+from .test_serve import start_daemon
 
 CFG = ExpConfig(n_cores=2, trip=8)
 CFG3 = ExpConfig(n_cores=3, trip=8)
@@ -53,7 +56,9 @@ class TestJournalFile:
         j.open_campaign({"kernels": ["sphot-1"], "configs": [asdict(CFG)]})
         j.record_intent("k1", "sphot-1", asdict(CFG))
         j.record_intent("k2", "sphot-1", asdict(CFG3))
+        j.record_intent("k2", "sphot-1", asdict(CFG3))  # a retry: no line
         j.record_done("k1")
+        assert j.pending == {"k2"}
         j.checkpoint(pending=1)
         j.close(complete=False)
 
@@ -63,7 +68,7 @@ class TestJournalFile:
         assert set(state.intents) == {"k1", "k2"}
         assert state.intents["k2"]["config"]["n_cores"] == 3
         assert set(state.done) == {"k1"} and state.done["k1"] == "ok"
-        assert list(state.pending_keys()) == ["k2"]
+        assert sum('"intent"' in line for line in path.read_text().splitlines()) == 2
         assert not state.complete
 
     def test_complete_when_all_done_or_closed(self, tmp_path):
@@ -179,10 +184,18 @@ class TestJournaledSweep:
         _, report = resume_grid(path, store=store)
         assert report.recomputed == 0 and report.completed == 1
 
-    def test_resume_rejects_campaignless_journal(self, tmp_path):
-        path = make_journal(tmp_path, {"x": ("sphot-1", asdict(CFG))})
-        with pytest.raises(ValueError, match="campaign"):
-            resume_grid(path, store=ResultStore(tmp_path / "store"))
+    def test_resume_takes_campaignless_journal(self, tmp_path):
+        """A daemon's journal names no campaign: it owes its intents."""
+        store = ResultStore(tmp_path / "store")
+        key = store_key_for(get_kernel("sphot-1"), CFG)
+        path = make_journal(store.root, {key: ("sphot-1", asdict(CFG))},
+                            campaign={"mode": "serve"})
+        results, report = resume_grid(path, store=store)
+        assert (report.cells, report.intents, report.completed,
+                report.recomputed) == (1, 1, 0, 1)
+        assert results[("sphot-1", CFG)].correct
+        assert store.get_run(key) is not None
+        assert load_journal(path).closed
 
 
 class TestGcVsJournal:
@@ -269,12 +282,10 @@ class TestKilledSerialSweep:
     killed one owes cells it never named: the journal is judged by its
     campaign."""
 
-    @pytest.mark.parametrize("resume", ["resume_grid", "resume_incomplete"])
+    @pytest.mark.parametrize("resume", ["resume_grid", "serve_resume"])
     @pytest.mark.parametrize("kill_at", ["cell", "intent"])
     def test_resume_completes_the_campaign(self, tmp_path, kill_at, resume):
-        import asyncio
-
-        from repro.serve.service import ServeConfig, ServeService
+        import signal
 
         store = ResultStore(tmp_path / "store")
         path = new_journal_path(store.root)
@@ -290,15 +301,21 @@ class TestKilledSerialSweep:
             _, report = resume_grid(path, store=store)
             assert (report.cells, report.completed, report.recomputed) == (3, 1, 2)
         else:
-            async def scenario():
-                svc = ServeService(ServeConfig(store_root=store.root))
-                report = await svc.resume_incomplete()
-                await svc.aclose()
-                return report
-
-            report = asyncio.run(scenario())
-            assert (report["cells"], report["durable"],
-                    report["recomputed"], report["failed"]) == (3, 1, 2, 0)
+            # the daemon resumes with its own workers before it binds
+            proc, _, printed = start_daemon(tmp_path, "--resume")
+            try:
+                proc.send_signal(signal.SIGTERM)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+            assert proc.returncode == 0, err
+            intents = {"cell": 2, "intent": 1}[kill_at]
+            assert printed == [
+                f"resume {path}: 3 cell(s), {intents} journaled intent(s), "
+                "1 already durable, 2 re-dispatched"
+            ]
         assert all(store.get_run(k) is not None for k in keys)
         assert load_journal(path).complete
 
@@ -306,7 +323,8 @@ class TestKilledSerialSweep:
 class TestMalformedCampaign:
     """A campaign whose kernels or configs are not lists reads as
     empty, so the journal is judged by its intents, and nothing that
-    lists, collects or resumes journals raises on it."""
+    lists, collects or resumes journals raises on it: the one resume
+    takes it by its intents."""
 
     @pytest.mark.parametrize("campaign", [
         {"kernels": 3, "configs": [asdict(CFG)]},
@@ -314,10 +332,6 @@ class TestMalformedCampaign:
         {"kernels": "sphot-1", "configs": [asdict(CFG)]},
     ])
     def test_read_as_empty(self, tmp_path, campaign):
-        import asyncio
-
-        from repro.serve.service import ServeConfig, ServeService
-
         store = ResultStore(tmp_path / "store")
         key = store_key_for(get_kernel("sphot-1"), CFG)
         path = make_journal(store.root, {key: ("sphot-1", asdict(CFG))},
@@ -325,18 +339,78 @@ class TestMalformedCampaign:
         assert load_journal(path).campaign == {}
         assert [s.path for s in incomplete_journals(store.root)] == [str(path)]
         assert gc_journals(store.root, store=store) == 0
-        with pytest.raises(ValueError, match="campaign"):
-            resume_grid(path, store=store)
 
-        async def scenario():
-            svc = ServeService(ServeConfig(store_root=store.root))
-            report = await svc.resume_incomplete()
-            await svc.aclose()
-            return report
-
-        report = asyncio.run(scenario())
-        assert (report["cells"], report["recomputed"], report["failed"]) == (1, 1, 0)
+        _, report = resume_grid(path, store=store)
+        assert (report.cells, report.recomputed) == (1, 1)
         assert store.get_run(key) is not None
         assert load_journal(path).complete
         gc_journals(store.root, store=store)
-        assert find_journals(store.root) == []  # serve's own journal too
+        assert find_journals(store.root) == []
+
+
+class TestLiveWriter:
+    """A journal whose writer lock is held belongs to a live process:
+    no resumer appends to it or computes what it owes, and gc keeps
+    it.  (The lock dies with its holder: ``TestKilledSerialSweep``
+    resumes a SIGKILLed writer's journal.)"""
+
+    def test_resume_skips_live_journals(self, tmp_path):
+        import asyncio
+
+        from repro.serve.service import ServeConfig, ServeService
+
+        store = ResultStore(tmp_path / "store")
+        spec = get_kernel("sphot-1")
+        k2, k3 = store_key_for(spec, CFG), store_key_for(spec, CFG3)
+        # a live sweep between its intent and its result
+        sweep = SweepJournal(new_journal_path(store.root), fsync=False)
+        sweep.open_campaign({"kernels": ["sphot-1"], "configs": [asdict(CFG)]})
+        sweep.record_intent(k2, "sphot-1", asdict(CFG))
+        # a live daemon with one compute in flight
+        svc = ServeService(ServeConfig(store_root=store.root))
+        svc.journal.record_intent(k3, "sphot-1", asdict(CFG3))
+        live = [sweep.path, svc.journal.path]
+        before = [p.read_bytes() for p in live]
+        with pytest.raises(JournalHeld):
+            SweepJournal(sweep.path)
+        try:
+            lines = []
+            rc, reports = resume_journals(store, say=lines.append)
+            assert rc == 0 and reports == []
+            assert sorted(lines) == sorted(
+                f"skip {p}: held by a live writer" for p in live)
+            assert [p.read_bytes() for p in live] == before
+            assert store.get_run(k2) is None and store.get_run(k3) is None
+        finally:
+            sweep.close(complete=False)
+            asyncio.run(svc.aclose())
+        # both writers gone with an intent open: two crashes, resumed
+        lines = []
+        rc, reports = resume_journals(store, say=lines.append)
+        assert rc == 0 and lines == [rep.format() for rep in reports]
+        assert [rep.journal for rep in reports] == [str(p) for p in live]
+        assert store.get_run(k2) is not None and store.get_run(k3) is not None
+
+    def test_gc_keeps_a_live_daemon_journal(self, tmp_path):
+        """An idle daemon's journal reads complete, but it is the
+        breadcrumb of the daemon's next crash."""
+        import asyncio
+
+        from repro.serve.client import ServeClient
+        from repro.serve.service import ServeConfig, ServeService
+
+        store = ResultStore(tmp_path / "store")
+
+        async def scenario():
+            svc = ServeService(ServeConfig(store_root=store.root))
+            r = await ServeClient(svc).request(
+                "run", kernel="sphot-1", cores=2, trip=8)
+            assert r["ok"]
+            assert load_journal(svc.journal.path).complete
+            assert store.gc().removed_journals == 0
+            assert find_journals(store.root) == [svc.journal.path]
+            await svc.aclose()
+
+        asyncio.run(scenario())
+        assert store.gc().removed_journals == 1
+        assert find_journals(store.root) == []

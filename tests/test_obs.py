@@ -433,6 +433,35 @@ class TestDisabledOverhead:
                  store=None, obs=bus)
         assert seen == ["_HostEvents" if enabled else "NoneType"] * 2
 
+    def test_host_bus_gives_the_cores_no_bus(self):
+        """A HostBus's simulator emitters do nothing, so the machine
+        hands its cores no bus and the slice loop makes no call into
+        the obs package; a guarded run still delivers its guard and
+        pass events to the bus's subscriber."""
+        from repro.obs.events import HostBus
+        from repro.runtime.guard import guarded_run
+        from repro.sim.machine import Machine
+        from repro.sim.memory import SharedMemory
+
+        bus = HostBus()
+        log = EventLog()
+        bus.subscribe(log)
+        kern = compile_loop(get_kernel("umt2k-6").loop(), 4)
+        machine = Machine(kern.programs, SharedMemory({}), obs=bus)
+        assert machine.obs is None
+        assert all(core.obs is None for core in machine.cores)
+        res_none, calls_none, _ = self._counted_run(None)
+        res_host, calls_host, obs_host = self._counted_run(bus)
+        assert obs_host == 0 and calls_host == calls_none
+        assert res_host.cycles == res_none.cycles
+
+        spec = get_kernel("umt2k-1")
+        run = guarded_run(spec.loop(), spec.workload(trip=8), 2, obs=bus)
+        assert run.source == "parallel"
+        assert [e.name for e in log.by_kind("guard")] == ["parallel"]
+        assert log.by_kind("pass")
+        assert not [e for e in log.events if e.kind in SIM_KINDS]
+
     def test_enabled_obs_does_not_change_simulation(self):
         bus = EventBus()
         log = EventLog()

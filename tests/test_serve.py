@@ -55,7 +55,8 @@ def run_records(root) -> int:
 
 def start_daemon(tmp_path, *args: str):
     """``repro serve --port 0`` over ``tmp_path/store`` as a subprocess;
-    returns the process and its bound ``(host, port)``."""
+    returns the process, its bound ``(host, port)`` and the lines it
+    printed before it bound (``--resume``'s)."""
     import repro
 
     env = dict(
@@ -66,10 +67,14 @@ def start_daemon(tmp_path, *args: str):
         [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
+    printed = []
     line = proc.stdout.readline()
-    assert line.startswith("serving on"), line
+    while line and not line.startswith("serving on"):
+        printed.append(line.rstrip("\n"))
+        line = proc.stdout.readline()
+    assert line.startswith("serving on"), printed
     host, port = line.split()[-1].rsplit(":", 1)
-    return proc, (host, int(port))
+    return proc, (host, int(port)), printed
 
 
 def call(f, req: dict) -> dict:
@@ -744,7 +749,7 @@ class TestTCPServer:
         run(main())
 
     def test_sigterm_with_an_idle_connection_exits_quietly(self, tmp_path):
-        proc, addr = start_daemon(tmp_path)
+        proc, addr, _ = start_daemon(tmp_path)
         try:
             with socket.create_connection(addr):
                 time.sleep(0.3)  # the daemon accepts; nothing is sent
@@ -768,7 +773,7 @@ class TestTCPServer:
         cells = [("sphot-1", 2), ("lammps-1", 4), ("irs-3", 2), ("umt2k-1", 4)]
         reqs = [{"op": "run", "id": i, "kernel": k, "cores": c, "trip": 8}
                 for i, (k, c) in enumerate(cells)]
-        proc, addr = start_daemon(tmp_path)
+        proc, addr, _ = start_daemon(tmp_path)
         try:
             with socket.create_connection(addr) as sock, \
                     sock.makefile("rw") as f:
@@ -812,7 +817,7 @@ class TestTCPServer:
         the drain still waits for an in-flight sweep."""
         kernels = ["sphot-1", "lammps-1", "irs-3", "umt2k-1", "lammps-2",
                    "sphot-2", "irs-1", "umt2k-2"]
-        proc, addr = start_daemon(tmp_path, "--workers", "1")
+        proc, addr, _ = start_daemon(tmp_path, "--workers", "1")
         try:
             with socket.create_connection(addr) as sock, \
                     sock.makefile("rw") as f:
@@ -864,7 +869,7 @@ class TestTCPServer:
     @linux_only
     def test_killed_daemon_takes_its_workers(self, tmp_path):
         """A SIGKILLed daemon leaves no pool worker behind."""
-        proc, addr = start_daemon(tmp_path, "--workers", "2")
+        proc, addr, _ = start_daemon(tmp_path, "--workers", "2")
         try:
             with socket.create_connection(addr) as sock, \
                     sock.makefile("rw") as f:
@@ -1153,33 +1158,52 @@ class TestServeJournal:
         journals = tmp_path / "store" / "journals"
         assert not journals.is_dir() or not list(journals.iterdir())
 
-    def test_resume_incomplete_recomputes_missing_cells(self, tmp_path):
+    def test_resume_loop_recomputes_missing_cells(self, tmp_path):
+        """``repro serve --resume``'s loop takes a crashed daemon's
+        journal by its intents, once."""
         from dataclasses import asdict
 
         from repro.experiments.common import ExpConfig, store_key_for
         from repro.kernels import get_kernel
         from repro.store.journal import SweepJournal, new_journal_path
+        from repro.store.sweep import resume_journals
 
         store = ResultStore(tmp_path / "store")
         cfg = ExpConfig(n_cores=2, trip=8)
         key = store_key_for(get_kernel("sphot-1"), cfg)
-        path = new_journal_path(store.root)
+        path = new_journal_path(store.root, prefix="serve")
         j = SweepJournal(path, fsync=False)
         j.open_campaign({"mode": "serve"})
         j.record_intent(key, "sphot-1", asdict(cfg))
         j.close(complete=False)  # the crash breadcrumb
 
-        async def scenario():
-            clear_cache()
-            svc = make_service(tmp_path)
-            rep = await svc.resume_incomplete()
-            rep2 = await svc.resume_incomplete()
-            await svc.aclose()
-            return rep, rep2
-
-        rep, rep2 = run(scenario())
-        assert rep["journals"] == 1 and rep["recomputed"] == 1
-        assert rep["failed"] == 0
+        clear_cache()
+        lines = []
+        rc, reports = resume_journals(store, workers=0, say=lines.append)
+        assert rc == 0 and lines == [
+            f"resume {path}: 1 cell(s), 1 journaled intent(s), "
+            "0 already durable, 1 re-dispatched"]
         assert store.get_run(key) is not None
         # idempotent: the journal was marked complete by the first pass
-        assert rep2["journals"] == 0 and rep2["recomputed"] == 0
+        rc, reports = resume_journals(store, workers=0, say=lines.append)
+        assert rc == 0 and reports == []
+        assert lines[-1].endswith("nothing to resume")
+
+    def test_an_l1_hit_is_durable_in_its_own_store(self, tmp_path):
+        """Two services over two stores in one process share the run
+        memo: the second answers from L1, and its store still gets the
+        record."""
+        async def scenario():
+            tiers = []
+            for name in ("a", "b"):
+                svc = make_service(tmp_path / name)
+                r = await ServeClient(svc).request(
+                    "run", kernel="sphot-1", cores=2, trip=8)
+                assert r["ok"], r
+                tiers.append(r["cached"])
+                await svc.aclose()
+            return tiers
+
+        assert run(scenario()) == [None, "l1"]
+        for name in ("a", "b"):
+            assert run_records(tmp_path / name / "store") == 1
